@@ -6,6 +6,6 @@ oracles (likelihood-ratio detector, closed-form optimal discriminator)
 provide the ground truth it is validated against.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from . import autodiff, cli, data, densities, gan, layers, metrics, rng, scores  # noqa: F401

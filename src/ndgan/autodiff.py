@@ -8,9 +8,9 @@ forward code with or without an active tape produces bit-identical values.
 Broadcasting is deliberately restricted: two operands must either have equal
 shapes or one must equal the trailing shape of the other (a leading batch
 axis), which keeps every shape rule small and testable. The one construct
-that genuinely needs per-row scaling, weight normalization, is provided as
-its own differentiable primitive (:func:`weight_norm_rows`) instead of
-loosening the broadcast rule.
+that genuinely needs per-row scaling, weight normalization, lives inside the
+fused layer primitive (:func:`linear`) instead of loosening the broadcast
+rule.
 """
 
 from __future__ import annotations
@@ -224,16 +224,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", ad @ bd, (a, b), bwd)
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeMismatch("transpose", x.data.shape, detail="requires a 2-d tensor")
-
-    def bwd(g):
-        return (g.T,)
-
-    return _emit("transpose", x.data.T.copy(), (x,), bwd)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     a_axes, b_axes = _broadcast_plan("add", a.data, b.data)
 
@@ -414,24 +404,64 @@ def gaussian_noise(x: Tensor, std: float, rng: np.random.Generator) -> Tensor:
     return _emit("gaussian-noise", x.data + eps, (x,), bwd)
 
 
-def weight_norm_rows(v: Tensor, g: Tensor) -> Tensor:
-    """Row-normalized weights: row i of the result is g[i] * v[i] / ||v[i]||_2."""
-    vd, gd = v.data, g.data
-    if vd.ndim != 2 or gd.shape != (vd.shape[0],):
-        raise ShapeMismatch("weight-norm-rows", vd.shape, gd.shape)
-    sq = (vd * vd).sum(axis=1)
+def weight_normalize(v: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-normalized weights ``W[i] = g[i] * v[i] / ||v[i]||_2`` and the row norms ``||v[i]||_2``."""
+    if v.ndim != 2 or g.shape != (v.shape[0],):
+        raise ShapeMismatch("linear", v.shape, g.shape, detail="gain needs one entry per row of v")
+    sq = (v * v).sum(axis=1)
     if np.any(sq == 0):
-        raise DomainError("weight-norm-rows", "zero direction row has no unit direction")
+        raise DomainError("linear", "zero direction row has no unit direction")
     norm = np.sqrt(sq)
-    scale = gd / norm
+    return (g / norm)[:, None] * v, norm
+
+
+def linear(x: Tensor, v, g, b) -> Tensor:
+    """Fully connected layer ``x @ W.T + b`` with ``W = g * v / ||v||`` row-wise, or ``W = v`` when ``g`` is None.
+
+    ``v``, ``g`` and ``b`` are either all tensors, which receive gradients,
+    or all plain arrays, which are constants of the optimization: then only
+    ``x`` is an input of the recorded op. The backward forms ``dW = grad.T @ x``
+    once and applies the weight-norm chain rule (Salimans & Kingma 2016) to it.
+    """
+    trained = isinstance(v, Tensor)
+    inputs = (x, *(p for p in (v, g, b) if p is not None)) if trained else (x,)
+    vd, gd, bd = (p.data if isinstance(p, Tensor) else p for p in (v, g, b))
+    xd = x.data
+    if xd.ndim != 2 or vd.ndim != 2 or xd.shape[1] != vd.shape[1] or bd.shape != (vd.shape[0],):
+        raise ShapeMismatch("linear", xd.shape, vd.shape, bd.shape)
+    if gd is None:
+        w = vd
+    else:
+        w, norm = weight_normalize(vd, gd)
 
     def bwd(grad):
-        gv = (grad * vd).sum(axis=1)
+        dx = grad @ w
+        if not trained:
+            return (dx,)
+        dw = grad.T @ xd
+        db = grad.sum(axis=0)
+        if gd is None:
+            return dx, dw, db
+        gv = (dw * vd).sum(axis=1)
         d_g = gv / norm
-        d_v = scale[:, None] * grad - (gd * gv / norm**3)[:, None] * vd
-        return d_v, d_g
+        d_v = (gd / norm)[:, None] * dw - (gd * gv / norm**3)[:, None] * vd
+        return dx, d_v, d_g, db
 
-    return _emit("weight-norm-rows", scale[:, None] * vd, (v, g), bwd)
+    return _emit("linear", xd @ w.T + bd, inputs, bwd)
+
+
+def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop`` of a batch; the backward scatters into zeros elsewhere."""
+    xd = x.data
+    if xd.ndim < 1 or not 0 <= start <= stop <= xd.shape[0]:
+        raise ShapeMismatch("slice-rows", xd.shape, detail=f"rows {start}:{stop} out of range")
+
+    def bwd(g):
+        full = np.zeros_like(xd)
+        full[start:stop] = g
+        return (full,)
+
+    return _emit("slice-rows", xd[start:stop], (x,), bwd)
 
 
 # name -> (function, number of tensor inputs); the dispatch table doubles as
@@ -454,8 +484,8 @@ OPS = {
     "concat": (concat, None),
     "gaussian-noise": (gaussian_noise, 1),
     "clip": (clip, 1),
-    "transpose": (transpose, 1),
-    "weight-norm-rows": (weight_norm_rows, 2),
+    "linear": (linear, 4),
+    "slice-rows": (slice_rows, 1),
 }
 
 

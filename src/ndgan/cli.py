@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import traceback
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -49,9 +50,14 @@ def _log(msg: str):
 
 
 def _atomic(path: Path, writer):
-    tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, path)
+    """Run ``writer`` on a fresh temp file beside ``path``, then rename it over ``path``."""
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_json(path: Path, doc: dict):

@@ -236,13 +236,17 @@ def discriminator_loss(
     noise_rng=None,
     mode: str = "train",
 ) -> Tensor:
-    lab_logits = None
-    if labeled_x is not None and len(labeled_x):
-        lab_logits, _ = discriminator_logits(model, Tensor(labeled_x), mode, noise_rng)
-    else:
-        labels = None
-    unl_logits, _ = discriminator_logits(model, Tensor(unlabeled_x), mode, noise_rng)
-    fake_logits, _ = discriminator_logits(model, Tensor(fake_x), mode, noise_rng)
+    """The discriminator loss from one pass over the stacked [labeled; unlabeled; fake] batch."""
+    if labeled_x is None or labels is None or not len(labeled_x):
+        labeled_x, labels = np.empty((0, model.data_dim)), None
+    parts = [np.asarray(a, dtype=np.float64) for a in (labeled_x, unlabeled_x, fake_x)]
+    for part in parts:
+        _check_data_dim(model, part)
+    logits, _ = discriminator_logits(model, Tensor(np.concatenate(parts)), mode, noise_rng)
+    n_lab, n_real = len(parts[0]), len(parts[0]) + len(parts[1])
+    lab_logits = None if labels is None else ad.slice_rows(logits, 0, n_lab)
+    unl_logits = ad.slice_rows(logits, n_lab, n_real)
+    fake_logits = ad.slice_rows(logits, n_real, len(logits.data))
     return discriminator_loss_from_logits(lab_logits, labels, unl_logits, fake_logits, model.K)
 
 
@@ -252,8 +256,10 @@ def generator_loss_standard_from_logits(fake_logits: Tensor, K: int) -> Tensor:
 
 
 def generator_loss_standard(model: GanModel, z: np.ndarray, noise_rng=None, mode: str = "train") -> Tensor:
+    """The discriminator is a constant of this loss: gradients reach generator parameters only."""
+    disc = nn.constant_params(model.disc_params)
     fake = generator_forward(model, Tensor(z), mode, noise_rng)
-    logits, _ = discriminator_logits(model, fake, mode, noise_rng)
+    logits, _ = nn.mlp_forward(disc, model.disc_specs, fake, mode, noise_rng)
     return generator_loss_standard_from_logits(logits, model.K)
 
 
@@ -281,11 +287,12 @@ def generator_loss_feature_matching(
     The real branch and the discriminator are constants of this loss:
     gradients reach generator parameters only.
     """
+    disc = nn.constant_params(model.disc_params)
     with ad.suspend_tape():
-        _, hidden = discriminator_logits(model, Tensor(np.asarray(real_x, dtype=np.float64)), mode, noise_rng)
+        _, hidden = nn.mlp_forward(disc, model.disc_specs, Tensor(np.asarray(real_x, np.float64)), mode, noise_rng)
         mean_real = hidden[model.feature_layer].data.mean(axis=0)
     fake = generator_forward(model, Tensor(z), mode, noise_rng)
-    _, hidden = discriminator_logits(model, fake, mode, noise_rng)
+    _, hidden = nn.mlp_forward(disc, model.disc_specs, fake, mode, noise_rng)
     mean_fake = ad.reduce_mean(hidden[model.feature_layer], axis=0)
     return ad.l2_norm_squared(ad.add(mean_fake, ad.mul(Tensor(mean_real), Tensor(-1.0))))
 
@@ -405,45 +412,48 @@ def train_gan(
     log = TrainLog()
 
     for step in range(1, config.total_steps + 1):
-        for _ in range(config.d_steps_per_g):
-            unl = all_x[streams.shuffling.integers(0, len(all_x), config.batch_size)]
-            if labeled_x is not None:
-                li = streams.shuffling.integers(0, len(labeled_x), config.batch_size)
-                lx, ly = labeled_x[li], labeled_y[li]
-            else:
-                lx = ly = None
-            if fake_source is not None:
-                fake = np.asarray(fake_source(config.batch_size, streams.sampling), dtype=np.float64)
-            else:
-                fake = sample_generator(model, config.batch_size, streams.sampling)
-
-            with ad.Tape() as tape:
-                d_loss = discriminator_loss(model, lx, ly, unl, fake, streams.noise, "train")
-                d_val = _loss_value(d_loss, step, "d-loss")
-                grads = nn.collect_grads(tape, ad.backward(tape, d_loss), model.disc_params)
-            nn.adam_step(model.disc_params, grads, d_state)
-
-        g_val = None
-        if fake_source is None:
-            z = sample_z(model, config.batch_size, streams.sampling)
-            with ad.Tape() as tape:
-                if config.generator_loss == "feature-matching":
-                    real = all_x[streams.shuffling.integers(0, len(all_x), config.batch_size)]
-                    g_loss = generator_loss_feature_matching(model, real, z, streams.noise, "train")
+        # A diverging run overflows to inf/nan; the finite-loss and finite-gradient
+        # checks report it as a structured error, so numpy stays quiet meanwhile.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(config.d_steps_per_g):
+                unl = all_x[streams.shuffling.integers(0, len(all_x), config.batch_size)]
+                if labeled_x is not None:
+                    li = streams.shuffling.integers(0, len(labeled_x), config.batch_size)
+                    lx, ly = labeled_x[li], labeled_y[li]
                 else:
-                    g_loss = generator_loss_standard(model, z, streams.noise, "train")
-                g_val = _loss_value(g_loss, step, "g-loss")
-                grads = nn.collect_grads(tape, ad.backward(tape, g_loss), model.gen_params)
-            nn.adam_step(model.gen_params, grads, g_state)
+                    lx = ly = None
+                if fake_source is not None:
+                    fake = np.asarray(fake_source(config.batch_size, streams.sampling), dtype=np.float64)
+                else:
+                    fake = sample_generator(model, config.batch_size, streams.sampling)
 
-        fm = None
-        if step % config.log_every == 0 or step == 1 or step == config.total_steps:
+                with ad.Tape() as tape:
+                    d_loss = discriminator_loss(model, lx, ly, unl, fake, streams.noise, "train")
+                    d_val = _loss_value(d_loss, step, "d-loss")
+                    grads = nn.collect_grads(tape, ad.backward(tape, d_loss), model.disc_params)
+                nn.adam_step(model.disc_params, grads, d_state)
+
+            g_val = None
             if fake_source is None:
-                diag = streams.diagnostics
-                real = all_x[diag.integers(0, len(all_x), min(256, len(all_x)))]
-                fake = sample_generator(model, min(256, len(all_x)), diag)
-                fm = feature_matching_distance(model, real, fake)
-        log.rows.append(LogRow(step, d_val, g_val, fm))
+                z = sample_z(model, config.batch_size, streams.sampling)
+                with ad.Tape() as tape:
+                    if config.generator_loss == "feature-matching":
+                        real = all_x[streams.shuffling.integers(0, len(all_x), config.batch_size)]
+                        g_loss = generator_loss_feature_matching(model, real, z, streams.noise, "train")
+                    else:
+                        g_loss = generator_loss_standard(model, z, streams.noise, "train")
+                    g_val = _loss_value(g_loss, step, "g-loss")
+                    grads = nn.collect_grads(tape, ad.backward(tape, g_loss), model.gen_params)
+                nn.adam_step(model.gen_params, grads, g_state)
+
+            fm = None
+            if step % config.log_every == 0 or step == 1 or step == config.total_steps:
+                if fake_source is None:
+                    diag = streams.diagnostics
+                    real = all_x[diag.integers(0, len(all_x), min(256, len(all_x)))]
+                    fake = sample_generator(model, min(256, len(all_x)), diag)
+                    fm = feature_matching_distance(model, real, fake)
+            log.rows.append(LogRow(step, d_val, g_val, fm))
 
     model.frozen = True
     return model, log
@@ -492,6 +502,9 @@ def load_model(path) -> GanModel:
             raise FormatError(source, f"unknown z-prior code {prior_code}")
         gen_specs, gen_params = nn.read_mlp_block(fh, source)
         disc_specs, disc_params = nn.read_mlp_block(fh, source)
+        end = fh.tell()
+        if fh.read(1):
+            raise FormatError(source, "trailing bytes after the model", offset=end)
     return GanModel(
         gen_specs=gen_specs,
         gen_params=gen_params,

@@ -36,11 +36,15 @@ class LayerSpec:
 
 @dataclass
 class LayerParams:
-    """One layer's parameters: direction rows v (out x in), optional gain g, bias b."""
+    """One layer's parameters: direction rows v (out x in), optional gain g, bias b.
 
-    v: Tensor
-    g: Tensor | None
-    b: Tensor
+    Tensors are trained; plain arrays (see :func:`constant_params`) are
+    constants that ``mlp_forward`` records no gradient for.
+    """
+
+    v: Tensor | np.ndarray
+    g: Tensor | np.ndarray | None
+    b: Tensor | np.ndarray
 
     def named(self):
         yield "v", self.v
@@ -57,6 +61,22 @@ def init_mlp(specs: list[LayerSpec], rng: np.random.Generator) -> list[LayerPara
         g = Tensor(np.ones(spec.out_dim)) if spec.weight_norm else None
         params.append(LayerParams(v=Tensor(v), g=g, b=Tensor(np.zeros(spec.out_dim))))
     return params
+
+
+def constant_params(params: list[LayerParams]) -> list[LayerParams]:
+    """The stack's effective weights ``g * v / ||v||`` (or ``v``) and biases, as plain arrays.
+
+    ``mlp_forward`` over the result gives the same values as over ``params``
+    but keeps the weights off the tape, so gradients reach only the input.
+    """
+    return [
+        LayerParams(
+            v=p.v.data if p.g is None else ad.weight_normalize(p.v.data, p.g.data)[0],
+            g=None,
+            b=p.b.data,
+        )
+        for p in params
+    ]
 
 
 def _check_chain(specs: list[LayerSpec], in_width: int):
@@ -109,8 +129,7 @@ def mlp_forward(
     h = x
     hidden: list[Tensor] = []
     for i, (spec, p) in enumerate(zip(specs, params)):
-        w = ad.weight_norm_rows(p.v, p.g) if spec.weight_norm else p.v
-        h = ad.add(ad.matmul(h, ad.transpose(w)), p.b)
+        h = ad.linear(h, p.v, p.g, p.b)
         h = _activate(h, spec.activation)
         if mode == "train" and spec.noise_std > 0:
             if noise_rng is None:
@@ -245,8 +264,12 @@ def read_mlp_block(fh, source: str) -> tuple[list[LayerSpec], list[LayerParams]]
         v = Tensor(_read_array(fh, (out_dim, in_dim), source))
         g = Tensor(_read_array(fh, (out_dim,), source)) if wn else None
         b = Tensor(_read_array(fh, (out_dim,), source))
+        layer = LayerParams(v=v, g=g, b=b)
+        for name, t in layer.named():
+            if not np.all(np.isfinite(t.data)):
+                raise FormatError(source, f"non-finite weights in layer {i} param {name!r}")
         specs.append(spec)
-        params.append(LayerParams(v=v, g=g, b=b))
+        params.append(layer)
     return specs, params
 
 

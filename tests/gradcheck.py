@@ -26,8 +26,16 @@ def op_case(name: str, rng: np.random.Generator):
 
     if name == "matmul":
         return lambda a, b: ad.matmul(a, b), [box(m, k), box(k, n)]
-    if name == "transpose":
-        return lambda a: ad.transpose(a), [box(m, k)]
+    if name in ("linear", "linear-no-gain"):
+        v = box(n, k)
+        v[np.abs(v).sum(axis=1) < 0.5] += 1.0  # keep rows clearly nonzero
+        if name == "linear-no-gain":
+            return lambda x, v, b: ad.linear(x, v, None, b), [box(m, k), v, box(n)]
+        return lambda x, v, g, b: ad.linear(x, v, g, b), [box(m, k), v, rng.uniform(0.5, 1.5, size=n), box(n)]
+    if name == "slice-rows":
+        start = int(rng.integers(0, m))
+        stop = int(rng.integers(start + 1, m + 1))
+        return lambda a: ad.slice_rows(a, start, stop), [box(m, k)]
     if name == "add":
         if rng.random() < 0.5:
             return lambda a, b: ad.add(a, b), [box(m, k), box(m, k)]
@@ -64,17 +72,13 @@ def op_case(name: str, rng: np.random.Generator):
         return lambda a: ad.l2_norm_squared(a), [box(m, k)]
     if name == "concat":
         return lambda a, b: ad.concat([a, b]), [box(m, k), box(m, n)]
-    if name == "weight-norm-rows":
-        v = box(m, k)
-        v[np.abs(v).sum(axis=1) < 0.5] += 1.0  # keep rows clearly nonzero
-        return lambda a, b: ad.weight_norm_rows(a, b), [v, rng.uniform(0.5, 1.5, size=m)]
     raise KeyError(name)
 
 
 CHECKED_OPS = [
-    "matmul", "transpose", "add", "elementwise-mul", "relu", "leaky-relu",
+    "matmul", "linear", "linear-no-gain", "slice-rows", "add", "elementwise-mul", "relu", "leaky-relu",
     "tanh", "sigmoid", "exp", "log", "clip", "softmax", "log-softmax",
-    "reduce-mean", "reduce-sum", "l2-norm-squared", "concat", "weight-norm-rows",
+    "reduce-mean", "reduce-sum", "l2-norm-squared", "concat",
 ]
 
 

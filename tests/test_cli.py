@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -120,7 +121,43 @@ def test_train_divergence_exits_3(pipeline, tmp_path):
     doc["train"]["lr"] = 1e200  # overflows the row-norm square into NaN weights
     doc["train"]["total_steps"] = 50
     cfg.write_text(json.dumps(doc))
-    assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_atomic_write_failure_keeps_old_file_and_leaves_no_temp(tmp_path):
+    dest = tmp_path / "out.csv"
+    dest.write_text("old\n")
+
+    def failing(path):
+        path.write_text("partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError):
+        cli._atomic(dest, failing)
+    assert dest.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+    cli._atomic(dest, lambda p: p.write_text("new\n"))
+    assert dest.read_text() == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+@pytest.mark.parametrize("damage", ["trailing-bytes", "non-finite-weight"])
+def test_score_of_a_damaged_model_file_exits_2(pipeline, tmp_path, damage):
+    root, data_dir, model_dir = pipeline
+    raw = bytearray((model_dir / "model.ndgan").read_bytes())
+    if damage == "trailing-bytes":
+        raw += b"\x00"
+    else:
+        raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()  # last bias of the discriminator
+    bad = tmp_path / "bad.ndgan"
+    bad.write_bytes(bytes(raw))
+    assert run(
+        "score", "--model", str(bad), "--data", str(data_dir / "novel.csv"),
+        "--scorers", "nd-gan-ratio", "--seed", "1", "--out-dir", str(tmp_path / "out"),
+    ) == 2
 
 
 def test_score_emits_predictions_and_requested_scores(pipeline, tmp_path):

@@ -7,7 +7,7 @@ from ndgan import autodiff as ad
 from ndgan import data as dio
 from ndgan import gan
 from ndgan import layers as nn
-from ndgan.errors import FrozenModelError, TrainingDiverged, ValidationError
+from ndgan.errors import FormatError, FrozenModelError, TrainingDiverged, ValidationError
 from tests.conftest import assert_grad_close, finite_difference_grad
 
 
@@ -120,6 +120,38 @@ def test_supervised_term_is_k_plus_one_way_cross_entropy():
     assert loss.item() == pytest.approx(expected_ce + expected_unsup, abs=1e-9)
 
 
+def test_one_d_step_makes_one_discriminator_pass(monkeypatch):
+    data, _ = dio.gen_ring_mixture(100, 4, 2.0, 0.2, seed=9)
+    model = gan.build_gan(2, 4, arch="2d", seed=9)
+    calls = []
+    real_logits = gan.discriminator_logits
+
+    def counting(model, x, *args):
+        calls.append(x.shape)
+        return real_logits(model, x, *args)
+
+    monkeypatch.setattr(gan, "discriminator_logits", counting)
+    cfg = gan.TrainConfig(total_steps=1, batch_size=8, seed=9, labeled_fraction=0.5)
+    gan.train_gan(model, data, cfg, fake_source=lambda n, rng: rng.uniform(-3, 3, size=(n, 2)))
+    assert calls == [(24, 2)]  # labeled, unlabeled and fake rows in one batch
+
+
+def test_stacked_discriminator_loss_equals_three_separate_passes(rng):
+    model = tiny_model(K=2, seed=10)
+    lab, unl, fake = rng.normal(size=(3, 2)), rng.normal(size=(4, 2)), rng.normal(size=(5, 2))
+    labels = np.array([0, 1, 1])
+
+    def logits(x):
+        return gan.discriminator_logits(model, ad.Tensor(x))[0]
+
+    separate = gan.discriminator_loss_from_logits(logits(lab), labels, logits(unl), logits(fake), 2).item()
+    stacked = gan.discriminator_loss(model, lab, labels, unl, fake, mode="eval").item()
+    assert stacked == pytest.approx(separate, rel=1e-12)
+    separate = gan.discriminator_loss_from_logits(None, None, logits(unl), logits(fake), 2).item()
+    stacked = gan.discriminator_loss(model, None, None, unl, fake, mode="eval").item()
+    assert stacked == pytest.approx(separate, rel=1e-12)
+
+
 def test_labels_out_of_range_are_rejected():
     labeled = logits_tensor([[0.0, 0.0, 0.0]])
     with pytest.raises(ValidationError):
@@ -183,6 +215,20 @@ def test_feature_matching_gradient_reaches_only_the_generator(rng):
     for li, p in enumerate(model.gen_params):
         for name, t in p.named():
             assert_grad_close(gen_grads[li][name], finite_difference_grad(value, t.data))
+
+
+@pytest.mark.parametrize("loss", ["feature-matching", "standard"])
+def test_generator_step_tape_holds_no_discriminator_parameter(loss, rng):
+    model = tiny_model(seed=11, noise_std=0.1)
+    real, z = rng.normal(size=(5, 2)), rng.normal(size=(5, 3))
+    with ad.Tape() as tape:
+        if loss == "feature-matching":
+            value = gan.generator_loss_feature_matching(model, real, z, np.random.default_rng(0))
+        else:
+            value = gan.generator_loss_standard(model, z, np.random.default_rng(0))
+        grads = nn.collect_grads(tape, ad.backward(tape, value), model.gen_params)
+    assert all(tape.node_of(t) is None for p in model.disc_params for _, t in p.named())
+    assert all(set(layer) == {name for name, _ in p.named()} for layer, p in zip(grads, model.gen_params))
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +372,24 @@ def test_model_save_load_round_trip(tmp_path):
     a = gan.sample_generator(model, 4, np.random.default_rng(1))
     b = gan.sample_generator(again, 4, np.random.default_rng(1))
     assert np.array_equal(a, b)
+
+
+def test_load_model_rejects_trailing_bytes_and_non_finite_weights(tmp_path):
+    model = tiny_model(seed=13)
+    path = tmp_path / "model.ndgan"
+    gan.save_model(path, model)
+    good = path.read_bytes()
+
+    path.write_bytes(good + b"\x00")
+    with pytest.raises(FormatError) as err:
+        gan.load_model(path)
+    assert err.value.offset == len(good) and "trailing" in str(err.value)
+
+    model.disc_params[1].b.data[0] = np.inf
+    gan.save_model(path, model)
+    with pytest.raises(FormatError) as err:
+        gan.load_model(path)
+    assert "layer 1" in str(err.value) and "'b'" in str(err.value)
 
 
 def test_mnist_architecture_has_five_hidden_layers_and_250_features():

@@ -67,10 +67,28 @@ def test_weight_norm_row_scaling_leaves_output_bit_unchanged():
 
 def test_weight_norm_effective_rows_have_gain_norm():
     rng = np.random.default_rng(3)
-    v = ad.Tensor(rng.normal(size=(4, 3)))
-    g = ad.Tensor(rng.uniform(0.5, 2.0, size=4))
-    w = ad.weight_norm_rows(v, g).data
-    np.testing.assert_allclose(np.linalg.norm(w, axis=1), np.abs(g.data), rtol=1e-12)
+    specs = [nn.LayerSpec(3, 4, "tanh", weight_norm=True)]
+    params = nn.init_mlp(specs, rng)
+    params[0].g.data[:] = rng.uniform(0.5, 2.0, size=4)
+    (const,) = nn.constant_params(params)
+    np.testing.assert_allclose(np.linalg.norm(const.v, axis=1), np.abs(params[0].g.data), rtol=1e-12)
+    # the constant stack computes the trained stack's values bit for bit
+    x = ad.Tensor(rng.normal(size=(5, 3)))
+    assert np.array_equal(nn.mlp_forward(params, specs, x)[0].data, nn.mlp_forward([const], specs, x)[0].data)
+
+
+def test_linear_rejects_bad_shapes_and_zero_direction_rows():
+    x, v, g, b = np.ones((2, 3)), np.ones((4, 3)), np.ones(4), np.zeros(4)
+    with pytest.raises(ShapeMismatch) as err:
+        ad.linear(ad.Tensor(np.ones((2, 5))), ad.Tensor(v), ad.Tensor(g), ad.Tensor(b))
+    assert "linear" in str(err.value) and "(2, 5)" in str(err.value)
+    with pytest.raises(ShapeMismatch):
+        ad.linear(ad.Tensor(x), ad.Tensor(v), ad.Tensor(np.ones(3)), ad.Tensor(b))
+    v[2] = 0.0
+    with pytest.raises(DomainError) as err:
+        ad.linear(ad.Tensor(x), ad.Tensor(v), ad.Tensor(g), ad.Tensor(b))
+    assert "linear" in str(err.value)
+    ad.linear(ad.Tensor(x), ad.Tensor(v), None, ad.Tensor(b))  # without a gain a zero row is fine
 
 
 def test_full_mlp_gradient_matches_finite_differences(rng):

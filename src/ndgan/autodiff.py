@@ -258,7 +258,7 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     def bwd(g):
         return (g * np.where(xd > 0, 1.0, slope),)
 
-    return _emit("leaky-relu", np.where(xd > 0, xd, slope * xd), (x,), bwd)
+    return _emit("leaky-relu", np.maximum(xd, slope * xd), (x,), bwd)  # = where(x > 0, x, slope*x) for 0 < slope < 1
 
 
 def tanh(x: Tensor) -> Tensor:

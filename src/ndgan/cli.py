@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 validation error, 3 runtime/divergence error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -287,31 +288,6 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 _SCORE_KEYS = {"model", "dataset", "scorers", "knn_reference", "mark_novel", "seed", "out_dir"}
-KNOWN_SCORERS = ("nd-gan-ratio", "fake-prob", "entropy", "max-prob")  # plus knn-<k>
-
-
-def _build_scorers(model, names, knn_reference, fingerprint=None) -> dict:
-    built = {}
-    for name in names:
-        if name == "nd-gan-ratio":
-            built[name] = scores.NdGanRatioScorer(model, fingerprint)
-        elif name == "fake-prob":
-            built[name] = scores.FakeProbScorer(model, fingerprint)
-        elif name == "entropy":
-            built[name] = scores.EntropyScorer(model, fingerprint)
-        elif name == "max-prob":
-            built[name] = scores.MaxProbScorer(model, fingerprint)
-        elif name.startswith("knn-"):
-            try:
-                k = int(name.split("-", 1)[1])
-            except ValueError:
-                raise ValidationError(f"bad kNN scorer name {name!r}; use knn-<k>") from None
-            if knn_reference is None:
-                raise ValidationError(f"scorer {name} needs a reference set (knn_reference)")
-            built[name] = scores.KnnScorer(model, knn_reference, k, fingerprint)
-        else:
-            raise ValidationError(f"unknown scorer {name!r}; have {KNOWN_SCORERS} and knn-<k>")
-    return built
 
 
 def cmd_score(cfg: dict, out_dir: Path) -> int:
@@ -324,32 +300,23 @@ def cmd_score(cfg: dict, out_dir: Path) -> int:
     knn_reference = None
     if cfg.get("knn_reference"):
         knn_reference = _load_dataset(cfg["knn_reference"], "$.knn_reference").features
-    built = _build_scorers(model, cfg["scorers"], knn_reference)
+    scorer = scores.Scorer(model, cfg["scorers"], knn_reference)
 
     x = dataset.features
-    extra = {name.replace("-", "_"): scorer.score(x) for name, scorer in built.items()}
-    predicted = gan.predict_class(model, x)
-    fake_prob = scores.score_fake_prob(model, x)
+    probs, features = gan.forward(model, x)
+    extra = {name.replace("-", "_"): col for name, col in scorer.derive(probs, features).items()}
+    predicted = np.argmax(probs[:, : model.K], axis=1)
+    fake_prob = probs[:, model.K]
 
     mark = cfg.get("mark_novel")
-    is_novel = None if mark is None else np.full(len(x), int(mark))
+    is_novel = [""] * len(x) if mark is None else [int(mark)] * len(x)
+    floats = [list(map(repr, col.tolist())) for col in (fake_prob, *extra.values())]
 
     def write(path):
-        import csv as _csv
-
         with open(path, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["example_id", "predicted_class", "fake_prob", "is_novel", *extra.keys()])
-            for i in range(len(x)):
-                w.writerow(
-                    [
-                        i,
-                        int(predicted[i]),
-                        repr(float(fake_prob[i])),
-                        "" if is_novel is None else int(is_novel[i]),
-                        *(repr(float(col[i])) for col in extra.values()),
-                    ]
-                )
+            w = csv.writer(fh)
+            w.writerow(["example_id", "predicted_class", "fake_prob", "is_novel", *extra])
+            w.writerows(zip(range(len(x)), predicted.tolist(), floats[0], is_novel, *floats[1:]))
 
     _atomic(out_dir / "scores.csv", write)
     _write_manifest(out_dir, "score", cfg, provenance=dataset.provenance)
@@ -369,12 +336,10 @@ _HOLDOUT_KEYS = {
 
 
 def _read_scores_csv(path: str, column: str):
-    import csv as _csv
-
     if not Path(path).exists():
         raise ValidationError(f"scores file not found: {path}")
     with open(path, "r", newline="") as fh:
-        rows = list(_csv.DictReader(fh))
+        rows = list(csv.DictReader(fh))
     if not rows:
         raise FormatError(path, "empty scores file")
     if column not in rows[0]:
@@ -435,8 +400,7 @@ def _run_holdout_split(split, hold_cfg, seed):
         disc_noise_std=float(hold_cfg.get("disc_noise_std", 0.1)),
     )
     model, _ = gan.train_gan(model, split.train, config)
-    knn_ref = split.train.features if any(s.startswith("knn-") for s in hold_cfg["scorers"]) else None
-    return _build_scorers(model, hold_cfg["scorers"], knn_ref, split.fingerprint)
+    return scores.Scorer(model, hold_cfg["scorers"], split.train.features, split.fingerprint)
 
 
 def _eval_holdout(cfg: dict, out_dir: Path) -> int:
@@ -539,10 +503,8 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
     dstar = densities.optimal_discriminator(spec.data, spec, grid[keep])
 
     def write_grid(path):
-        import csv as _csv
-
         with open(path, "w", newline="") as fh:
-            w = _csv.writer(fh)
+            w = csv.writer(fh)
             w.writerow([f"x{j}" for j in range(spec.dim)] + ["d_star"])
             for row, v in zip(grid[keep], dstar):
                 w.writerow([repr(float(c)) for c in row] + [repr(float(v))])

@@ -5,6 +5,7 @@ label subsampling, and image downscaling.
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from dataclasses import dataclass
 
@@ -170,14 +171,82 @@ def write_idx_labels(path, labels: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _parse_cell(cell: str, row: int, col: int, source: str) -> float:
-    text = cell.strip()
-    if "," in text:
-        raise FormatError(source, f"row {row}, column {col}: locale separators are not supported ({cell!r})")
+def _label_index(label_column, header, width: int) -> int | None:
+    if label_column is None:
+        return None
+    if isinstance(label_column, str):
+        if header is None or label_column not in header:
+            raise ValidationError(f"label column {label_column!r} not found in header {header}")
+        return header.index(label_column)
+    label_idx = int(label_column)
+    if not -width <= label_idx < width:
+        raise ValidationError(f"label column index {label_idx} out of range for width {width}")
+    return label_idx % width
+
+
+def _is_header(cells) -> bool:
     try:
-        return float(text)
+        [float(c) for c in cells]
     except ValueError:
-        raise FormatError(source, f"row {row}, column {col}: non-numeric cell {cell!r}") from None
+        return True
+    return False
+
+
+# Bytes of an unquoted, space-free numeric CSV body. A body made of nothing
+# else parses to the same values under np.loadtxt as under the cell parser;
+# any other byte sends the file to the cell parser.
+_PLAIN_BODY = b"0123456789.eE+-,\r\n"
+
+
+def _read_csv_fast(path, label_column) -> tuple[np.ndarray, int | None] | None:
+    """Vectorized read of a plain numeric CSV; None when it cannot vouch for the file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    first, _, rest = raw.partition(b"\n")
+    first = first.removesuffix(b"\r")
+    if not first or b'"' in first or b"\r" in first:
+        return None
+    try:
+        cells = first.decode("utf-8").split(",")
+        header = [c.strip() for c in cells] if _is_header(cells) else None
+        body = rest if header is not None else raw
+        if body.translate(None, _PLAIN_BODY) or not body.strip(b"\r\n"):
+            return None
+        values = np.loadtxt(io.StringIO(body.decode("ascii"), newline=None), delimiter=",",
+                            comments=None, ndmin=2)
+    except ValueError:  # a cell loadtxt rejects, a ragged row, or undecodable bytes
+        return None
+    return values, _label_index(label_column, header, values.shape[1])
+
+
+def _read_csv_cells(source: str, label_column) -> tuple[np.ndarray, int | None]:
+    """Cell-by-cell read that reports the row and column of a bad cell."""
+    with open(source, "r", newline="", encoding="utf-8") as fh:
+        rows = [r for r in csv.reader(fh) if r]
+    if not rows:
+        raise FormatError(source, "empty file")
+
+    header = None
+    if _is_header(rows[0]):
+        header = [c.strip() for c in rows[0]]
+        rows = rows[1:]
+        if not rows:
+            raise FormatError(source, "no data rows after header")
+
+    width = len(rows[0])
+    label_idx = _label_index(label_column, header, width)
+    values = np.empty((len(rows), width))
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise FormatError(source, f"row {i}: ragged row has {len(row)} cells, expected {width}")
+        for j, cell in enumerate(row):
+            if "," in cell:
+                raise FormatError(source, f"row {i}, column {j}: locale separators are not supported ({cell!r})")
+            try:
+                values[i, j] = float(cell.strip())
+            except ValueError:
+                raise FormatError(source, f"row {i}, column {j}: non-numeric cell {cell!r}") from None
+    return values, label_idx
 
 
 def read_csv_dataset(path, label_column: int | str | None = None) -> tuple[Dataset, dict | None]:
@@ -186,45 +255,13 @@ def read_csv_dataset(path, label_column: int | str | None = None) -> tuple[Datas
     A non-numeric first row is treated as a header. Label values are
     remapped to contiguous 0..K-1; the original->contiguous mapping is
     returned alongside the dataset (None when there is no label column).
+    Plain numeric files take a vectorized path; everything else, malformed
+    files included, goes through the cell parser, which locates errors.
     """
     source = str(path)
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if not rows:
-        raise FormatError(source, "empty file")
-
-    header = None
-    try:
-        [float(c) for c in rows[0]]
-    except ValueError:
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise FormatError(source, "no data rows after header")
-
-    width = len(rows[0])
-    label_idx = None
-    if label_column is not None:
-        if isinstance(label_column, str):
-            if header is None or label_column not in header:
-                raise ValidationError(f"label column {label_column!r} not found in header {header}")
-            label_idx = header.index(label_column)
-        else:
-            label_idx = int(label_column)
-            if not -width <= label_idx < width:
-                raise ValidationError(f"label column index {label_idx} out of range for width {width}")
-            label_idx %= width
-
-    values = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise FormatError(source, f"row {i}: ragged row has {len(row)} cells, expected {width}")
-        for j, cell in enumerate(row):
-            values[i, j] = _parse_cell(cell, i, j, source)
-
+    values, label_idx = _read_csv_fast(path, label_column) or _read_csv_cells(source, label_column)
     if label_idx is None:
-        data = Dataset(values, None, K=0, provenance=f"csv:{source}")
-        return data, None
+        return Dataset(values, None, K=0, provenance=f"csv:{source}"), None
 
     raw_labels = values[:, label_idx]
     feats = np.delete(values, label_idx, axis=1)

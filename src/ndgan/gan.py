@@ -136,14 +136,21 @@ def discriminator_logits(
     return nn.mlp_forward(model.disc_params, model.disc_specs, x, mode, noise_rng)
 
 
-def discriminator_probs(model: GanModel, x) -> np.ndarray:
-    """Rows of K+1 class probabilities, floored at PROB_CLAMP and renormalized."""
+def forward(model: GanModel, x) -> tuple[np.ndarray, np.ndarray]:
+    """One eval-mode discriminator pass: (rows of K+1 class probabilities, floored
+    at PROB_CLAMP and renormalized; the activations of the feature layer)."""
     x = np.asarray(x, dtype=np.float64)
     _check_data_dim(model, x)
-    logits, _ = discriminator_logits(model, Tensor(x))
-    p = ad.softmax(logits).data
+    with ad.suspend_tape():
+        logits, hidden = discriminator_logits(model, Tensor(x))
+        p = ad.softmax(logits).data
     p = np.clip(p, PROB_CLAMP, 1.0)
-    return p / p.sum(axis=1, keepdims=True)
+    return p / p.sum(axis=1, keepdims=True), hidden[model.feature_layer].data
+
+
+def discriminator_probs(model: GanModel, x) -> np.ndarray:
+    """Rows of K+1 class probabilities, floored at PROB_CLAMP and renormalized."""
+    return forward(model, x)[0]
 
 
 def discriminator_total_real(model: GanModel, x) -> np.ndarray:
@@ -161,12 +168,8 @@ def predict_class(model: GanModel, x) -> np.ndarray:
     return np.argmax(discriminator_probs(model, x)[:, : model.K], axis=1)
 
 
-def discriminator_features(model: GanModel, x, mode: str = "eval", noise_rng=None) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    _check_data_dim(model, x)
-    with ad.suspend_tape():
-        _, hidden = discriminator_logits(model, Tensor(x), mode, noise_rng)
-    return hidden[model.feature_layer].data
+def discriminator_features(model: GanModel, x) -> np.ndarray:
+    return forward(model, x)[1]
 
 
 def sample_z(model: GanModel, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -4,6 +4,7 @@ Gaussian noise, the Adam optimizer, and bit-exact model serialization.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -221,11 +222,13 @@ def _write_array(fh, arr: np.ndarray):
 
 
 def _read_array(fh, shape, source: str) -> np.ndarray:
-    n = int(np.prod(shape))
-    raw = fh.read(8 * n)
-    if len(raw) != 8 * n:
-        raise FormatError(source, f"truncated tensor: expected {8 * n} bytes, got {len(raw)}")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    size = 8 * math.prod(shape)
+    start = fh.tell()
+    left = fh.seek(0, 2) - start
+    fh.seek(start)
+    if size > left:
+        raise FormatError(source, f"truncated tensor: expected {size} bytes, got {left}", offset=start)
+    return np.frombuffer(fh.read(size), dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def write_mlp_block(fh, specs: list[LayerSpec], params: list[LayerParams]):
@@ -252,6 +255,8 @@ def read_mlp_block(fh, source: str) -> tuple[list[LayerSpec], list[LayerParams]]
     if len(head) != 4:
         raise FormatError(source, "truncated layer count")
     (n_layers,) = struct.unpack("<I", head)
+    if n_layers == 0:
+        raise FormatError(source, "empty layer stack", offset=fh.tell() - 4)
     specs, params = [], []
     for i in range(n_layers):
         raw = fh.read(struct.calcsize("<IIBBd"))

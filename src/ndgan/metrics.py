@@ -271,23 +271,25 @@ def write_roc_csv(path, curve: RocCurve):
 def run_benchmark(split_scorers, alphas=(0.05, 0.10)) -> BenchmarkResult:
     """Evaluate trained scorers per split.
 
-    ``split_scorers`` is a sequence of (split, scorers) pairs where ``split``
+    ``split_scorers`` is a sequence of (split, scorer) pairs where ``split``
     is a HoldoutSplit (or anything with eval_nominal/eval_novel Datasets and
-    a fingerprint) and ``scorers`` maps name -> scorer. Scorers carrying a
-    train fingerprint are checked against their split.
+    a fingerprint) and ``scorer.score(x)`` maps name -> scores of a batch
+    (see ``scores.Scorer``), so each evaluation set is scored once. A scorer
+    carrying a train fingerprint is checked against its split.
     """
     rows: list[BenchmarkRow] = []
     curves = {}
     per_scorer: dict[str, list[float]] = {}
-    for split, scorers in split_scorers:
+    for split, scorer in split_scorers:
         split_name = str(getattr(split, "holdout_class", getattr(split, "name", "eval")))
-        for name, scorer in scorers.items():
-            trained_on = getattr(scorer, "train_fingerprint", None)
-            split_fp = getattr(split, "fingerprint", None)
-            if trained_on is not None and split_fp is not None and trained_on != split_fp:
-                raise FingerprintMismatch(trained_on, split_fp)
-            nom = scorer.score(split.eval_nominal.features)
-            nov = scorer.score(split.eval_novel.features)
+        trained_on = getattr(scorer, "train_fingerprint", None)
+        split_fp = getattr(split, "fingerprint", None)
+        if trained_on is not None and split_fp is not None and trained_on != split_fp:
+            raise FingerprintMismatch(trained_on, split_fp)
+        nominal = scorer.score(split.eval_nominal.features)
+        novel = scorer.score(split.eval_novel.features)
+        for name, nom in nominal.items():
+            nov = novel[name]
             curve = roc_from_arrays(nom, nov)
             _, t05 = tpr_at_fpr(nom, nov, alphas[0])
             _, t10 = tpr_at_fpr(nom, nov, alphas[1])

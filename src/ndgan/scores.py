@@ -11,14 +11,18 @@ import numpy as np
 
 from .densities import GridDensity
 from .errors import DomainError, ValidationError
-from .gan import PROB_CLAMP, GanModel, discriminator_features, discriminator_probs, real_class_probs
+from .gan import PROB_CLAMP, GanModel, discriminator_features, discriminator_probs, forward  # noqa: F401
+
+
+def fake_ratio(p_fake) -> np.ndarray:
+    """p_fake / (1 - p_fake), with p_fake clamped away from 0 and 1."""
+    p_fake = np.clip(p_fake, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return p_fake / (1.0 - p_fake)
 
 
 def score_nd_gan(model: GanModel, x) -> np.ndarray:
     """p_fake / (1 - p_fake): the fake-to-real probability ratio."""
-    p_fake = discriminator_probs(model, x)[:, model.K]
-    p_fake = np.clip(p_fake, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return p_fake / (1.0 - p_fake)
+    return fake_ratio(discriminator_probs(model, x)[:, model.K])
 
 
 def score_fake_prob(model: GanModel, x) -> np.ndarray:
@@ -57,9 +61,10 @@ def score_max_prob(probs) -> np.ndarray:
 def _knn_distances(queries: np.ndarray, reference: np.ndarray, k: int, exclude_self: bool, block: int = 256):
     """Mean distance to the k nearest neighbors and the index of the k-th one.
 
-    Exact search, blocked to bound memory. With ``exclude_self`` a distance
-    of zero to the query's own row in the reference is skipped (used when
-    the queries are reference points themselves).
+    Exact search, blocked to bound memory; neighbors rank by (distance, index),
+    as a stable sort ranks them. A partial select finds the k-th distance, and
+    only a row with a tie there is sorted in full. With ``exclude_self`` the
+    nearest hit is skipped (the queries are reference points themselves).
     """
     kth_index = np.empty(len(queries), dtype=np.int64)
     mean_dist = np.empty(len(queries))
@@ -69,13 +74,17 @@ def _knn_distances(queries: np.ndarray, reference: np.ndarray, k: int, exclude_s
         q = queries[start : start + block]
         d2 = (q * q).sum(axis=1)[:, None] - 2.0 * (q @ reference.T) + ref_sq[None, :]
         np.maximum(d2, 0.0, out=d2)
-        order = np.argsort(d2, axis=1, kind="stable")[:, :take]
-        for r, row in enumerate(order):
-            if exclude_self:
-                row = row[1:]  # nearest hit is the anchor itself (distance 0)
-            d = np.sqrt(d2[r, row[:k]])
-            mean_dist[start + r] = d.mean()
-            kth_index[start + r] = row[k - 1]
+        hit = d2 <= np.partition(d2, take - 1, axis=1)[:, take - 1, None]
+        exact = hit.sum(axis=1) == take
+        order = np.empty((len(q), take), dtype=np.int64)
+        cols = np.nonzero(hit[exact])[1].reshape(-1, take)  # ascending index within each row
+        ranks = np.argsort(np.take_along_axis(d2[exact], cols, axis=1), axis=1, kind="stable")
+        order[exact] = np.take_along_axis(cols, ranks, axis=1)
+        for r in np.flatnonzero(~exact):  # a tie at the k-th distance
+            order[r] = np.argsort(d2[r], kind="stable")[:take]
+        order = order[:, take - k :]
+        mean_dist[start : start + len(q)] = np.sqrt(np.take_along_axis(d2, order, axis=1)).mean(axis=1)
+        kth_index[start : start + len(q)] = order[:, k - 1]
     return mean_dist, kth_index
 
 
@@ -93,9 +102,7 @@ def score_knn(features_query, reference, k: int = 1) -> np.ndarray:
     if reference.shape[0] < k + 1:
         raise ValidationError(f"reference set has {reference.shape[0]} points, need more than k={k}")
     if queries.shape[1] != reference.shape[1]:
-        raise ValidationError(
-            f"query width {queries.shape[1]} != reference width {reference.shape[1]}"
-        )
+        raise ValidationError(f"query width {queries.shape[1]} != reference width {reference.shape[1]}")
 
     num, kth = _knn_distances(queries, reference, k, exclude_self=False)
 
@@ -198,80 +205,62 @@ def check_mixture_generator(samples_g, grid: GridDensity, epsilon: float) -> Mix
 
 
 # ---------------------------------------------------------------------------
-# scorer objects for benchmark runs
+# scorer registry: every score from one discriminator pass
 # ---------------------------------------------------------------------------
 
 
+def _real_probs(probs: np.ndarray) -> np.ndarray:
+    """The K real-class probabilities of K+1-class rows, renormalized to sum to 1."""
+    p = probs[:, :-1]
+    return p / p.sum(axis=1, keepdims=True)
+
+
+# name -> score of a batch from the K+1 class probabilities of its pass; knn-<k>
+# scorers use the pass's features instead (see Scorer)
+SCORERS = {
+    "nd-gan-ratio": lambda probs: fake_ratio(probs[:, -1]),
+    "fake-prob": lambda probs: probs[:, -1],
+    "entropy": lambda probs: score_entropy(_real_probs(probs)),
+    "max-prob": lambda probs: score_max_prob(_real_probs(probs)),
+}
+
+
+def _knn_k(name: str) -> int | None:
+    """k of a ``knn-<k>`` scorer name; None for a registry name."""
+    if name in SCORERS:
+        return None
+    if not name.startswith("knn-"):
+        raise ValidationError(f"unknown scorer {name!r}; have {tuple(SCORERS)} and knn-<k>")
+    try:
+        k = int(name.split("-", 1)[1])
+    except ValueError:
+        raise ValidationError(f"bad kNN scorer name {name!r}; use knn-<k>") from None
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    return k
+
+
 class Scorer:
-    """Callable novelty scorer bound to a frozen model; higher = more novel."""
+    """Named novelty scores of a frozen model, all from one discriminator pass per
+    batch; kNN scorers search the features of ``reference_x``, computed once."""
 
-    kind = "base"
-
-    def __init__(self, train_fingerprint: str | None = None):
+    def __init__(self, model: GanModel, names, reference_x=None, train_fingerprint: str | None = None):
+        self.model = model
+        self.kind = "+".join(names)  # names the scorer set in reports and traces
         self.train_fingerprint = train_fingerprint
+        self._k = {name: _knn_k(name) for name in names}
+        knn = [name for name, k in self._k.items() if k is not None]
+        if knn and reference_x is None:
+            raise ValidationError(f"scorer {knn[0]} needs a reference set (knn_reference)")
+        self.reference = forward(model, reference_x)[1] if knn else None
 
-    def score(self, x) -> np.ndarray:
-        raise NotImplementedError
+    def derive(self, probs: np.ndarray, features: np.ndarray) -> dict[str, np.ndarray]:
+        """Every named score from one pass's (probs, features)."""
+        return {name: SCORERS[name](probs) if k is None else score_knn(features, self.reference, k)
+                for name, k in self._k.items()}
 
-
-class NdGanRatioScorer(Scorer):
-    kind = "nd-gan-ratio"
-
-    def __init__(self, model: GanModel, train_fingerprint=None):
-        super().__init__(train_fingerprint)
-        self.model = model
-
-    def score(self, x):
-        return score_nd_gan(self.model, x)
-
-
-class FakeProbScorer(Scorer):
-    kind = "fake-prob"
-
-    def __init__(self, model: GanModel, train_fingerprint=None):
-        super().__init__(train_fingerprint)
-        self.model = model
-
-    def score(self, x):
-        return score_fake_prob(self.model, x)
-
-
-class EntropyScorer(Scorer):
-    kind = "entropy"
-
-    def __init__(self, model: GanModel, train_fingerprint=None):
-        super().__init__(train_fingerprint)
-        self.model = model
-
-    def score(self, x):
-        return score_entropy(real_class_probs(self.model, x))
-
-
-class MaxProbScorer(Scorer):
-    kind = "max-prob"
-
-    def __init__(self, model: GanModel, train_fingerprint=None):
-        super().__init__(train_fingerprint)
-        self.model = model
-
-    def score(self, x):
-        return score_max_prob(real_class_probs(self.model, x))
-
-
-class KnnScorer(Scorer):
-    """Normalized kNN distance in the model's feature space."""
-
-    def __init__(self, model: GanModel, reference_x, k: int = 1, train_fingerprint=None):
-        super().__init__(train_fingerprint)
-        if k < 1:
-            raise ValidationError(f"k must be >= 1, got {k}")
-        self.model = model
-        self.k = k
-        self.kind = f"knn-{k}"
-        self.reference = discriminator_features(model, reference_x)
-
-    def score(self, x):
-        return score_knn(discriminator_features(self.model, x), self.reference, self.k)
+    def score(self, x) -> dict[str, np.ndarray]:
+        return self.derive(*forward(self.model, x))
 
 
 def write_scores_csv(path, scores: np.ndarray, is_novel=None, extra_columns=None):

@@ -67,6 +67,19 @@ def test_forward_is_bit_identical_with_and_without_tape():
     assert np.array_equal(bare, taped)
 
 
+@pytest.mark.parametrize("slope", [0.2, 0.01, 0.5, 0.999])
+def test_leaky_relu_max_form_is_bitwise_the_where_form(slope):
+    tiny, big = np.nextafter(0.0, 1.0), np.finfo(np.float64).max
+    normal_min = np.finfo(np.float64).tiny
+    edges = np.array([0.0, -0.0, tiny, -tiny, 7 * tiny, -7 * tiny, normal_min, -normal_min,
+                      1.0, -1.0, big, -big, np.inf, -np.inf])
+    rng = np.random.default_rng(5)
+    randoms = rng.normal(size=(96, 512)) * 10.0 ** rng.uniform(-320, 300, size=(96, 512))
+    for x in (edges, randoms, rng.normal(size=(3000, 64))):
+        got = ad.leaky_relu(ad.Tensor(x), slope).data
+        assert got.tobytes() == np.where(x > 0, x, slope * x).tobytes()
+
+
 def test_gaussian_noise_is_seed_deterministic_and_constant_in_backward():
     x = ad.Tensor(np.zeros((3, 2)))
     draws = [ad.gaussian_noise(x, 0.5, np.random.default_rng(9)).data for _ in range(2)]

@@ -1,12 +1,15 @@
 import csv
 import hashlib
 import json
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
-from ndgan import cli
+from ndgan import cli, gan, scores
+from ndgan import data as dio
+from ndgan.errors import FormatError
 
 
 def run(*argv):
@@ -144,20 +147,80 @@ def test_atomic_write_failure_keeps_old_file_and_leaves_no_temp(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
-@pytest.mark.parametrize("damage", ["trailing-bytes", "non-finite-weight"])
+GEN_BLOCK = 6 + 5 + 14  # magic, version and kind, then the GAN header: the generator block starts here
+
+
+@pytest.mark.parametrize("damage", ["trailing-bytes", "non-finite-weight", "zero-layer-generator",
+                                    "huge-layer-dims"])
 def test_score_of_a_damaged_model_file_exits_2(pipeline, tmp_path, damage):
     root, data_dir, model_dir = pipeline
     raw = bytearray((model_dir / "model.ndgan").read_bytes())
+    offset = None  # where the FormatError points
     if damage == "trailing-bytes":
+        offset = len(raw)
         raw += b"\x00"
-    else:
+    elif damage == "non-finite-weight":
         raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()  # last bias of the discriminator
+    elif damage == "zero-layer-generator":
+        raw[GEN_BLOCK : GEN_BLOCK + 4] = struct.pack("<I", 0)
+        offset = GEN_BLOCK
+    else:  # a 2^32-1 x 2^32-1 first layer: its size in bytes overflows 64 bits
+        raw[GEN_BLOCK + 4 : GEN_BLOCK + 12] = struct.pack("<II", 2**32 - 1, 2**32 - 1)
+        offset = GEN_BLOCK + 4 + struct.calcsize("<IIBBd")
     bad = tmp_path / "bad.ndgan"
     bad.write_bytes(bytes(raw))
+    with pytest.raises(FormatError) as err:
+        gan.load_model(bad)
+    assert err.value.offset == offset
     assert run(
         "score", "--model", str(bad), "--data", str(data_dir / "novel.csv"),
         "--scorers", "nd-gan-ratio", "--seed", "1", "--out-dir", str(tmp_path / "out"),
     ) == 2
+
+
+def test_one_score_call_makes_one_discriminator_pass_per_input_set(pipeline, tmp_path, monkeypatch):
+    root, data_dir, model_dir = pipeline
+    calls = []
+    real_logits = gan.discriminator_logits
+
+    def counting(model, x, *args):
+        calls.append(x.data.shape)
+        return real_logits(model, x, *args)
+
+    monkeypatch.setattr(gan, "discriminator_logits", counting)
+    out = tmp_path / "scored"
+    assert run(
+        "score", "--model", str(model_dir / "model.ndgan"), "--data", str(data_dir / "novel.csv"),
+        "--scorers", "nd-gan-ratio,fake-prob,entropy,max-prob,knn-5",
+        "--knn-reference", str(data_dir / "train.csv"), "--label-column", "label",
+        "--seed", "1", "--out-dir", str(out),
+    ) == 0
+    monkeypatch.undo()
+    x = dio.read_csv_dataset(data_dir / "novel.csv")[0].features
+    reference = dio.read_csv_dataset(data_dir / "train.csv", "label")[0].features
+    assert calls == [reference.shape, x.shape]  # the kNN reference once, then the input once
+
+    # every registry score is bit for bit the score of the per-scorer functions
+    model = gan.load_model(model_dir / "model.ndgan")
+    real = gan.real_class_probs(model, x)
+    want = {
+        "nd-gan-ratio": scores.score_nd_gan(model, x),
+        "fake-prob": scores.score_fake_prob(model, x),
+        "entropy": scores.score_entropy(real),
+        "max-prob": scores.score_max_prob(real),
+        "knn-5": scores.score_knn(gan.discriminator_features(model, x),
+                                  gan.discriminator_features(model, reference), 5),
+    }
+    got = scores.Scorer(model, list(want), reference).score(x)
+    assert list(got) == list(want)
+    with open(out / "scores.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    for name, values in want.items():
+        assert got[name].tobytes() == values.tobytes(), name
+        written = np.array([float(r[name.replace("-", "_")]) for r in rows])
+        assert written.tobytes() == values.tobytes(), name
+    assert [int(r["predicted_class"]) for r in rows] == gan.predict_class(model, x).tolist()
+    assert np.array([float(r["fake_prob"]) for r in rows]).tobytes() == want["fake-prob"].tobytes()
 
 
 def test_score_emits_predictions_and_requested_scores(pipeline, tmp_path):

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ndgan import data as dio
 from ndgan.densities import GridDensity
@@ -157,6 +159,90 @@ def test_csv_round_trip_preserves_values(tmp_path, rng):
     again, mapping = dio.read_csv_dataset(path, label_column="label")
     assert np.array_equal(again.features, data.features)  # repr round-trips float64
     assert np.array_equal(again.labels, data.labels)
+
+
+def _csv_outcome(path, label_column):
+    """What read_csv_dataset gives: every bit of the Dataset and label map, or the exception."""
+    try:
+        data, mapping = dio.read_csv_dataset(path, label_column)
+    except Exception as exc:
+        return type(exc), str(exc)
+    labels = None if data.labels is None else data.labels.tobytes()
+    keys = None if mapping is None else [(np.float64(k).tobytes(), v) for k, v in mapping.items()]
+    return data.features.tobytes(), data.features.shape, labels, data.K, data.provenance, keys
+
+
+def _cell_parser_outcome(path, label_column, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(dio, "_read_csv_fast", lambda *args: None)
+        return _csv_outcome(path, label_column)
+
+
+def _image_csv(path, rng, n=30):
+    table = np.column_stack([rng.uniform(size=(n, 5)), rng.integers(0, 4, size=n)])
+    np.savetxt(path, table, fmt=["%.6g"] * 5 + ["%d"], delimiter=",",
+               header="a,b,c,d,e,label", comments="")
+
+
+@pytest.mark.parametrize("kind,label_column", [
+    (kind, col) for kind in ("repr-crlf", "savetxt-%.6g", "no-header", "blank-lines")
+    for col in (None, "label", 2, -1) if not (kind == "no-header" and col == "label")
+])
+def test_csv_fast_path_is_bit_identical_to_cell_parser(tmp_path, rng, monkeypatch, kind, label_column):
+    path = tmp_path / "in.csv"
+    if kind == "repr-crlf":  # csv.writer rows end in \r\n
+        dio.write_csv_dataset(path, dio.gen_ring_mixture(40, 4, 2.0, 0.3, seed=9)[0])
+    elif kind == "savetxt-%.6g":
+        _image_csv(path, rng)
+    elif kind == "no-header":
+        np.savetxt(path, rng.normal(size=(20, 3)) * 1e3, fmt="%.17g", delimiter=",")
+    else:
+        path.write_text("x,y,label\n\n1.5,-2e-3,1\n\n\n3,4,0\n")
+    assert dio._read_csv_fast(path, label_column) is not None  # the fast path took the file
+    assert _csv_outcome(path, label_column) == _cell_parser_outcome(path, label_column, monkeypatch)
+
+
+@pytest.mark.parametrize("text", [
+    'x,y\n"1",2\n',  # quoted cell
+    '"y",x\n1,2\n',  # quoted header cell
+    'x,y\n"1,5",2\n',  # locale separator inside quotes
+    "x,y\n#1,2\n",  # a cell starting with #
+    "1,2\n#3,4\n",
+    "x,y\n1,2\n   \n3,4\n",  # whitespace-only line
+    "1\n \n2\n",
+    "x,y\n1,2\n3\n",  # ragged
+    "x,y\n1,2,3\n",
+    "1,5\n1,5,6\n",
+    "x,y\n",  # header only
+    "x,y\n\r\n",
+    "x,y\n1_000,2\n",  # underscore digits: float() takes them, loadtxt does not
+    "x,y\n1,,2\n",
+    "x,y\n1,2,\n",
+    "x,y\n1e,2\n",
+    "x,y\nnan,2\n",
+    "x,y\ninf,2\n",
+    "x,y\n 1,2\n",
+    "x,y\n1e999,2\n",  # overflows to inf
+    "x,y\n-0,+.5e-3\n",
+    "x,y\r1,2\r3,4\r",  # old Mac line ends
+    "",
+    "\n\n",
+])
+@pytest.mark.parametrize("label_column", [None, "y", 0, 5])
+def test_csv_fast_path_matches_cell_parser_on_odd_files(tmp_path, monkeypatch, text, label_column):
+    path = tmp_path / "odd.csv"
+    path.write_bytes(text.encode())
+    assert _csv_outcome(path, label_column) == _cell_parser_outcome(path, label_column, monkeypatch)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=st.text(alphabet="0123456789.eE+-,\r\n _#a\"", max_size=40),
+       header=st.sampled_from(["", "x,y\n", "x,y\r\n", "x\n"]),
+       label_column=st.sampled_from([None, "y", 0, -1]))
+def test_csv_fast_path_matches_cell_parser_on_random_text(tmp_path, monkeypatch, body, header, label_column):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes((header + body).encode())
+    assert _csv_outcome(path, label_column) == _cell_parser_outcome(path, label_column, monkeypatch)
 
 
 # ---------------------------------------------------------------------------

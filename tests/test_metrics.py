@@ -158,12 +158,14 @@ def test_holdout_requires_every_class_present():
 
 
 class _StubScorer:
-    def __init__(self, fn, fingerprint=None):
-        self._fn = fn
+    """Stands in for ``scores.Scorer``: ``score`` maps each name to the scores of a batch."""
+
+    def __init__(self, fns, fingerprint=None):
+        self._fns = fns
         self.train_fingerprint = fingerprint
 
     def score(self, x):
-        return self._fn(x)
+        return {name: fn(x) for name, fn in self._fns.items()}
 
 
 class _StubSplit:
@@ -177,24 +179,24 @@ class _StubSplit:
 def test_random_scorer_has_auroc_near_half(rng):
     split = _StubSplit(rng.normal(size=(5000, 2)), rng.normal(size=(5000, 2)))
     gen = np.random.default_rng(7)
-    scorer = _StubScorer(lambda x: gen.uniform(size=len(x)))
-    result = metrics.run_benchmark([(split, {"random": scorer})])
+    scorer = _StubScorer({"random": lambda x: gen.uniform(size=len(x))})
+    result = metrics.run_benchmark([(split, scorer)])
     assert abs(result.means["random"] - 0.5) < 0.02
 
 
 def test_identical_score_vectors_give_identical_rows(rng):
     split = _StubSplit(rng.normal(size=(50, 2)), rng.normal(1, 1, size=(50, 2)))
     fn = lambda x: np.abs(x).sum(axis=1)
-    result = metrics.run_benchmark([(split, {"a": _StubScorer(fn), "b": _StubScorer(fn)})])
+    result = metrics.run_benchmark([(split, _StubScorer({"a": fn, "b": fn}))])
     rows = {r.scorer: (r.auroc, r.tpr_at_fpr05, r.tpr_at_fpr10) for r in result.rows}
     assert rows["a"] == rows["b"]
 
 
 def test_benchmark_rejects_scorer_from_another_split(rng):
     split = _StubSplit(rng.normal(size=(20, 2)), rng.normal(size=(20, 2)))
-    scorer = _StubScorer(lambda x: x.sum(axis=1), fingerprint="someone-else")
+    scorer = _StubScorer({"s": lambda x: x.sum(axis=1)}, fingerprint="someone-else")
     with pytest.raises(FingerprintMismatch):
-        metrics.run_benchmark([(split, {"s": scorer})])
+        metrics.run_benchmark([(split, scorer)])
 
 
 def test_table1_reference_values_are_embedded():

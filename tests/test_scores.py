@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndgan import data as dio
 from ndgan import densities as dn
@@ -118,6 +120,49 @@ def test_knn_rejects_small_reference_and_mismatched_width():
         scores.score_knn([[0.0, 1.0]], REFERENCE_1D, k=1)
     with pytest.raises(ValidationError):
         scores.score_knn([[0.0]], REFERENCE_1D, k=0)
+
+
+def _knn_oracle(queries, reference, k, exclude_self):
+    """Brute force: every pairwise distance, a stable sort of each whole row."""
+    d2 = ((queries[:, None, :] - reference[None, :, :]) ** 2).sum(axis=2)
+    mean_dist, kth = np.empty(len(queries)), np.empty(len(queries), dtype=np.int64)
+    for r, row in enumerate(np.argsort(d2, axis=1, kind="stable")):
+        row = row[1 : k + 1] if exclude_self else row[:k]
+        mean_dist[r] = np.sqrt(d2[r, row]).mean()
+        kth[r] = row[k - 1]
+    return mean_dist, kth
+
+
+def _knn_score_oracle(queries, reference, k):
+    num, kth = _knn_oracle(queries, reference, k, exclude_self=False)
+    den = _knn_oracle(reference[kth], reference, k, exclude_self=True)[0]
+    out = np.zeros(len(queries))
+    ok = den > 0
+    out[ok] = num[ok] / den[ok]
+    out[~ok & (num > 0)] = out[ok].max() if ok.any() else 1.0
+    return out
+
+
+def _grid_points(n, dim):
+    """n points with small integer coordinates: exact distances and many ties."""
+    return st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim), min_size=n, max_size=n).map(
+        lambda rows: np.array(rows, dtype=np.float64).reshape(n, dim))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), k=st.sampled_from([1, 3, 5]), exclude_self=st.booleans(),
+       dim=st.integers(1, 3), block=st.sampled_from([1, 2, 3, 7, 256]))
+def test_knn_partial_select_matches_stable_sort_oracle(data, k, exclude_self, dim, block):
+    n_ref = data.draw(st.sampled_from([k + 1, k + 2]) | st.integers(k + 1, 30), label="n_ref")
+    reference = data.draw(_grid_points(n_ref, dim), label="reference")
+    queries = data.draw(st.integers(1, 20).flatmap(lambda n: _grid_points(n, dim)), label="queries")
+
+    got = scores._knn_distances(queries, reference, k, exclude_self, block=block)
+    want = _knn_oracle(queries, reference, k, exclude_self)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1])
+    if not exclude_self:
+        assert scores.score_knn(queries, reference, k).tobytes() == _knn_score_oracle(queries, reference, k).tobytes()
 
 
 def test_knn_blocked_search_matches_direct_computation(rng):
@@ -240,16 +285,12 @@ def test_every_scorer_ranks_vanishing_density_point_above_medoid(ring_model):
     medoid = data.features[np.argmax(density.logpdf(data.features))][None, :]
     origin = np.zeros((1, 2))
     fp = metrics.dataset_fingerprint(data)
-    scorers = [
-        scores.NdGanRatioScorer(model, fp),
-        scores.FakeProbScorer(model, fp),
-        scores.EntropyScorer(model, fp),
-        scores.MaxProbScorer(model, fp),
-        scores.KnnScorer(model, data.features, k=1, train_fingerprint=fp),
-        scores.KnnScorer(model, data.features, k=5, train_fingerprint=fp),
-    ]
-    for scorer in scorers:
-        assert scorer.score(origin)[0] >= scorer.score(medoid)[0], scorer.kind
+    names = ["nd-gan-ratio", "fake-prob", "entropy", "max-prob", "knn-1", "knn-5"]
+    scorer = scores.Scorer(model, names, data.features, train_fingerprint=fp)
+    at_origin, at_medoid = scorer.score(origin), scorer.score(medoid)
+    assert list(at_origin) == names
+    for name in names:
+        assert at_origin[name][0] >= at_medoid[name][0], name
 
 
 def test_scores_csv_writer(tmp_path, rng):

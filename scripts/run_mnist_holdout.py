@@ -31,7 +31,6 @@ def main() -> int:
     parser.add_argument("--labels-per-class", type=int, default=100)
     parser.add_argument("--scorers", default="nd-gan-ratio,entropy,max-prob,knn-5")
     parser.add_argument("--seed", type=int, default=29)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     mnist = Path(args.mnist_dir)
@@ -68,7 +67,6 @@ def main() -> int:
             },
             "holdout_classes": [int(h) for h in args.holdouts.split(",")],
             "scorers": [s.strip() for s in args.scorers.split(",")],
-            "workers": args.workers,
         },
         "seed": args.seed,
     }, indent=2))

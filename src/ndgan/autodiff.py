@@ -404,24 +404,27 @@ def gaussian_noise(x: Tensor, std: float, rng: np.random.Generator) -> Tensor:
     return _emit("gaussian-noise", x.data + eps, (x,), bwd)
 
 
-def weight_normalize(v: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalized weights ``W[i] = g[i] * v[i] / ||v[i]||_2`` and the row norms ``||v[i]||_2``."""
+def weight_normalize(v: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Row-normalized weights ``W[i] = g[i] * v[i] / ||v[i]||_2`` (written to ``out`` when given)
+    and the row norms ``||v[i]||_2``."""
     if v.ndim != 2 or g.shape != (v.shape[0],):
         raise ShapeMismatch("linear", v.shape, g.shape, detail="gain needs one entry per row of v")
     sq = (v * v).sum(axis=1)
     if np.any(sq == 0):
         raise DomainError("linear", "zero direction row has no unit direction")
     norm = np.sqrt(sq)
-    return (g / norm)[:, None] * v, norm
+    return np.multiply((g / norm)[:, None], v, out=out), norm
 
 
-def linear(x: Tensor, v, g, b) -> Tensor:
+def linear(x: Tensor, v, g, b, wn: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
     """Fully connected layer ``x @ W.T + b`` with ``W = g * v / ||v||`` row-wise, or ``W = v`` when ``g`` is None.
 
     ``v``, ``g`` and ``b`` are either all tensors, which receive gradients,
     or all plain arrays, which are constants of the optimization: then only
-    ``x`` is an input of the recorded op. The backward forms ``dW = grad.T @ x``
-    once and applies the weight-norm chain rule (Salimans & Kingma 2016) to it.
+    ``x`` is an input of the recorded op. ``wn``, when given, is
+    ``weight_normalize(v, g)`` computed beforehand. The backward forms
+    ``dW = grad.T @ x`` once and applies the weight-norm chain rule
+    (Salimans & Kingma 2016) to it.
     """
     trained = isinstance(v, Tensor)
     inputs = (x, *(p for p in (v, g, b) if p is not None)) if trained else (x,)
@@ -432,7 +435,7 @@ def linear(x: Tensor, v, g, b) -> Tensor:
     if gd is None:
         w = vd
     else:
-        w, norm = weight_normalize(vd, gd)
+        w, norm = weight_normalize(vd, gd) if wn is None else wn
 
     def bwd(grad):
         dx = grad @ w

@@ -160,7 +160,7 @@ def _csv_has_column(path: str, column: str) -> bool:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline()
-    except OSError:
+    except (OSError, UnicodeDecodeError):  # the dataset read reports these
         return False
     return column in [c.strip() for c in header.split(",")]
 
@@ -338,8 +338,11 @@ _HOLDOUT_KEYS = {
 def _read_scores_csv(path: str, column: str):
     if not Path(path).exists():
         raise ValidationError(f"scores file not found: {path}")
-    with open(path, "r", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+    except UnicodeDecodeError:
+        raise FormatError(path, "not UTF-8 text") from None
     if not rows:
         raise FormatError(path, "empty scores file")
     if column not in rows[0]:
@@ -350,9 +353,12 @@ def _read_scores_csv(path: str, column: str):
     for i, row in enumerate(rows):
         if row["is_novel"] == "":
             raise ValidationError(f"{path}: row {i} has blank ground truth")
-        score_v.append(float(row[column]))
-        novel_v.append(bool(int(row["is_novel"])))
-    return np.asarray(score_v), np.asarray(novel_v)
+        for name, parse, values in ((column, float, score_v), ("is_novel", int, novel_v)):
+            try:
+                values.append(parse(row[name]))
+            except (TypeError, ValueError):  # a non-numeric cell, or None in a short row
+                raise FormatError(path, f"row {i}, column {name!r}: non-numeric cell {row[name]!r}") from None
+    return np.asarray(score_v), np.asarray(novel_v, dtype=bool)
 
 
 def _eval_flat(cfg: dict, out_dir: Path) -> int:
@@ -407,6 +413,11 @@ def _eval_holdout(cfg: dict, out_dir: Path) -> int:
     hold = cfg["holdout"]
     _check_keys(hold, _HOLDOUT_KEYS, {"train_dataset", "test_dataset", "train", "scorers"}, "$.holdout")
     _check_keys(hold.get("train", {}), _TRAIN_SUB_KEYS, {"total_steps"}, "$.holdout.train")
+    for name in hold["scorers"]:  # before any load or training
+        scores._knn_k(name)
+    workers = hold.get("workers", 1)
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise SchemaError("$.holdout.workers", f"must be an integer >= 1, got {workers!r}")
     seed = int(cfg["seed"])
     train = _load_dataset(hold["train_dataset"], "$.holdout.train_dataset")
     test = _load_dataset(hold["test_dataset"], "$.holdout.test_dataset")
@@ -418,18 +429,10 @@ def _eval_holdout(cfg: dict, out_dir: Path) -> int:
         if not splits:
             raise ValidationError(f"no holdout splits match classes {wanted}")
 
-    workers = int(hold.get("workers", 1))
     pairs = []
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(s, pool.submit(_run_holdout_split, s, hold, seed)) for s in splits]
-            pairs = [(s, f.result()) for s, f in futures]
-    else:
-        for split in splits:
-            _log(f"holdout class {split.holdout_class}: training on {split.train.n} examples")
-            pairs.append((split, _run_holdout_split(split, hold, seed)))
+    for split in splits:  # one after another; `workers` is accepted and has no effect
+        _log(f"holdout class {split.holdout_class}: training on {split.train.n} examples")
+        pairs.append((split, _run_holdout_split(split, hold, seed)))
 
     alphas = tuple(float(a) for a in cfg.get("alphas", [0.05, 0.10]))
     result = metrics.run_benchmark(pairs, alphas)

@@ -221,8 +221,13 @@ def _read_csv_fast(path, label_column) -> tuple[np.ndarray, int | None] | None:
 
 def _read_csv_cells(source: str, label_column) -> tuple[np.ndarray, int | None]:
     """Cell-by-cell read that reports the row and column of a bad cell."""
-    with open(source, "r", newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r]
+    with open(source, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(source, f"not UTF-8 text (byte 0x{raw[exc.start]:02x})", offset=exc.start) from None
+    rows = [r for r in csv.reader(io.StringIO(text, newline="")) if r]
     if not rows:
         raise FormatError(source, "empty file")
 

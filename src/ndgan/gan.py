@@ -380,6 +380,19 @@ def _loss_value(loss: Tensor, step: int, name: str) -> float:
     return value
 
 
+def _descend(params: list[nn.LayerParams], state: nn.AdamState, step: int, name: str, loss_fn, *args) -> float:
+    """One Adam update of ``params`` on the loss ``loss_fn(*args)``; returns the loss value.
+
+    The tape and the gradients die on return, before the next phase builds its own.
+    """
+    with ad.Tape() as tape:
+        loss = loss_fn(*args)
+        value = _loss_value(loss, step, name)
+        grads = nn.collect_grads(tape, ad.backward(tape, loss), params)
+    nn.adam_step(params, grads, state)
+    return value
+
+
 def train_gan(
     model: GanModel,
     data: Dataset,
@@ -414,49 +427,52 @@ def train_gan(
     g_state = nn.init_adam(model.gen_params, config.lr, config.beta1, config.beta2, config.eps)
     log = TrainLog()
 
-    for step in range(1, config.total_steps + 1):
-        # A diverging run overflows to inf/nan; the finite-loss and finite-gradient
-        # checks report it as a structured error, so numpy stays quiet meanwhile.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(config.d_steps_per_g):
-                unl = all_x[streams.shuffling.integers(0, len(all_x), config.batch_size)]
-                if labeled_x is not None:
-                    li = streams.shuffling.integers(0, len(labeled_x), config.batch_size)
-                    lx, ly = labeled_x[li], labeled_y[li]
-                else:
-                    lx = ly = None
-                if fake_source is not None:
-                    fake = np.asarray(fake_source(config.batch_size, streams.sampling), dtype=np.float64)
-                else:
-                    fake = sample_generator(model, config.batch_size, streams.sampling)
+    # A diverging run overflows to inf/nan; the finite-loss and finite-gradient
+    # checks report it as a structured error, so numpy stays quiet meanwhile.
+    # Each network's effective weights are computed once per update of it and
+    # reused by every pass until the next one; the cache is dropped on the way out.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            nn.cache_weights(model.disc_params)
+            nn.cache_weights(model.gen_params)
+            for step in range(1, config.total_steps + 1):
+                for _ in range(config.d_steps_per_g):
+                    unl = all_x[streams.shuffling.integers(0, len(all_x), config.batch_size)]
+                    if labeled_x is not None:
+                        li = streams.shuffling.integers(0, len(labeled_x), config.batch_size)
+                        lx, ly = labeled_x[li], labeled_y[li]
+                    else:
+                        lx = ly = None
+                    if fake_source is not None:
+                        fake = np.asarray(fake_source(config.batch_size, streams.sampling), dtype=np.float64)
+                    else:
+                        fake = sample_generator(model, config.batch_size, streams.sampling)
+                    d_val = _descend(model.disc_params, d_state, step, "d-loss",
+                                     discriminator_loss, model, lx, ly, unl, fake, streams.noise, "train")
+                    nn.cache_weights(model.disc_params)
 
-                with ad.Tape() as tape:
-                    d_loss = discriminator_loss(model, lx, ly, unl, fake, streams.noise, "train")
-                    d_val = _loss_value(d_loss, step, "d-loss")
-                    grads = nn.collect_grads(tape, ad.backward(tape, d_loss), model.disc_params)
-                nn.adam_step(model.disc_params, grads, d_state)
-
-            g_val = None
-            if fake_source is None:
-                z = sample_z(model, config.batch_size, streams.sampling)
-                with ad.Tape() as tape:
+                g_val = None
+                if fake_source is None:
+                    z = sample_z(model, config.batch_size, streams.sampling)
                     if config.generator_loss == "feature-matching":
                         real = all_x[streams.shuffling.integers(0, len(all_x), config.batch_size)]
-                        g_loss = generator_loss_feature_matching(model, real, z, streams.noise, "train")
+                        g_val = _descend(model.gen_params, g_state, step, "g-loss",
+                                         generator_loss_feature_matching, model, real, z, streams.noise, "train")
                     else:
-                        g_loss = generator_loss_standard(model, z, streams.noise, "train")
-                    g_val = _loss_value(g_loss, step, "g-loss")
-                    grads = nn.collect_grads(tape, ad.backward(tape, g_loss), model.gen_params)
-                nn.adam_step(model.gen_params, grads, g_state)
+                        g_val = _descend(model.gen_params, g_state, step, "g-loss",
+                                         generator_loss_standard, model, z, streams.noise, "train")
+                    nn.cache_weights(model.gen_params)
 
-            fm = None
-            if step % config.log_every == 0 or step == 1 or step == config.total_steps:
-                if fake_source is None:
-                    diag = streams.diagnostics
-                    real = all_x[diag.integers(0, len(all_x), min(256, len(all_x)))]
-                    fake = sample_generator(model, min(256, len(all_x)), diag)
-                    fm = feature_matching_distance(model, real, fake)
-            log.rows.append(LogRow(step, d_val, g_val, fm))
+                fm = None
+                if step % config.log_every == 0 or step == 1 or step == config.total_steps:
+                    if fake_source is None:
+                        diag = streams.diagnostics
+                        real = all_x[diag.integers(0, len(all_x), min(256, len(all_x)))]
+                        fake = sample_generator(model, min(256, len(all_x)), diag)
+                        fm = feature_matching_distance(model, real, fake)
+                log.rows.append(LogRow(step, d_val, g_val, fm))
+        finally:
+            nn.drop_weights(model.disc_params + model.gen_params)
 
     model.frozen = True
     return model, log

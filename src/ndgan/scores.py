@@ -58,17 +58,20 @@ def score_max_prob(probs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _knn_distances(queries: np.ndarray, reference: np.ndarray, k: int, exclude_self: bool, block: int = 256):
+def _knn_distances(queries: np.ndarray, reference: np.ndarray, k: int, exclude_self: bool, block: int = 256,
+                   ref_sq: np.ndarray | None = None):
     """Mean distance to the k nearest neighbors and the index of the k-th one.
 
     Exact search, blocked to bound memory; neighbors rank by (distance, index),
     as a stable sort ranks them. A partial select finds the k-th distance, and
     only a row with a tie there is sorted in full. With ``exclude_self`` the
     nearest hit is skipped (the queries are reference points themselves).
+    ``ref_sq``, the squared norms of the reference rows, is computed when not given.
     """
     kth_index = np.empty(len(queries), dtype=np.int64)
     mean_dist = np.empty(len(queries))
-    ref_sq = (reference * reference).sum(axis=1)
+    if ref_sq is None:
+        ref_sq = (reference * reference).sum(axis=1)
     take = k + 1 if exclude_self else k
     for start in range(0, len(queries), block):
         q = queries[start : start + block]
@@ -104,11 +107,12 @@ def score_knn(features_query, reference, k: int = 1) -> np.ndarray:
     if queries.shape[1] != reference.shape[1]:
         raise ValidationError(f"query width {queries.shape[1]} != reference width {reference.shape[1]}")
 
-    num, kth = _knn_distances(queries, reference, k, exclude_self=False)
+    ref_sq = (reference * reference).sum(axis=1)
+    num, kth = _knn_distances(queries, reference, k, exclude_self=False, ref_sq=ref_sq)
 
     # Denominators depend only on the anchor point; compute each unique anchor once.
     uniq, inverse = np.unique(kth, return_inverse=True)
-    den_uniq, _ = _knn_distances(reference[uniq], reference, k, exclude_self=True)
+    den_uniq, _ = _knn_distances(reference[uniq], reference, k, exclude_self=True, ref_sq=ref_sq)
     den = den_uniq[inverse]
 
     scores = np.zeros(len(queries))

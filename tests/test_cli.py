@@ -178,6 +178,23 @@ def test_score_of_a_damaged_model_file_exits_2(pipeline, tmp_path, damage):
     ) == 2
 
 
+@pytest.mark.parametrize("label_column", [None, "label"])
+def test_score_of_a_non_utf8_csv_exits_2(pipeline, tmp_path, capsys, label_column):
+    root, data_dir, model_dir = pipeline
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"x0,x1,label\n0.5,\xff1.0,0\n")
+    flags = [] if label_column is None else ["--label-column", label_column]
+    assert run(
+        "score", "--model", str(model_dir / "model.ndgan"), "--data", str(bad), *flags,
+        "--scorers", "nd-gan-ratio", "--seed", "1", "--out-dir", str(tmp_path / "out"),
+    ) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "UTF-8" in err and "Traceback" not in err
+    with pytest.raises(FormatError) as caught:
+        dio.read_csv_dataset(bad)
+    assert caught.value.offset == 16
+
+
 def test_one_score_call_makes_one_discriminator_pass_per_input_set(pipeline, tmp_path, monkeypatch):
     root, data_dir, model_dir = pipeline
     calls = []
@@ -287,6 +304,28 @@ def test_eval_from_score_files(pipeline, tmp_path):
     assert (eval_dir / "roc_nd_gan_ratio.csv").exists()
 
 
+@pytest.mark.parametrize("column", ["nd_gan_ratio", "is_novel"])
+def test_eval_of_a_non_numeric_score_cell_exits_2(pipeline, tmp_path, capsys, column):
+    root, data_dir, model_dir = pipeline
+    scored = tmp_path / "scored"
+    assert run(
+        "score", "--model", str(model_dir / "model.ndgan"), "--data", str(data_dir / "novel.csv"),
+        "--scorers", "nd-gan-ratio", "--mark-novel", "1", "--seed", "1", "--out-dir", str(scored),
+    ) == 0
+    with open(scored / "scores.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[3][rows[0].index(column)] = "abc"  # data row 2
+    bad = tmp_path / "bad_scores.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert run(
+        "eval", "--scores", str(bad), "--score-column", "nd_gan_ratio", "--seed", "1",
+        "--out-dir", str(tmp_path / "out"),
+    ) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: row 2, column {column!r}: non-numeric cell 'abc'" in err and "Traceback" not in err
+
+
 def test_eval_single_class_ground_truth_is_rejected(pipeline, tmp_path):
     root, data_dir, model_dir = pipeline
     nov_dir = tmp_path / "only_novel"
@@ -324,6 +363,30 @@ def test_eval_holdout_mode_produces_table(pipeline, tmp_path):
     assert set(doc["means"]) == {"nd-gan-ratio", "entropy"}
     assert (out / "metrics.csv").exists()
     assert (out / "roc_nd_gan_ratio_holdout0.csv").exists()
+    # `workers` is accepted and has no effect: the splits run one after another
+    cfg["holdout"]["workers"] = 1
+    path.write_text(json.dumps(cfg))
+    assert run("eval", "--config", str(path), "--out-dir", str(tmp_path / "one_worker")) == 0
+    assert (tmp_path / "one_worker" / "metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [{"scorers": ["nd-gan-ratio", "entrpy"]}, {"scorers": ["knn-0"]},
+                                 {"workers": 0}, {"workers": "2"}],
+                         ids=["misspelled-scorer", "knn-0", "zero-workers", "string-workers"])
+def test_eval_holdout_bad_config_fails_before_training(pipeline, tmp_path, monkeypatch, bad):
+    root, data_dir, _ = pipeline
+    trained = []
+    monkeypatch.setattr(gan, "train_gan", lambda *args, **kwargs: trained.append(args))
+    monkeypatch.setattr(cli, "_load_dataset", lambda *args: pytest.fail("dataset loaded before the check"))
+    hold = {
+        "train_dataset": {"path": str(data_dir / "train.csv"), "label_column": "label"},
+        "test_dataset": {"path": str(data_dir / "test.csv"), "label_column": "label", "split_tag": "test"},
+        "arch": "2d", "train": {"total_steps": 200}, "holdout_classes": [0], "scorers": ["entropy"],
+    }
+    path = tmp_path / "holdout.json"
+    path.write_text(json.dumps({"holdout": {**hold, **bad}, "seed": 5}))
+    assert run("eval", "--config", str(path), "--out-dir", str(tmp_path / "out")) == 2
+    assert trained == []
 
 
 def test_oracle_passes_on_valid_spec_and_respects_tolerance_flag(pipeline, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -279,6 +280,61 @@ def test_training_is_bit_deterministic():
     assert [(r.step, r.d_loss, r.g_loss) for r in results[0][1].rows] == [
         (r.step, r.d_loss, r.g_loss) for r in results[1][1].rows
     ]
+
+
+@pytest.mark.parametrize("generator_loss,d_steps", [("feature-matching", 1), ("standard", 2)])
+def test_train_step_normalizes_each_layer_once_per_adam_update(monkeypatch, generator_loss, d_steps):
+    data, _ = dio.gen_ring_mixture(100, 4, 2.0, 0.2, seed=4)
+    model = gan.build_gan(2, 4, arch="2d", seed=4)
+    events = []
+    real_normalize, real_adam = ad.weight_normalize, nn.adam_step
+
+    def normalize(v, g, out=None):
+        events.append("wn")
+        return real_normalize(v, g, out)
+
+    def adam(params, grads, state):
+        events.append("disc" if params is model.disc_params else "gen")
+        return real_adam(params, grads, state)
+
+    monkeypatch.setattr(ad, "weight_normalize", normalize)
+    monkeypatch.setattr(nn, "adam_step", adam)
+    cfg = gan.TrainConfig(total_steps=4, batch_size=8, seed=4, labeled_fraction=0.5, log_every=100,
+                          generator_loss=generator_loss, d_steps_per_g=d_steps)
+    gan.train_gan(model, data, cfg)
+    layers = {"disc": len(model.disc_specs), "gen": len(model.gen_specs)}
+    assert layers == {"disc": 4, "gen": 3}  # 7 normalizations a `2d` step at one D step per G step
+    updates = [i for i, e in enumerate(events) if e != "wn"]
+    assert [events[i] for i in updates] == (["disc"] * d_steps + ["gen"]) * 4
+    # from each update of steps 2 and 3, which run no diagnostics, to the next update
+    for i, j in zip(updates[d_steps + 1 : 3 * (d_steps + 1)], updates[d_steps + 2 :]):
+        assert j - i - 1 == layers[events[i]], (i, events[i])
+
+
+def _copied(params):
+    """The same stack in new arrays, with no cached weights."""
+    return [nn.LayerParams(*(None if t is None else ad.Tensor(t.data.copy()) for t in (p.v, p.g, p.b)))
+            for p in params]
+
+
+def test_editing_weights_after_training_changes_forward_like_fresh_arrays():
+    data, _ = dio.gen_ring_mixture(100, 4, 2.0, 0.2, seed=6)
+    model = gan.build_gan(2, 4, arch="2d", seed=6)
+    model, _ = gan.train_gan(model, data, gan.TrainConfig(total_steps=3, batch_size=8, seed=6))
+    x = np.random.default_rng(6).normal(size=(16, 2))
+    before = gan.forward(model, x)
+    for p in model.disc_params:
+        p.v.data[0] *= -1.7  # in place, as a finite-difference check edits v
+        p.g.data[1] += 0.25
+    edited = gan.forward(model, x)
+    want = gan.forward(dataclasses.replace(model, disc_params=_copied(model.disc_params)), x)
+    assert not np.array_equal(edited[0], before[0])
+    assert edited[0].tobytes() == want[0].tobytes() and edited[1].tobytes() == want[1].tobytes()
+    z = np.random.default_rng(7).normal(size=(4, model.z_dim))
+    model.gen_params[-1].v.data[0] *= 3.0
+    fresh = dataclasses.replace(model, gen_params=_copied(model.gen_params))
+    got = gan.generator_forward(model, ad.Tensor(z)).data
+    assert got.tobytes() == gan.generator_forward(fresh, ad.Tensor(z)).data.tobytes()
 
 
 def test_trained_model_is_frozen():

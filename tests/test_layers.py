@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndgan import autodiff as ad
 from ndgan import layers as nn
@@ -173,6 +177,82 @@ def test_adam_rejects_non_finite_gradient_naming_the_parameter():
     with pytest.raises(DomainError) as err:
         nn.adam_step(params, [{"v": np.array([[np.nan]]), "b": np.zeros(1)}], state)
     assert "layer 0" in str(err.value) and "'v'" in str(err.value)
+
+
+def _per_tensor_adam(arrays, grads, m, v, t, lr, b1, b2, eps):
+    """The update one tensor at a time, as adam_step computed it before the flat buffer."""
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    for key, w in arrays.items():
+        grad = grads.get(key, np.zeros_like(w))
+        m[key] *= b1
+        m[key] += (1.0 - b1) * grad
+        v[key] *= b2
+        v[key] += (1.0 - b2) * grad * grad
+        w -= lr * (m[key] / c1) / (np.sqrt(v[key] / c2) + eps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), block=st.sampled_from([1, 2, 3, 7, 64, nn.ADAM_BLOCK]), steps=st.integers(1, 4),
+       from_init=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_blocked_flat_adam_equals_per_tensor_update_bit_for_bit(data, block, steps, from_init, seed):
+    # with the real block size, 160-200 wide layers put block edges inside and between tensors
+    lo, hi = (1, 9) if block < 100 else (160, 200)
+    dims = data.draw(st.lists(st.integers(lo, hi), min_size=2, max_size=4), label="dims")
+    wn = data.draw(st.lists(st.booleans(), min_size=len(dims) - 1, max_size=len(dims) - 1), label="weight_norm")
+    specs = [nn.LayerSpec(a, b, weight_norm=w) for a, b, w in zip(dims, dims[1:], wn)]
+    keys = [(i, name) for i, spec in enumerate(specs) for name in ("v", "g", "b") if name != "g" or spec.weight_norm]
+    missing = data.draw(st.sets(st.sampled_from(keys), max_size=2), label="missing")
+    rng = np.random.default_rng(seed)
+    params = nn.init_mlp(specs, rng)
+    if not from_init:  # separate arrays: init_adam copies them into a buffer
+        params = [nn.LayerParams(*(None if t is None else ad.Tensor(t.data.copy()) for t in (p.v, p.g, p.b)))
+                  for p in params]
+    arrays = {(i, name): t.data.copy() for i, p in enumerate(params) for name, t in p.named()}
+    m = {key: np.zeros_like(w) for key, w in arrays.items()}
+    v = {key: np.zeros_like(w) for key, w in arrays.items()}
+    lr, b1, b2, eps = 1e-3, 0.5, 0.999, 1e-8
+    with mock.patch.object(nn, "ADAM_BLOCK", block):
+        state = nn.init_adam(params, lr, b1, b2, eps)
+        for t in range(1, steps + 1):
+            grads = {key: rng.normal(size=w.shape) * 10.0 ** rng.uniform(-4, 2)
+                     for key, w in arrays.items() if key not in missing}
+            nn.adam_step(params, [{name: g for (j, name), g in grads.items() if j == i} for i in range(len(specs))],
+                         state)
+            _per_tensor_adam(arrays, grads, m, v, t, lr, b1, b2, eps)
+    for i, p in enumerate(params):
+        for name, tensor in p.named():
+            assert tensor.data.tobytes() == arrays[i, name].tobytes(), (i, name)
+    assert state.m.tobytes() == b"".join(a.tobytes() for a in m.values())
+    assert state.v.tobytes() == b"".join(a.tobytes() for a in v.values())
+
+
+def test_adam_names_the_non_finite_tensor_inside_a_shared_block():
+    specs = [nn.LayerSpec(2, 2, weight_norm=True), nn.LayerSpec(2, 1)]
+    params = nn.init_mlp(specs, np.random.default_rng(0))
+    grads = [{name: np.ones_like(t.data) for name, t in p.named()} for p in params]
+    grads[1]["b"][0] = np.inf
+    with mock.patch.object(nn, "ADAM_BLOCK", 16):  # all five tensors share one block
+        state = nn.init_adam(params)
+        with pytest.raises(DomainError) as err:
+            nn.adam_step(params, grads, state)
+    assert "layer 1" in str(err.value) and "'b'" in str(err.value)
+
+
+def test_init_mlp_lays_the_stack_out_in_one_buffer_that_adam_updates():
+    specs = [nn.LayerSpec(3, 4, weight_norm=True), nn.LayerSpec(4, 2)]
+    params = nn.init_mlp(specs, np.random.default_rng(5))
+    flat = params[0].v.data.base
+    assert flat.shape == (12 + 4 + 4 + 8 + 2,)
+    assert all(t.data.base is flat for p in params for _, t in p.named())
+    state = nn.init_adam(params)
+    before = [t.data for p in params for _, t in p.named()]
+    nn.adam_step(params, [{"v": np.ones((4, 3))}, {"b": np.ones(2)}], state)
+    assert all(t.data is a for t, a in zip((t for p in params for _, t in p.named()), before))  # no copy
+    params[1].b.data = params[1].b.data.copy()  # a replaced array is packed again, not left behind
+    old = params[1].b.data.copy()
+    nn.adam_step(params, [{}, {"b": np.ones(2)}], state)
+    assert params[1].b.data.base is state.slots[0][4].base
+    assert np.all(params[1].b.data < old)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,8 @@ def main() -> int:
     grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
     covered = mix.pdf(grid) >= 0.01 * mix.pdf(grid).max()
     lr = dn.likelihood_ratio_score(p_data, p_novel, grid[covered])
-    fake_prob = scores.score_fake_prob(model, grid[covered])
+    scorer = scores.Scorer(model, ["fake-prob"])
+    fake_prob = scorer.score(grid[covered])["fake-prob"]
 
     try:
         from scipy.stats import spearmanr
@@ -52,7 +53,7 @@ def main() -> int:
     rng = np.random.default_rng(args.seed + 1)
     nominal, novel = p_data.sample(2000, rng), p_novel.sample(2000, rng)
     auroc_learned = metrics.roc_from_arrays(
-        scores.score_fake_prob(model, nominal), scores.score_fake_prob(model, novel)
+        scorer.score(nominal)["fake-prob"], scorer.score(novel)["fake-prob"]
     ).auroc
     auroc_analytic = metrics.roc_from_arrays(
         dn.likelihood_ratio_score(p_data, p_novel, nominal),

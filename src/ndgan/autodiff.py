@@ -213,17 +213,6 @@ def _reduce_to(g: np.ndarray, axes: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
-        raise ShapeMismatch("matmul", ad.shape, bd.shape)
-
-    def bwd(g):
-        return g @ bd.T, ad.T @ g
-
-    return _emit("matmul", ad @ bd, (a, b), bwd)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     a_axes, b_axes = _broadcast_plan("add", a.data, b.data)
 
@@ -279,15 +268,6 @@ def sigmoid(x: Tensor) -> Tensor:
         return (g * y * (1.0 - y),)
 
     return _emit("sigmoid", y, (x,), bwd)
-
-
-def exp(x: Tensor) -> Tensor:
-    y = np.exp(x.data)
-
-    def bwd(g):
-        return (g * y,)
-
-    return _emit("exp", y, (x,), bwd)
 
 
 def log(x: Tensor) -> Tensor:
@@ -373,25 +353,6 @@ def l2_norm_squared(x: Tensor) -> Tensor:
     return _emit("l2-norm-squared", np.asarray((xd * xd).sum()), (x,), bwd)
 
 
-def concat(tensors) -> Tensor:
-    """Concatenate along the last axis."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeMismatch("concat", (), detail="needs at least one input")
-    datas = [t.data for t in tensors]
-    lead = datas[0].shape[:-1]
-    for d in datas[1:]:
-        if d.shape[:-1] != lead:
-            raise ShapeMismatch("concat", datas[0].shape, d.shape, detail="non-last axes must agree")
-    widths = [d.shape[-1] for d in datas]
-    splits = np.cumsum(widths)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, splits, axis=-1))
-
-    return _emit("concat", np.concatenate(datas, axis=-1), tensors, bwd)
-
-
 def gaussian_noise(x: Tensor, std: float, rng: np.random.Generator) -> Tensor:
     """Add i.i.d. N(0, std^2) draws; the noise is a constant for backward."""
     if std < 0:
@@ -465,41 +426,3 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
         return (full,)
 
     return _emit("slice-rows", xd[start:stop], (x,), bwd)
-
-
-# name -> (function, number of tensor inputs); the dispatch table doubles as
-# the op inventory that the gradient-check suite iterates over.
-OPS = {
-    "matmul": (matmul, 2),
-    "add": (add, 2),
-    "elementwise-mul": (mul, 2),
-    "relu": (relu, 1),
-    "leaky-relu": (leaky_relu, 1),
-    "tanh": (tanh, 1),
-    "sigmoid": (sigmoid, 1),
-    "exp": (exp, 1),
-    "log": (log, 1),
-    "softmax": (softmax, 1),
-    "log-softmax": (log_softmax, 1),
-    "reduce-mean": (reduce_mean, 1),
-    "reduce-sum": (reduce_sum, 1),
-    "l2-norm-squared": (l2_norm_squared, 1),
-    "concat": (concat, None),
-    "gaussian-noise": (gaussian_noise, 1),
-    "clip": (clip, 1),
-    "linear": (linear, 4),
-    "slice-rows": (slice_rows, 1),
-}
-
-
-def forward_op(kind: str, inputs, **kwargs) -> Tensor:
-    """Apply a primitive by name (dispatch form of the individual functions)."""
-    try:
-        fn, arity = OPS[kind]
-    except KeyError:
-        raise ValueError(f"unknown op kind {kind!r}; have {sorted(OPS)}") from None
-    if arity is None:  # variadic (concat)
-        return fn(inputs, **kwargs)
-    if len(inputs) != arity:
-        raise ShapeMismatch(kind, *(t.data.shape for t in inputs), detail=f"expects {arity} inputs")
-    return fn(*inputs, **kwargs)

@@ -172,7 +172,7 @@ def _fake_source_from_config(spec: dict | None, path_prefix: str):
     if spec["kind"] == "uniform":
         if "bounds" not in spec:
             raise SchemaError(f"{path_prefix}.bounds", "uniform fake source needs bounds")
-        return scores.make_uniform_baseline_generator(spec["bounds"])
+        return scores.UniformBaselineGenerator(spec["bounds"]).sample
     if spec["kind"] == "mixture":
         if "density" not in spec:
             raise SchemaError(f"{path_prefix}.density", "mixture fake source needs a density JSON path")
@@ -223,7 +223,7 @@ def cmd_synth(cfg: dict, out_dir: Path) -> int:
         elif novel_cfg["kind"] == "uniform":
             if "bounds" not in novel_cfg:
                 raise SchemaError("$.novel.bounds", "uniform novel companion needs bounds")
-            feats = scores.make_uniform_baseline_generator(novel_cfg["bounds"]).sample(n, rng)
+            feats = scores.UniformBaselineGenerator(novel_cfg["bounds"]).sample(n, rng)
         else:
             raise SchemaError("$.novel.kind", f"unknown novel kind {novel_cfg['kind']!r}")
         novel = dio.Dataset(feats, None, K=0, split_tag="test", provenance=f"novel:{novel_cfg['kind']}(seed={seed})")
@@ -309,16 +309,10 @@ def cmd_score(cfg: dict, out_dir: Path) -> int:
     fake_prob = probs[:, model.K]
 
     mark = cfg.get("mark_novel")
-    is_novel = [""] * len(x) if mark is None else [int(mark)] * len(x)
-    floats = [list(map(repr, col.tolist())) for col in (fake_prob, *extra.values())]
-
-    def write(path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["example_id", "predicted_class", "fake_prob", "is_novel", *extra])
-            w.writerows(zip(range(len(x)), predicted.tolist(), floats[0], is_novel, *floats[1:]))
-
-    _atomic(out_dir / "scores.csv", write)
+    is_novel = [None if mark is None else int(mark)] * len(x)
+    _atomic(out_dir / "scores.csv", lambda p: dio.write_table(
+        p, ["example_id", "predicted_class", "fake_prob", "is_novel", *extra],
+        [range(len(x)), predicted, fake_prob, is_novel, *extra.values()]))
     _write_manifest(out_dir, "score", cfg, provenance=dataset.provenance)
     _log(f"wrote {out_dir / 'scores.csv'} ({len(x)} rows)")
     return EXIT_OK
@@ -358,12 +352,25 @@ def _read_scores_csv(path: str, column: str):
                 values.append(parse(row[name]))
             except (TypeError, ValueError):  # a non-numeric cell, or None in a short row
                 raise FormatError(path, f"row {i}, column {name!r}: non-numeric cell {row[name]!r}") from None
+        if novel_v[-1] not in (0, 1):
+            raise FormatError(path, f"row {i}, column 'is_novel': ground truth must be 0 or 1, got {row['is_novel']!r}")
     return np.asarray(score_v), np.asarray(novel_v, dtype=bool)
+
+
+def _alphas(cfg: dict) -> tuple[float, ...]:
+    """The target FPRs of an eval config, each checked to lie in (0, 1)."""
+    alphas = cfg.get("alphas", [0.05, 0.10])
+    if not isinstance(alphas, list):
+        raise SchemaError("$.alphas", f"must be a list of numbers, got {alphas!r}")
+    for i, a in enumerate(alphas):
+        if isinstance(a, bool) or not isinstance(a, (int, float)) or not 0 < a < 1:
+            raise SchemaError(f"$.alphas[{i}]", f"must be a number in (0, 1), got {a!r}")
+    return tuple(float(a) for a in alphas)
 
 
 def _eval_flat(cfg: dict, out_dir: Path) -> int:
     column = cfg.get("score_column", "nd_gan_ratio")
-    alphas = [float(a) for a in cfg.get("alphas", [0.05, 0.10])]
+    alphas = _alphas(cfg)
     all_scores, all_novel = [], []
     for path in cfg["scores"]:
         s, n = _read_scores_csv(path, column)
@@ -415,6 +422,7 @@ def _eval_holdout(cfg: dict, out_dir: Path) -> int:
     _check_keys(hold.get("train", {}), _TRAIN_SUB_KEYS, {"total_steps"}, "$.holdout.train")
     for name in hold["scorers"]:  # before any load or training
         scores._knn_k(name)
+    alphas = _alphas(cfg)
     workers = hold.get("workers", 1)
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise SchemaError("$.holdout.workers", f"must be an integer >= 1, got {workers!r}")
@@ -429,13 +437,14 @@ def _eval_holdout(cfg: dict, out_dir: Path) -> int:
         if not splits:
             raise ValidationError(f"no holdout splits match classes {wanted}")
 
-    pairs = []
-    for split in splits:  # one after another; `workers` is accepted and has no effect
+    # one split after another (`workers` has no effect); its model dies once its sets are scored
+    rows, curves = [], {}
+    for split in splits:
         _log(f"holdout class {split.holdout_class}: training on {split.train.n} examples")
-        pairs.append((split, _run_holdout_split(split, hold, seed)))
-
-    alphas = tuple(float(a) for a in cfg.get("alphas", [0.05, 0.10]))
-    result = metrics.run_benchmark(pairs, alphas)
+        part = metrics.run_benchmark([(split, _run_holdout_split(split, hold, seed))], alphas)
+        rows += part.rows
+        curves.update(part.curves)
+    result = metrics.BenchmarkResult(rows, curves, alphas)
     _atomic(out_dir / "metrics.csv", lambda p: result.to_csv(p))
     doc = result.to_json()
     doc["full_scale_reference"] = metrics.TABLE1_REFERENCE
@@ -505,14 +514,8 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
     keep = np.setdiff1d(np.arange(len(grid)), ident.excluded)
     dstar = densities.optimal_discriminator(spec.data, spec, grid[keep])
 
-    def write_grid(path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"x{j}" for j in range(spec.dim)] + ["d_star"])
-            for row, v in zip(grid[keep], dstar):
-                w.writerow([repr(float(c)) for c in row] + [repr(float(v))])
-
-    _atomic(out_dir / "dstar_grid.csv", write_grid)
+    _atomic(out_dir / "dstar_grid.csv", lambda p: dio.write_table(
+        p, [f"x{j}" for j in range(spec.dim)] + ["d_star"], [*grid[keep].T, dstar]))
 
     nominal = spec.data.sample(n_mc, rng)
     novel = spec.novel.sample(n_mc, rng)

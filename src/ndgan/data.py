@@ -144,28 +144,6 @@ def read_idx_labels(path) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
 
 
-def write_idx(path, features: np.ndarray, side: int | None = None):
-    """Write [0,1]-scaled features back to IDX bytes (inverse of read_idx)."""
-    n, d = features.shape
-    if side is None:
-        side = int(round(np.sqrt(d)))
-    if side * side != d:
-        raise ValidationError(f"feature width {d} is not a {side}x{side} image")
-    pixels = np.clip(np.round(features * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_MAGIC_IMAGES, n, side, side))
-        fh.write(pixels.tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray):
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() > 255):
-        raise ValidationError("IDX labels must fit in an unsigned byte")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_MAGIC_LABELS, labels.size))
-        fh.write(labels.astype(np.uint8).tobytes())
-
-
 # ---------------------------------------------------------------------------
 # numeric CSV
 # ---------------------------------------------------------------------------
@@ -277,18 +255,23 @@ def read_csv_dataset(path, label_column: int | str | None = None) -> tuple[Datas
     return data, mapping
 
 
-def write_csv_dataset(path, data: Dataset, label_header: str = "label"):
+def write_table(path, header, columns):
+    """CSV of a header row and equal-length columns; numpy columns convert with one ``tolist``
+    each, and the csv module writes a float as its ``repr`` and None as an empty cell."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        cols = [f"x{j}" for j in range(data.dim)]
-        if data.labels is not None:
-            cols.append(label_header)
-        w.writerow(cols)
-        for i in range(data.n):
-            row = [repr(float(v)) for v in data.features[i]]
-            if data.labels is not None:
-                row.append(str(int(data.labels[i])))
-            w.writerow(row)
+        w.writerow(header)
+        w.writerows(zip(*columns))
+
+
+def write_csv_dataset(path, data: Dataset, label_header: str = "label"):
+    header = [f"x{j}" for j in range(data.dim)]
+    columns = list(data.features.T)
+    if data.labels is not None:
+        header.append(label_header)
+        columns.append(data.labels)
+    write_table(path, header, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -186,10 +186,6 @@ class GridDensity:
 # ---------------------------------------------------------------------------
 
 
-def density_eval(density, x) -> np.ndarray:
-    return density.pdf(x)
-
-
 def likelihood_ratio_score(p_data, p_novel, x) -> np.ndarray:
     """p_novel(x) / p_data(x), higher means more novel; floored denominator."""
     num = p_novel.pdf(x)
@@ -259,14 +255,6 @@ def verify_mixture_identity(spec: MixtureSpec, x) -> IdentityReport:
         n_checked=int(keep.sum()),
         excluded=excluded,
     )
-
-
-def np_threshold_for_fpr(p_data, p_novel, alpha: float, nominal_samples) -> float:
-    """Likelihood-ratio threshold calibrated so empirical FPR <= alpha."""
-    from .metrics import threshold_at_fpr
-
-    scores = likelihood_ratio_score(p_data, p_novel, nominal_samples)
-    return threshold_at_fpr(scores, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ between real and generated batches.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass, field
 
@@ -17,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from . import layers as nn
 from .autodiff import Tensor
-from .data import Dataset, subsample_labeled
+from .data import Dataset, subsample_labeled, write_table
 from .errors import (
     FrozenModelError,
     FormatError,
@@ -63,10 +62,6 @@ class GanModel:
     @property
     def data_dim(self) -> int:
         return self.disc_specs[0].in_dim
-
-    @property
-    def feature_dim(self) -> int:
-        return self.disc_specs[self.feature_layer].out_dim
 
 
 def _stack(widths, in_dim, out_dim, hidden_act, out_act, weight_norm, noise_std):
@@ -132,8 +127,9 @@ def _check_data_dim(model: GanModel, x: np.ndarray):
 
 def discriminator_logits(
     model: GanModel, x: Tensor, mode: str = "eval", noise_rng=None
-) -> tuple[Tensor, list[Tensor]]:
-    return nn.mlp_forward(model.disc_params, model.disc_specs, x, mode, noise_rng)
+) -> tuple[Tensor, Tensor]:
+    """(K+1 logits, feature-layer activations) of one discriminator pass."""
+    return nn.mlp_forward(model.disc_params, model.disc_specs, x, mode, noise_rng, model.feature_layer)
 
 
 def forward(model: GanModel, x) -> tuple[np.ndarray, np.ndarray]:
@@ -142,30 +138,15 @@ def forward(model: GanModel, x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     _check_data_dim(model, x)
     with ad.suspend_tape():
-        logits, hidden = discriminator_logits(model, Tensor(x))
+        logits, features = discriminator_logits(model, Tensor(x))
         p = ad.softmax(logits).data
     p = np.clip(p, PROB_CLAMP, 1.0)
-    return p / p.sum(axis=1, keepdims=True), hidden[model.feature_layer].data
+    return p / p.sum(axis=1, keepdims=True), features.data
 
 
 def discriminator_probs(model: GanModel, x) -> np.ndarray:
     """Rows of K+1 class probabilities, floored at PROB_CLAMP and renormalized."""
     return forward(model, x)[0]
-
-
-def discriminator_total_real(model: GanModel, x) -> np.ndarray:
-    """D(x) = 1 - p_fake(x), the total real-class mass."""
-    return 1.0 - discriminator_probs(model, x)[:, model.K]
-
-
-def real_class_probs(model: GanModel, x) -> np.ndarray:
-    """The K real-class probabilities, renormalized to sum to 1."""
-    p = discriminator_probs(model, x)[:, : model.K]
-    return p / p.sum(axis=1, keepdims=True)
-
-
-def predict_class(model: GanModel, x) -> np.ndarray:
-    return np.argmax(discriminator_probs(model, x)[:, : model.K], axis=1)
 
 
 def discriminator_features(model: GanModel, x) -> np.ndarray:
@@ -266,22 +247,6 @@ def generator_loss_standard(model: GanModel, z: np.ndarray, noise_rng=None, mode
     return generator_loss_standard_from_logits(logits, model.K)
 
 
-@dataclass
-class FeatureStats:
-    """Mean discriminator features of a real batch and a generated batch."""
-
-    mean_real: np.ndarray
-    mean_fake: np.ndarray
-
-    def __post_init__(self):
-        if np.shape(self.mean_real) != np.shape(self.mean_fake):
-            raise ShapeMismatch("feature-stats", np.shape(self.mean_real), np.shape(self.mean_fake))
-
-    def distance(self) -> float:
-        d = np.asarray(self.mean_real) - np.asarray(self.mean_fake)
-        return float((d * d).sum())
-
-
 def generator_loss_feature_matching(
     model: GanModel, real_x: np.ndarray, z: np.ndarray, noise_rng=None, mode: str = "train"
 ) -> Tensor:
@@ -290,23 +255,20 @@ def generator_loss_feature_matching(
     The real branch and the discriminator are constants of this loss:
     gradients reach generator parameters only.
     """
-    disc = nn.constant_params(model.disc_params)
+    disc, keep = nn.constant_params(model.disc_params), model.feature_layer
     with ad.suspend_tape():
-        _, hidden = nn.mlp_forward(disc, model.disc_specs, Tensor(np.asarray(real_x, np.float64)), mode, noise_rng)
-        mean_real = hidden[model.feature_layer].data.mean(axis=0)
+        _, real = nn.mlp_forward(disc, model.disc_specs, Tensor(np.asarray(real_x, np.float64)), mode, noise_rng, keep)
+        mean_real = real.data.mean(axis=0)
     fake = generator_forward(model, Tensor(z), mode, noise_rng)
-    _, hidden = nn.mlp_forward(disc, model.disc_specs, fake, mode, noise_rng)
-    mean_fake = ad.reduce_mean(hidden[model.feature_layer], axis=0)
+    _, features = nn.mlp_forward(disc, model.disc_specs, fake, mode, noise_rng, keep)
+    mean_fake = ad.reduce_mean(features, axis=0)
     return ad.l2_norm_squared(ad.add(mean_fake, ad.mul(Tensor(mean_real), Tensor(-1.0))))
 
 
 def feature_matching_distance(model: GanModel, real_x: np.ndarray, fake_x: np.ndarray) -> float:
-    """Eval-mode feature-matching distance between two concrete batches."""
-    stats = FeatureStats(
-        mean_real=discriminator_features(model, real_x).mean(axis=0),
-        mean_fake=discriminator_features(model, fake_x).mean(axis=0),
-    )
-    return stats.distance()
+    """Eval-mode squared distance between the mean features of two concrete batches."""
+    d = forward(model, real_x)[1].mean(axis=0) - forward(model, fake_x)[1].mean(axis=0)
+    return float((d * d).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +321,8 @@ class TrainLog:
     rows: list[LogRow] = field(default_factory=list)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["step", "d_loss", "g_loss", "fm_distance"])
-            for r in self.rows:
-                w.writerow(
-                    [
-                        r.step,
-                        repr(r.d_loss),
-                        "" if r.g_loss is None else repr(r.g_loss),
-                        "" if r.fm_distance is None else repr(r.fm_distance),
-                    ]
-                )
+        columns = ("step", "d_loss", "g_loss", "fm_distance")
+        write_table(path, columns, [[getattr(r, c) for r in self.rows] for c in columns])
 
 
 def _loss_value(loss: Tensor, step: int, name: str) -> float:
@@ -476,10 +428,6 @@ def train_gan(
 
     model.frozen = True
     return model, log
-
-
-def train_accuracy(model: GanModel, x, y) -> float:
-    return float(np.mean(predict_class(model, x) == np.asarray(y)))
 
 
 # ---------------------------------------------------------------------------

@@ -158,11 +158,12 @@ def mlp_forward(
     x: Tensor,
     mode: str = "eval",
     noise_rng: np.random.Generator | None = None,
-) -> tuple[Tensor, list[Tensor]]:
-    """Run the stack; returns (final output, post-activation hidden outputs).
+    keep: int | None = None,
+) -> tuple[Tensor, Tensor | None]:
+    """Run the stack; returns (final output, post-activation output of layer ``keep`` or None).
 
-    Hidden outputs are the actual values fed to the next layer, i.e. they
-    include the train-mode Gaussian noise when a layer specifies one.
+    The kept output is the actual value fed to the next layer, i.e. it
+    includes the train-mode Gaussian noise when the layer specifies one.
     """
     if mode not in ("train", "eval"):
         raise ValidationError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -170,8 +171,7 @@ def mlp_forward(
         raise ShapeMismatch("mlp-forward", x.data.shape, detail="expects a batch (n, d)")
     _check_chain(specs, x.data.shape[1])
 
-    h = x
-    hidden: list[Tensor] = []
+    h, kept = x, None
     for i, (spec, p) in enumerate(zip(specs, params)):
         h = ad.linear(h, p.v, p.g, p.b, p.wn)
         h = _activate(h, spec.activation)
@@ -179,9 +179,9 @@ def mlp_forward(
             if noise_rng is None:
                 raise ValidationError(f"layer {i} has noise_std > 0 but no noise rng was supplied")
             h = ad.gaussian_noise(h, spec.noise_std, noise_rng)
-        if i < len(specs) - 1:
-            hidden.append(h)
-    return h, hidden
+        if i == keep:
+            kept = h
+    return h, kept
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +332,6 @@ def collect_grads(tape: ad.Tape, grad_map: dict[int, np.ndarray], params: list[L
 
 MAGIC = b"NDGAN1"
 FORMAT_VERSION = 1
-_KIND_MLP = 1
 _KIND_GAN = 2
 _ACT_CODES = {name: i for i, name in enumerate(ACTIVATIONS)}
 _ACT_NAMES = {i: name for name, i in _ACT_CODES.items()}
@@ -415,17 +414,3 @@ def _read_header(fh, source: str) -> int:
     if version != FORMAT_VERSION:
         raise FormatError(source, f"unsupported format version {version}")
     return kind
-
-
-def save_mlp(path, specs: list[LayerSpec], params: list[LayerParams]):
-    with open(path, "wb") as fh:
-        _write_header(fh, _KIND_MLP)
-        write_mlp_block(fh, specs, params)
-
-
-def load_mlp(path) -> tuple[list[LayerSpec], list[LayerParams]]:
-    with open(path, "rb") as fh:
-        kind = _read_header(fh, str(path))
-        if kind != _KIND_MLP:
-            raise FormatError(str(path), f"not an MLP file (kind={kind})")
-        return read_mlp_block(fh, str(path))

@@ -9,23 +9,14 @@ with ties counting one half.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_table
 from .errors import FingerprintMismatch, ValidationError
 from .rng import derive_seed
-
-
-@dataclass(frozen=True)
-class ScoredExample:
-    example_id: int
-    score: float
-    is_novel: bool | None = None
 
 
 @dataclass
@@ -40,22 +31,8 @@ class RocCurve:
     auroc: float
 
 
-def _split_scores(scored) -> tuple[np.ndarray, np.ndarray]:
-    nominal, novel = [], []
-    for ex in scored:
-        if ex.is_novel is None:
-            raise ValidationError(f"example {ex.example_id} has no ground-truth label")
-        (novel if ex.is_novel else nominal).append(ex.score)
-    return np.asarray(nominal, dtype=np.float64), np.asarray(novel, dtype=np.float64)
-
-
-def roc_auroc(scored) -> RocCurve:
-    """ROC curve and trapezoidal AUROC for labelled scores (higher = more novel)."""
-    nominal, novel = _split_scores(scored)
-    return roc_from_arrays(nominal, novel)
-
-
 def roc_from_arrays(nominal_scores, novel_scores) -> RocCurve:
+    """ROC curve and trapezoidal AUROC of nominal vs novel scores (higher = more novel)."""
     nominal = np.asarray(nominal_scores, dtype=np.float64)
     novel = np.asarray(novel_scores, dtype=np.float64)
     if nominal.size == 0 or novel.size == 0:
@@ -225,51 +202,55 @@ class BenchmarkRow:
     scorer: str
     split: str
     auroc: float
-    tpr_at_fpr05: float
-    tpr_at_fpr10: float
+    tpr: list[float]  # TPR at each target FPR of the result's alphas, in order
 
 
 @dataclass
 class BenchmarkResult:
     rows: list[BenchmarkRow]
-    means: dict  # scorer -> mean auroc across splits
     curves: dict  # (scorer, split) -> RocCurve
+    alphas: tuple = (0.05, 0.10)
+
+    @property
+    def tpr_columns(self) -> list[str]:
+        """One TPR column per target FPR: 0.05 -> tpr@fpr0.05, 0.1 -> tpr@fpr0.10."""
+        return ["tpr@fpr" + np.format_float_positional(a, min_digits=2) for a in self.alphas]
+
+    @property
+    def means(self) -> dict:
+        """scorer -> mean AUROC across its splits."""
+        per_scorer: dict[str, list[float]] = {}
+        for r in self.rows:
+            per_scorer.setdefault(r.scorer, []).append(r.auroc)
+        return {name: float(np.mean(v)) for name, v in per_scorer.items()}
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["scorer", "split", "auroc", "tpr@fpr0.05", "tpr@fpr0.10"])
-            for r in self.rows:
-                w.writerow([r.scorer, r.split, repr(r.auroc), repr(r.tpr_at_fpr05), repr(r.tpr_at_fpr10)])
-            for scorer, mean in self.means.items():
-                w.writerow([scorer, "mean", repr(mean), "", ""])
+        means, rows = self.means, self.rows
+        blank = [""] * len(means)
+        write_table(path, ["scorer", "split", "auroc", *self.tpr_columns], [
+            [r.scorer for r in rows] + list(means),
+            [r.split for r in rows] + ["mean"] * len(means),
+            [r.auroc for r in rows] + list(means.values()),
+            *([r.tpr[j] for r in rows] + blank for j in range(len(self.alphas))),
+        ])
 
     def to_json(self) -> dict:
+        columns = self.tpr_columns
         return {
             "rows": [
-                {
-                    "scorer": r.scorer,
-                    "split": r.split,
-                    "auroc": r.auroc,
-                    "tpr@fpr0.05": r.tpr_at_fpr05,
-                    "tpr@fpr0.10": r.tpr_at_fpr10,
-                }
+                {"scorer": r.scorer, "split": r.split, "auroc": r.auroc, **dict(zip(columns, r.tpr))}
                 for r in self.rows
             ],
-            "means": dict(self.means),
+            "means": self.means,
         }
 
 
 def write_roc_csv(path, curve: RocCurve):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["fpr", "tpr", "threshold"])
-        for fpr, tpr, thr in curve.points:
-            w.writerow([repr(fpr), repr(tpr), repr(thr)])
+    write_table(path, ["fpr", "tpr", "threshold"], list(zip(*curve.points)))
 
 
 def run_benchmark(split_scorers, alphas=(0.05, 0.10)) -> BenchmarkResult:
-    """Evaluate trained scorers per split.
+    """Evaluate trained scorers per split, with one TPR column per target FPR in ``alphas``.
 
     ``split_scorers`` is a sequence of (split, scorer) pairs where ``split``
     is a HoldoutSplit (or anything with eval_nominal/eval_novel Datasets and
@@ -279,7 +260,6 @@ def run_benchmark(split_scorers, alphas=(0.05, 0.10)) -> BenchmarkResult:
     """
     rows: list[BenchmarkRow] = []
     curves = {}
-    per_scorer: dict[str, list[float]] = {}
     for split, scorer in split_scorers:
         split_name = str(getattr(split, "holdout_class", getattr(split, "name", "eval")))
         trained_on = getattr(scorer, "train_fingerprint", None)
@@ -291,13 +271,9 @@ def run_benchmark(split_scorers, alphas=(0.05, 0.10)) -> BenchmarkResult:
         for name, nom in nominal.items():
             nov = novel[name]
             curve = roc_from_arrays(nom, nov)
-            _, t05 = tpr_at_fpr(nom, nov, alphas[0])
-            _, t10 = tpr_at_fpr(nom, nov, alphas[1])
-            rows.append(BenchmarkRow(name, split_name, curve.auroc, t05, t10))
+            rows.append(BenchmarkRow(name, split_name, curve.auroc, [tpr_at_fpr(nom, nov, a)[1] for a in alphas]))
             curves[(name, split_name)] = curve
-            per_scorer.setdefault(name, []).append(curve.auroc)
-    means = {name: float(np.mean(v)) for name, v in per_scorer.items()}
-    return BenchmarkResult(rows=rows, means=means, curves=curves)
+    return BenchmarkResult(rows=rows, curves=curves, alphas=tuple(alphas))
 
 
 # Published full-scale reference (for report headers; not asserted at desk scale).
@@ -323,7 +299,3 @@ TABLE1_REFERENCE = {
         "mean": 0.924,
     },
 }
-
-
-def reference_header() -> str:
-    return json.dumps({"full_scale_reference": TABLE1_REFERENCE}, sort_keys=True)

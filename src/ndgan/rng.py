@@ -37,12 +37,6 @@ class RngStreams:
             for name in STREAM_NAMES
         }
 
-    def stream(self, name: str) -> np.random.Generator:
-        try:
-            return self._gens[name]
-        except KeyError:
-            raise KeyError(f"unknown rng stream {name!r}; have {STREAM_NAMES}") from None
-
     @property
     def init(self) -> np.random.Generator:
         return self._gens["init"]

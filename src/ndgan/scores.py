@@ -4,13 +4,13 @@ score means more novel, so all of them feed the same ROC machinery.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .densities import GridDensity
 from .errors import DomainError, ValidationError
+# discriminator_probs/_features stay bound here for bench's tracing test until the benchmark repair
 from .gan import PROB_CLAMP, GanModel, discriminator_features, discriminator_probs, forward  # noqa: F401
 
 
@@ -18,15 +18,6 @@ def fake_ratio(p_fake) -> np.ndarray:
     """p_fake / (1 - p_fake), with p_fake clamped away from 0 and 1."""
     p_fake = np.clip(p_fake, PROB_CLAMP, 1.0 - PROB_CLAMP)
     return p_fake / (1.0 - p_fake)
-
-
-def score_nd_gan(model: GanModel, x) -> np.ndarray:
-    """p_fake / (1 - p_fake): the fake-to-real probability ratio."""
-    return fake_ratio(discriminator_probs(model, x)[:, model.K])
-
-
-def score_fake_prob(model: GanModel, x) -> np.ndarray:
-    return discriminator_probs(model, x)[:, model.K]
 
 
 def _check_prob_rows(probs: np.ndarray):
@@ -147,13 +138,6 @@ class UniformBaselineGenerator:
         lo, hi = self.bounds[:, 0], self.bounds[:, 1]
         return rng.uniform(lo, hi, size=(n, self.bounds.shape[0]))
 
-    def __call__(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.sample(n, rng)
-
-
-def make_uniform_baseline_generator(domain_bounds) -> UniformBaselineGenerator:
-    return UniformBaselineGenerator(bounds=np.asarray(domain_bounds, dtype=np.float64))
-
 
 # ---------------------------------------------------------------------------
 # mixture-generator evidence check
@@ -265,14 +249,3 @@ class Scorer:
 
     def score(self, x) -> dict[str, np.ndarray]:
         return self.derive(*forward(self.model, x))
-
-
-def write_scores_csv(path, scores: np.ndarray, is_novel=None, extra_columns=None):
-    """CSV rows: example-id, score, is-novel (0/1/blank), plus extra columns."""
-    extra_columns = extra_columns or {}
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["example_id", "score", "is_novel", *extra_columns.keys()])
-        for i, s in enumerate(scores):
-            flag = "" if is_novel is None else int(bool(is_novel[i]))
-            w.writerow([i, repr(float(s)), flag, *(repr(float(col[i])) for col in extra_columns.values())])

@@ -177,14 +177,15 @@ def test_c5_discriminator_trained_on_fixed_mixture_recovers_lr_ranking():
     assert covered.sum() > 500
 
     lr = dn.likelihood_ratio_score(p_data, p_novel, grid[covered])
-    fake_prob = scores.score_fake_prob(model, grid[covered])
+    scorer = scores.Scorer(model, ["fake-prob"])
+    fake_prob = scorer.score(grid[covered])["fake-prob"]
     rho = scipy_stats.spearmanr(fake_prob, lr).statistic
     assert rho >= 0.95, f"rank correlation {rho:.4f} < 0.95"
 
     rng = np.random.default_rng(12)
     nominal, novel = p_data.sample(2000, rng), p_novel.sample(2000, rng)
     auroc_learned = metrics.roc_from_arrays(
-        scores.score_fake_prob(model, nominal), scores.score_fake_prob(model, novel)
+        scorer.score(nominal)["fake-prob"], scorer.score(novel)["fake-prob"]
     ).auroc
     auroc_analytic = metrics.roc_from_arrays(
         dn.likelihood_ratio_score(p_data, p_novel, nominal),
@@ -211,8 +212,9 @@ def test_c6_feature_matching_gan_detects_origin_cluster():
 
     test, _ = dio.gen_ring_mixture(1000, 8, 2.0, 0.2, seed=8, split_tag="test")
     novel = np.random.default_rng(9).normal(0.0, 0.25, size=(1000, 2))
+    scorer = scores.Scorer(model, ["nd-gan-ratio"])
     auroc = metrics.roc_from_arrays(
-        scores.score_nd_gan(model, test.features), scores.score_nd_gan(model, novel)
+        scorer.score(test.features)["nd-gan-ratio"], scorer.score(novel)["nd-gan-ratio"]
     ).auroc
     assert auroc >= 0.90, f"nd-gan-ratio auroc {auroc:.4f} < 0.90"
 
@@ -271,9 +273,10 @@ def test_c7_mnist_holdout_mean_auroc(capsys):
         model = gan.build_gan(split.train.dim, split.train.K, arch="mnist",
                               seed=config.seed)
         model, _ = gan.train_gan(model, split.train, config)
+        scorer = scores.Scorer(model, ["nd-gan-ratio"])
         curve = metrics.roc_from_arrays(
-            scores.score_nd_gan(model, split.eval_nominal.features),
-            scores.score_nd_gan(model, split.eval_novel.features),
+            scorer.score(split.eval_nominal.features)["nd-gan-ratio"],
+            scorer.score(split.eval_novel.features)["nd-gan-ratio"],
         )
         aurocs[split.holdout_class] = curve.auroc
 

@@ -8,8 +8,9 @@ from ndgan.errors import DomainError, ShapeMismatch, TapeError
 from tests.gradcheck import CHECKED_OPS, check_op_gradient
 
 
-def test_matmul_hand_example():
-    out = ad.matmul(ad.Tensor([[1.0, 2.0], [3.0, 4.0]]), ad.Tensor([[1.0], [1.0]]))
+def test_linear_hand_example():
+    # x @ v.T + b with v = [[1, 1]]: the product [[1, 2], [3, 4]] @ [[1], [1]]
+    out = ad.linear(ad.Tensor([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0, 1.0]]), None, np.zeros(1))
     assert out.data.tolist() == [[3.0], [7.0]]
 
 
@@ -60,10 +61,10 @@ def test_gradients_accumulate_on_fanout():
 
 def test_forward_is_bit_identical_with_and_without_tape():
     rng = np.random.default_rng(3)
-    a, b = ad.Tensor(rng.normal(size=(5, 4))), ad.Tensor(rng.normal(size=(4, 3)))
-    bare = ad.tanh(ad.matmul(a, b)).data
+    a, v, b = ad.Tensor(rng.normal(size=(5, 4))), ad.Tensor(rng.normal(size=(3, 4))), ad.Tensor(rng.normal(size=3))
+    bare = ad.tanh(ad.linear(a, v, None, b)).data
     with ad.Tape():
-        taped = ad.tanh(ad.matmul(a, b)).data
+        taped = ad.tanh(ad.linear(a, v, None, b)).data
     assert np.array_equal(bare, taped)
 
 
@@ -109,11 +110,11 @@ def test_broadcast_is_limited_to_leading_axes():
         ad.mul(ad.Tensor(np.zeros((4, 1))), ad.Tensor(np.zeros((4, 3))))  # inner-axis stretch
 
 
-def test_matmul_shape_error_names_op_and_shapes():
+def test_linear_shape_error_names_op_and_shapes():
     with pytest.raises(ShapeMismatch) as err:
-        ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 3))))
+        ad.linear(ad.Tensor(np.zeros((2, 3))), np.zeros((2, 2)), None, np.zeros(2))
     msg = str(err.value)
-    assert "matmul" in msg and "(2, 3)" in msg
+    assert "linear" in msg and "(2, 3)" in msg
 
 
 def test_log_of_non_positive_raises_domain_error():
@@ -135,13 +136,6 @@ def test_backward_rejects_detached_output():
         pass
     with pytest.raises(TapeError):
         ad.backward(tape, ad.Tensor(1.0))
-
-
-def test_forward_op_dispatch_matches_functions():
-    a = ad.Tensor([[0.5, -0.5]])
-    assert np.array_equal(ad.forward_op("relu", [a]).data, ad.relu(a).data)
-    with pytest.raises(ValueError):
-        ad.forward_op("convolution", [a])
 
 
 def test_suspend_tape_hides_recording():

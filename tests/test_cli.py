@@ -1,8 +1,10 @@
 import csv
+import gc
 import hashlib
 import json
 import struct
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -217,16 +219,16 @@ def test_one_score_call_makes_one_discriminator_pass_per_input_set(pipeline, tmp
     reference = dio.read_csv_dataset(data_dir / "train.csv", "label")[0].features
     assert calls == [reference.shape, x.shape]  # the kNN reference once, then the input once
 
-    # every registry score is bit for bit the score of the per-scorer functions
+    # every registry score is bit for bit the score derived by hand from a gan.forward pass
     model = gan.load_model(model_dir / "model.ndgan")
-    real = gan.real_class_probs(model, x)
+    probs, features = gan.forward(model, x)
+    real = probs[:, : model.K] / probs[:, : model.K].sum(axis=1, keepdims=True)
     want = {
-        "nd-gan-ratio": scores.score_nd_gan(model, x),
-        "fake-prob": scores.score_fake_prob(model, x),
+        "nd-gan-ratio": scores.fake_ratio(probs[:, model.K]),
+        "fake-prob": probs[:, model.K],
         "entropy": scores.score_entropy(real),
         "max-prob": scores.score_max_prob(real),
-        "knn-5": scores.score_knn(gan.discriminator_features(model, x),
-                                  gan.discriminator_features(model, reference), 5),
+        "knn-5": scores.score_knn(features, gan.forward(model, reference)[1], 5),
     }
     got = scores.Scorer(model, list(want), reference).score(x)
     assert list(got) == list(want)
@@ -236,7 +238,7 @@ def test_one_score_call_makes_one_discriminator_pass_per_input_set(pipeline, tmp
         assert got[name].tobytes() == values.tobytes(), name
         written = np.array([float(r[name.replace("-", "_")]) for r in rows])
         assert written.tobytes() == values.tobytes(), name
-    assert [int(r["predicted_class"]) for r in rows] == gan.predict_class(model, x).tolist()
+    assert [int(r["predicted_class"]) for r in rows] == np.argmax(probs[:, : model.K], axis=1).tolist()
     assert np.array([float(r["fake_prob"]) for r in rows]).tobytes() == want["fake-prob"].tobytes()
 
 
@@ -326,6 +328,32 @@ def test_eval_of_a_non_numeric_score_cell_exits_2(pipeline, tmp_path, capsys, co
     assert f"{bad}: row 2, column {column!r}: non-numeric cell 'abc'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value, message", [("2", "ground truth must be 0 or 1, got '2'"),
+                                            ("-1", "ground truth must be 0 or 1, got '-1'"),
+                                            ("", "has blank ground truth")],
+                         ids=["two", "minus-one", "blank"])
+def test_eval_of_a_ground_truth_other_than_0_or_1_exits_2(pipeline, tmp_path, capsys, value, message):
+    root, data_dir, model_dir = pipeline
+    scored = tmp_path / "scored"
+    assert run(
+        "score", "--model", str(model_dir / "model.ndgan"), "--data", str(data_dir / "novel.csv"),
+        "--scorers", "nd-gan-ratio", "--mark-novel", "0", "--seed", "1", "--out-dir", str(scored),
+    ) == 0
+    with open(scored / "scores.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][rows[0].index("is_novel")] = "1"
+    rows[3][rows[0].index("is_novel")] = value  # data row 2
+    bad = tmp_path / "bad_scores.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert run(
+        "eval", "--scores", str(bad), "--score-column", "nd_gan_ratio", "--seed", "1",
+        "--out-dir", str(tmp_path / "out"),
+    ) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: row 2" in err and message in err and "Traceback" not in err
+
+
 def test_eval_single_class_ground_truth_is_rejected(pipeline, tmp_path):
     root, data_dir, model_dir = pipeline
     nov_dir = tmp_path / "only_novel"
@@ -368,6 +396,68 @@ def test_eval_holdout_mode_produces_table(pipeline, tmp_path):
     path.write_text(json.dumps(cfg))
     assert run("eval", "--config", str(path), "--out-dir", str(tmp_path / "one_worker")) == 0
     assert (tmp_path / "one_worker" / "metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
+
+
+def _holdout_config(tmp_path, data_dir, **over):
+    hold = {
+        "train_dataset": {"path": str(data_dir / "train.csv"), "label_column": "label"},
+        "test_dataset": {"path": str(data_dir / "test.csv"), "label_column": "label", "split_tag": "test"},
+        "arch": "2d", "train": {"total_steps": 30, "batch_size": 32, "labeled_fraction": 0.5},
+        "holdout_classes": [1], "scorers": ["nd-gan-ratio"],
+    }
+    path = tmp_path / "holdout.json"
+    path.write_text(json.dumps({"holdout": hold, "seed": 5, **over}))
+    return path
+
+
+@pytest.mark.parametrize("alphas, columns", [([0.05], ["tpr@fpr0.05"]),
+                                             ([0.01, 0.2], ["tpr@fpr0.01", "tpr@fpr0.20"])])
+def test_eval_holdout_writes_one_tpr_column_per_alpha(pipeline, tmp_path, alphas, columns):
+    root, data_dir, _ = pipeline
+    out = tmp_path / "out"
+    assert run("eval", "--config", str(_holdout_config(tmp_path, data_dir, alphas=alphas)), "--out-dir", str(out)) == 0
+    (row,) = json.loads((out / "metrics.json").read_text())["rows"]
+    assert sorted(k for k in row if k.startswith("tpr@")) == columns
+    header = (out / "metrics.csv").read_text().splitlines()[0]
+    assert header == ",".join(["scorer", "split", "auroc", *columns])
+
+
+@pytest.mark.parametrize("alphas", [[0.0], [0.05, 1.0], [1.5], [True], ["0.05"], 0.05, [None]],
+                         ids=["zero", "one", "above-one", "bool", "string", "not-a-list", "null"])
+@pytest.mark.parametrize("mode", ["holdout", "scores"])
+def test_eval_bad_alphas_fail_before_any_work(pipeline, tmp_path, monkeypatch, capsys, alphas, mode):
+    root, data_dir, _ = pipeline
+    monkeypatch.setattr(gan, "train_gan", lambda *args, **kwargs: pytest.fail("trained before the check"))
+    monkeypatch.setattr(cli, "_load_dataset", lambda *args: pytest.fail("dataset loaded before the check"))
+    monkeypatch.setattr(cli, "_read_scores_csv", lambda *args: pytest.fail("scores read before the check"))
+    if mode == "holdout":
+        path = _holdout_config(tmp_path, data_dir, alphas=alphas)
+    else:
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"scores": [str(tmp_path / "scores.csv")], "alphas": alphas, "seed": 5}))
+    assert run("eval", "--config", str(path), "--out-dir", str(tmp_path / "out")) == 2
+    assert "$.alphas" in capsys.readouterr().err
+
+
+def test_eval_holdout_frees_each_split_before_training_the_next(pipeline, tmp_path, monkeypatch):
+    root, data_dir, _ = pipeline
+    real_train, trained, alive = gan.train_gan, [], []
+
+    def tracking(model, *args, **kwargs):
+        if trained:
+            gc.collect()
+            alive.append(trained[0]() is not None)
+        out = real_train(model, *args, **kwargs)
+        trained.append(weakref.ref(out[0]))
+        return out
+
+    monkeypatch.setattr(gan, "train_gan", tracking)
+    path = _holdout_config(tmp_path, data_dir)
+    doc = json.loads(path.read_text())
+    doc["holdout"].update(holdout_classes=[0, 2], scorers=["nd-gan-ratio", "knn-1"])
+    path.write_text(json.dumps(doc))
+    assert run("eval", "--config", str(path), "--out-dir", str(tmp_path / "out")) == 0
+    assert len(trained) == 2 and alive == [False]  # split 0's model died before split 2 trained
 
 
 @pytest.mark.parametrize("bad", [{"scorers": ["nd-gan-ratio", "entrpy"]}, {"scorers": ["knn-0"]},

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from ndgan import densities as dn
 from ndgan.errors import DomainError, SchemaError, ValidationError
+from ndgan.metrics import threshold_at_fpr
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def test_standard_normal_at_zero():
     d = dn.gaussian([0.0], 1.0)
-    assert dn.density_eval(d, [[0.0]])[0] == pytest.approx(INV_SQRT_2PI, abs=1e-12)
+    assert d.pdf([[0.0]])[0] == pytest.approx(INV_SQRT_2PI, abs=1e-12)
 
 
 def test_symmetric_two_component_mixture_at_midpoint():
@@ -121,7 +122,7 @@ def test_mixture_identity_holds_on_random_specs(pi, mean_gap, var_a, var_b, seed
 def test_np_threshold_for_equal_densities_is_one():
     d = dn.gaussian([0.0], 1.0)
     samples = d.sample(1000, np.random.default_rng(2))
-    thr = dn.np_threshold_for_fpr(d, d, 0.5, samples)
+    thr = threshold_at_fpr(dn.likelihood_ratio_score(d, d, samples), 0.5)
     assert thr == pytest.approx(1.0, abs=1e-12)  # every score is exactly 1
 
 
@@ -131,7 +132,7 @@ def test_np_threshold_controls_fpr_within_binomial_bound():
     calib = p_data.sample(4000, rng)
     held_out = p_data.sample(4000, rng)
     for alpha in (0.05, 0.2, 0.5):
-        thr = dn.np_threshold_for_fpr(p_data, p_novel, alpha, calib)
+        thr = threshold_at_fpr(dn.likelihood_ratio_score(p_data, p_novel, calib), alpha)
         fpr = float(np.mean(dn.likelihood_ratio_score(p_data, p_novel, held_out) > thr))
         assert fpr <= alpha + 2 * math.sqrt(alpha * (1 - alpha) / 4000)
 
@@ -139,7 +140,7 @@ def test_np_threshold_controls_fpr_within_binomial_bound():
 def test_np_threshold_rejects_tiny_samples():
     d = dn.gaussian([0.0], 1.0)
     with pytest.raises(ValidationError):
-        dn.np_threshold_for_fpr(d, d, 0.01, d.sample(10, np.random.default_rng(0)))
+        threshold_at_fpr(dn.likelihood_ratio_score(d, d, d.sample(10, np.random.default_rng(0))), 0.01)
 
 
 # ---------------------------------------------------------------------------

@@ -51,14 +51,14 @@ def logits_tensor(rows):
 
 def test_uniform_logits_give_uniform_probs_and_d_09():
     model = bias_model(np.zeros(10))  # K = 9
-    probs = gan.discriminator_probs(model, np.zeros((3, 2)))
+    probs, _ = gan.forward(model, np.zeros((3, 2)))
     np.testing.assert_allclose(probs, 0.1, atol=1e-12)
-    np.testing.assert_allclose(gan.discriminator_total_real(model, np.zeros((3, 2))), 0.9, atol=1e-12)
+    np.testing.assert_allclose(1.0 - probs[:, model.K], 0.9, atol=1e-12)  # D(x), the total real mass
 
 
 def test_probability_rows_sum_to_one(rng):
     model = tiny_model(K=5, seed=3)
-    probs = gan.discriminator_probs(model, rng.normal(size=(40, 2)))
+    probs, _ = gan.forward(model, rng.normal(size=(40, 2)))
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     assert probs.min() >= gan.PROB_CLAMP * (1 - 1e-6)
 
@@ -67,14 +67,14 @@ def test_huge_fake_logit_drives_d_to_zero():
     logits = np.zeros(3)
     logits[2] = 50.0
     model = bias_model(logits)
-    d = gan.discriminator_total_real(model, np.zeros((1, 2)))
+    d = 1.0 - gan.forward(model, np.zeros((1, 2)))[0][:, model.K]
     assert d[0] < 1e-6
 
 
 def test_dimension_mismatch_is_structured():
     model = tiny_model()
     with pytest.raises(Exception) as err:
-        gan.discriminator_probs(model, np.zeros((3, 5)))
+        gan.forward(model, np.zeros((3, 5)))
     assert "(3, 5)" in str(err.value)
 
 
@@ -181,8 +181,12 @@ def test_generator_loss_is_clamped_when_d_saturates():
 
 
 def test_feature_stats_distance_hand_values():
-    assert gan.FeatureStats(np.array([1.0, 2.0]), np.array([1.0, 2.0])).distance() == 0.0
-    assert gan.FeatureStats(np.array([1.0, 2.0]), np.array([1.0, 0.0])).distance() == 4.0
+    # identity feature layer: the mean features of a batch are its mean rows
+    model = tiny_model(disc_widths=(2,), weight_norm=False)
+    model.disc_params[0].v.data[:] = np.eye(2)
+    model.disc_params[0].b.data[:] = 0.0
+    assert gan.feature_matching_distance(model, np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]])) == 0.0
+    assert gan.feature_matching_distance(model, np.array([[1.0, 2.0]]), np.array([[1.0, 0.0]])) == 4.0
 
 
 def test_feature_matching_zero_for_identical_batches(rng):
@@ -374,11 +378,12 @@ def test_separable_two_class_set_reaches_full_train_accuracy():
     labels = np.repeat([0, 1], 10)
     data = dio.Dataset(feats, labels, K=2, provenance="separable")
     model = gan.build_gan(2, 2, arch="2d", seed=4)
-    from ndgan.scores import make_uniform_baseline_generator
+    from ndgan.scores import UniformBaselineGenerator
 
     cfg = gan.TrainConfig(total_steps=2000, batch_size=16, seed=4, labeled_fraction=1.0, log_every=500)
-    model, _ = gan.train_gan(model, data, cfg, fake_source=make_uniform_baseline_generator([[-5, 5], [-5, 5]]))
-    assert gan.train_accuracy(model, feats, labels) == 1.0
+    model, _ = gan.train_gan(model, data, cfg, fake_source=UniformBaselineGenerator([[-5, 5], [-5, 5]]).sample)
+    probs, _ = gan.forward(model, feats)
+    assert float(np.mean(np.argmax(probs[:, : model.K], axis=1) == labels)) == 1.0
 
 
 def test_discriminator_loss_drops_below_initial_on_ring_benchmark():
@@ -423,7 +428,7 @@ def test_model_save_load_round_trip(tmp_path):
     assert again.frozen and again.K == 4 and again.z_prior == model.z_prior
     assert again.feature_layer == model.feature_layer
     x = np.random.default_rng(0).normal(size=(6, 2))
-    assert np.array_equal(gan.discriminator_probs(model, x), gan.discriminator_probs(again, x))
+    assert np.array_equal(gan.forward(model, x)[0], gan.forward(again, x)[0])
     z_rng = np.random.default_rng(1)
     a = gan.sample_generator(model, 4, np.random.default_rng(1))
     b = gan.sample_generator(again, 4, np.random.default_rng(1))
@@ -452,14 +457,14 @@ def test_mnist_architecture_has_five_hidden_layers_and_250_features():
     model = gan.build_gan(data_dim=196, K=9, arch="mnist", seed=1)
     assert len(model.disc_specs) == 6  # 5 hidden + logits
     assert len(model.gen_specs) == 6
-    assert model.feature_dim == 250
+    assert model.disc_specs[model.feature_layer].out_dim == 250
     assert model.disc_specs[-1].out_dim == 10
     assert model.gen_specs[-1].activation == "sigmoid"
 
     rng = np.random.default_rng(0)
-    probs = gan.discriminator_probs(model, rng.uniform(size=(4, 196)))
+    probs, _ = gan.forward(model, rng.uniform(size=(4, 196)))
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-    feats = gan.discriminator_features(model, rng.uniform(size=(4, 196)))
+    _, feats = gan.forward(model, rng.uniform(size=(4, 196)))
     assert feats.shape == (4, 250)
 
     data = dio.Dataset(rng.uniform(size=(64, 196)), rng.integers(0, 9, 64), K=9)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ndgan import autodiff as ad
+from ndgan import gan
 from ndgan import layers as nn
 from ndgan.errors import DomainError, ShapeMismatch, ValidationError
 from tests.conftest import assert_grad_close, finite_difference_grad
@@ -22,9 +23,11 @@ def _plain_layer(in_dim, out_dim, activation="linear", noise_std=0.0):
 def test_identity_linear_layer_is_identity():
     spec, params = _plain_layer(2, 2)
     params.v.data[:] = np.eye(2)
-    out, hidden = nn.mlp_forward([params], [spec], ad.Tensor([[1.0, 2.0]]))
+    out, kept = nn.mlp_forward([params], [spec], ad.Tensor([[1.0, 2.0]]))
     assert out.data.tolist() == [[1.0, 2.0]]
-    assert hidden == []
+    assert kept is None  # no layer asked for
+    out, kept = nn.mlp_forward([params], [spec], ad.Tensor([[1.0, 2.0]]), keep=0)
+    assert kept is out
 
 
 def test_zero_weight_sigmoid_unit_outputs_half():
@@ -265,10 +268,14 @@ def test_mlp_serialization_round_trip_is_bit_exact(tmp_path, rng):
         nn.LayerSpec(3, 7, "leaky-relu", weight_norm=True, noise_std=0.1),
         nn.LayerSpec(7, 2, "linear", weight_norm=False),
     ]
+    # a model file carries the stack as its discriminator
+    gen_specs = [nn.LayerSpec(2, 3, "linear")]
     params = nn.init_mlp(specs, rng)
+    model = gan.GanModel(gen_specs, nn.init_mlp(gen_specs, rng), specs, params, K=1, feature_layer=0, z_dim=2)
     path = tmp_path / "net.ndgan"
-    nn.save_mlp(path, specs, params)
-    specs2, params2 = nn.load_mlp(path)
+    gan.save_model(path, model)
+    again = gan.load_model(path)
+    specs2, params2 = again.disc_specs, again.disc_params
     assert specs2 == specs
     for p, q in zip(params, params2):
         assert np.array_equal(p.v.data, q.v.data)
@@ -278,7 +285,7 @@ def test_mlp_serialization_round_trip_is_bit_exact(tmp_path, rng):
         assert np.array_equal(p.b.data, q.b.data)
     # writing what was read reproduces the same bytes
     path2 = tmp_path / "net2.ndgan"
-    nn.save_mlp(path2, specs2, params2)
+    gan.save_model(path2, again)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -288,5 +295,5 @@ def test_model_file_rejects_bad_magic(tmp_path):
     from ndgan.errors import FormatError
 
     with pytest.raises(FormatError) as err:
-        nn.load_mlp(path)
+        gan.load_model(path)
     assert err.value.offset == 0

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 from ndgan import metrics
 from ndgan.data import Dataset
 from ndgan.errors import FingerprintMismatch, ValidationError
-from ndgan.metrics import ScoredExample
 
 
 def pairwise_auroc(nominal, novel):
@@ -18,9 +19,7 @@ def pairwise_auroc(nominal, novel):
 
 
 def test_perfect_separation_gives_auroc_one():
-    scored = [ScoredExample(0, 0.1, False), ScoredExample(1, 0.2, False),
-              ScoredExample(2, 0.8, True), ScoredExample(3, 0.9, True)]
-    assert metrics.roc_auroc(scored).auroc == 1.0
+    assert metrics.roc_from_arrays([0.1, 0.2], [0.8, 0.9]).auroc == 1.0
 
 
 def test_three_of_four_pairs_ordered_gives_075():
@@ -34,9 +33,9 @@ def test_all_tied_scores_give_half():
 
 def test_single_class_input_is_an_error():
     with pytest.raises(ValidationError):
-        metrics.roc_auroc([ScoredExample(0, 0.1, False)])
+        metrics.roc_from_arrays([0.1], [])
     with pytest.raises(ValidationError):
-        metrics.roc_auroc([ScoredExample(0, 0.1, True), ScoredExample(1, 0.3, None)])
+        metrics.roc_from_arrays([], [0.1])
 
 
 def test_roc_curve_shape_invariants(rng):
@@ -188,8 +187,8 @@ def test_identical_score_vectors_give_identical_rows(rng):
     split = _StubSplit(rng.normal(size=(50, 2)), rng.normal(1, 1, size=(50, 2)))
     fn = lambda x: np.abs(x).sum(axis=1)
     result = metrics.run_benchmark([(split, _StubScorer({"a": fn, "b": fn}))])
-    rows = {r.scorer: (r.auroc, r.tpr_at_fpr05, r.tpr_at_fpr10) for r in result.rows}
-    assert rows["a"] == rows["b"]
+    rows = {r.scorer: (r.auroc, *r.tpr) for r in result.rows}
+    assert rows["a"] == rows["b"] and len(rows["a"]) == 3
 
 
 def test_benchmark_rejects_scorer_from_another_split(rng):
@@ -205,4 +204,22 @@ def test_table1_reference_values_are_embedded():
     assert ref["nd-gan-ratio"]["per_holdout"][0] == 0.992
     assert ref["entropy"]["mean"] == 0.964
     assert ref["knn-5"]["mean"] == 0.924
-    assert "full_scale_reference" in metrics.reference_header()
+    assert json.loads(json.dumps({"full_scale_reference": ref}, sort_keys=True))["full_scale_reference"] == ref
+
+
+@pytest.mark.parametrize("alphas, columns", [((0.05,), ["tpr@fpr0.05"]),
+                                             ((0.01, 0.2), ["tpr@fpr0.01", "tpr@fpr0.20"]),
+                                             ((0.05, 0.1), ["tpr@fpr0.05", "tpr@fpr0.10"])])
+def test_benchmark_has_one_tpr_column_per_alpha(rng, tmp_path, alphas, columns):
+    split = _StubSplit(rng.normal(size=(200, 2)), rng.normal(1, 1, size=(200, 2)))
+    fn = lambda x: x.sum(axis=1)
+    result = metrics.run_benchmark([(split, _StubScorer({"s": fn}))], alphas)
+    (row,) = result.to_json()["rows"]
+    nom, nov = fn(split.eval_nominal.features), fn(split.eval_novel.features)
+    assert [k for k in row if k.startswith("tpr@")] == columns
+    for column, alpha in zip(columns, alphas):
+        assert row[column] == metrics.tpr_at_fpr(nom, nov, alpha)[1]
+    result.to_csv(tmp_path / "metrics.csv")
+    lines = (tmp_path / "metrics.csv").read_text().splitlines()
+    assert lines[0] == ",".join(["scorer", "split", "auroc", *columns])
+    assert lines[-1] == f"s,mean,{row['auroc']!r}" + "," * len(alphas)

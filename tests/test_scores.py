@@ -17,19 +17,23 @@ from tests.test_gan import bias_model
 # ---------------------------------------------------------------------------
 
 
+def nd_gan_ratio(model, x):
+    return scores.Scorer(model, ["nd-gan-ratio"]).score(x)["nd-gan-ratio"]
+
+
 def test_nd_gan_ratio_hand_values():
     x = np.zeros((1, 2))
-    assert scores.score_nd_gan(bias_model([0.0, 0.0]), x)[0] == pytest.approx(1.0, abs=1e-9)
-    assert scores.score_nd_gan(bias_model([math.log(0.2), math.log(0.8)]), x)[0] == pytest.approx(4.0, abs=1e-9)
+    assert nd_gan_ratio(bias_model([0.0, 0.0]), x)[0] == pytest.approx(1.0, abs=1e-9)
+    assert nd_gan_ratio(bias_model([math.log(0.2), math.log(0.8)]), x)[0] == pytest.approx(4.0, abs=1e-9)
     # p_fake -> 0 clamps near 1e-7 instead of reaching zero
-    tiny = scores.score_nd_gan(bias_model([50.0, 0.0]), x)[0]
+    tiny = nd_gan_ratio(bias_model([50.0, 0.0]), x)[0]
     assert 0 < tiny < 1e-6
 
 
 def test_nd_gan_ratio_is_strictly_increasing_in_fake_probability():
     x = np.zeros((1, 2))
     fake_logits = np.linspace(-4, 4, 15)
-    vals = [scores.score_nd_gan(bias_model([0.0, b]), x)[0] for b in fake_logits]
+    vals = [nd_gan_ratio(bias_model([0.0, b]), x)[0] for b in fake_logits]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
@@ -37,7 +41,7 @@ def test_nd_gan_ratio_is_positive_and_finite(rng):
     from tests.test_gan import tiny_model
 
     model = tiny_model(K=3, seed=1)
-    s = scores.score_nd_gan(model, rng.normal(size=(50, 2)))
+    s = nd_gan_ratio(model, rng.normal(size=(50, 2)))
     assert np.all(s > 0) and np.all(np.isfinite(s))
 
 
@@ -190,19 +194,19 @@ def test_knn_blocked_search_matches_direct_computation(rng):
 
 
 def test_uniform_baseline_samples_stay_inside_bounds():
-    g = scores.make_uniform_baseline_generator([[0.0, 1.0], [0.0, 1.0]])
+    g = scores.UniformBaselineGenerator([[0.0, 1.0], [0.0, 1.0]])
     x = g.sample(500, np.random.default_rng(0))
     assert np.all(x >= 0.0) and np.all(x <= 1.0)
 
 
 def test_uniform_baseline_mean_matches_monte_carlo():
-    g = scores.make_uniform_baseline_generator([[0.0, 1.0]])
+    g = scores.UniformBaselineGenerator([[0.0, 1.0]])
     x = g.sample(10_000, np.random.default_rng(1))
     assert abs(x.mean() - 0.5) < 0.02
 
 
 def test_uniform_baseline_is_seed_deterministic():
-    g = scores.make_uniform_baseline_generator([[-2.0, 3.0]])
+    g = scores.UniformBaselineGenerator([[-2.0, 3.0]])
     a = g.sample(50, np.random.default_rng(7))
     b = g.sample(50, np.random.default_rng(7))
     assert np.array_equal(a, b)
@@ -210,7 +214,7 @@ def test_uniform_baseline_is_seed_deterministic():
 
 def test_uniform_baseline_rejects_inverted_bounds():
     with pytest.raises(ValidationError):
-        scores.make_uniform_baseline_generator([[1.0, 1.0]])
+        scores.UniformBaselineGenerator([[1.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +239,7 @@ def test_samples_from_p_data_itself_are_not_a_mixture_generator():
 def test_uniform_samples_over_domain_are_a_degenerate_mixture_generator():
     density = dn.gaussian([0.0, 0.0], 0.05)  # concentrated nominal density
     grid = dn.GridDensity.from_density(density, [[-3, 3], [-3, 3]], (60, 60))
-    uniform = scores.make_uniform_baseline_generator([[-3, 3], [-3, 3]])
+    uniform = scores.UniformBaselineGenerator([[-3, 3], [-3, 3]])
     samples = uniform.sample(10_000, np.random.default_rng(3))
     report = scores.check_mixture_generator(samples, grid, epsilon=0.01 * grid.values.max())
     assert report.is_mixture_generator is True
@@ -252,7 +256,7 @@ def test_ten_percent_uniform_contamination_is_detected():
     n_unif = n // 10
     samples = np.concatenate([
         density.sample(n - n_unif, rng),
-        scores.make_uniform_baseline_generator([[-3, 3], [-3, 3]]).sample(n_unif, rng),
+        scores.UniformBaselineGenerator([[-3, 3], [-3, 3]]).sample(n_unif, rng),
     ])
     report = scores.check_mixture_generator(samples, grid, epsilon=0.01 * grid.values.max())
     assert report.is_mixture_generator is True
@@ -295,8 +299,9 @@ def test_every_scorer_ranks_vanishing_density_point_above_medoid(ring_model):
 
 def test_scores_csv_writer(tmp_path, rng):
     path = tmp_path / "scores.csv"
-    scores.write_scores_csv(path, rng.uniform(size=5), is_novel=[0, 1, 0, 1, 1],
-                            extra_columns={"entropy": rng.uniform(size=5)})
+    dio.write_table(path, ["example_id", "score", "is_novel", "entropy"],
+                    [range(5), rng.uniform(size=5), [0, 1, 0, 1, None], rng.uniform(size=5)])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "example_id,score,is_novel,entropy"
     assert len(lines) == 6
+    assert lines[5].startswith("4,") and ",," in lines[5]  # None is an empty cell

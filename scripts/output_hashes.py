@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Print the sha256 of every file the benchmark's workloads write.
+
+    python3 scripts/output_hashes.py --src <tree> --seed 7 --work-dir <dir> [--small] [--workload NAME]
+
+For each workload of this checkout's ``bench/workloads.py`` (imported, never
+written), write its seeded inputs under ``<dir>/<workload>`` (deleting what
+was there), then run its set-up stages and one pass of its stages through
+the ``ndgan`` CLI imported from ``<tree>/src``. Print one line
+``workload path sha256`` for every file under ``<dir>/<workload>``. Configs
+and manifests record paths, so the workload directory is blanked out of each
+file's bytes before hashing; two trees' outputs then compare by a diff:
+
+    python3 scripts/output_hashes.py --src ../parent --seed 7 --work-dir /tmp/a > a.txt
+    python3 scripts/output_hashes.py --src . --seed 7 --work-dir /tmp/b > b.txt
+    diff a.txt b.txt
+
+Exits 1, with the stage's log on stderr, when a stage fails or its output
+check does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import shutil
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def import_cli(tree: Path):
+    """ndgan.cli from ``tree/src`` and nowhere else."""
+    src = (tree / "src").resolve()
+    sys.path.insert(0, str(src))
+    import ndgan.cli
+
+    if Path(ndgan.cli.__file__).resolve().parent != src / "ndgan":
+        raise SystemExit(f"imported ndgan from {ndgan.cli.__file__}, not from {src}")
+    return ndgan.cli
+
+
+def file_hashes(root: Path):
+    """(relative path, sha256 with ``root`` blanked out) of every file under root, sorted."""
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes().replace(str(root).encode(), b"<root>")
+        yield path.relative_to(root).as_posix(), hashlib.sha256(data).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--src", required=True, help="tree whose src/ provides ndgan")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--work-dir", required=True, help="each workload writes under <work-dir>/<workload>")
+    parser.add_argument("--workload", default="all", help="one workload name, or all")
+    parser.add_argument("--small", action="store_true", help="the workloads' small size")
+    args = parser.parse_args(argv)
+
+    sys.dont_write_bytecode = True  # leave both trees as they are
+    cli = import_cli(Path(args.src))
+    sys.path.insert(0, str(BENCH))
+    from workloads import WORKLOADS
+
+    names = sorted(WORKLOADS) if args.workload == "all" else [args.workload]
+    for name in names:
+        root = Path(args.work_dir).resolve() / name
+        shutil.rmtree(root, ignore_errors=True)
+        workload = WORKLOADS[name]().generate(root, args.seed, args.small)
+        for stage in workload.setup_stages() + workload.stages():
+            log = io.StringIO()
+            with contextlib.redirect_stderr(log):
+                code = cli.main(stage.argv)
+            err = f"exit code {code}" if code != 0 else stage.check(stage.out)
+            if err is not None:
+                print(f"{name} {stage.cmd}: {err}\n{log.getvalue()}", file=sys.stderr)
+                return 1
+        for path, digest in file_hashes(root):
+            print(name, path, digest)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

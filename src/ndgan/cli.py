@@ -412,7 +412,7 @@ def _run_holdout_split(split, hold_cfg, seed):
         seed=config.seed,
         disc_noise_std=float(hold_cfg.get("disc_noise_std", 0.1)),
     )
-    model, _ = gan.train_gan(model, split.train, config)
+    model, _ = gan.train_gan(model, split.train, config, diagnostics=False)
     return scores.Scorer(model, hold_cfg["scorers"], split.train.features, split.fingerprint)
 
 
@@ -565,6 +565,13 @@ def _apply_overrides(cfg: dict, args, fields: dict):
     return cfg
 
 
+def _float_or_text(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ndgan", description=__doc__)
     parser.add_argument("--version", action="version", version=f"ndgan {__version__}")
@@ -639,8 +646,8 @@ def _dispatch(args) -> int:
         if getattr(args, "scores", None):
             cfg["scores"] = args.scores
         _apply_overrides(cfg, args, {"score_column": "score_column"})
-        if getattr(args, "alphas", None):
-            cfg["alphas"] = [float(a) for a in args.alphas.split(",")]
+        if getattr(args, "alphas", None):  # a cell float() rejects stays a string for _alphas to name
+            cfg["alphas"] = [_float_or_text(a) for a in args.alphas.split(",")]
     elif args.command == "oracle":
         _apply_overrides(cfg, args, {"density": "density", "tolerance": "tolerance",
                                      "grid_points": "grid_points"})

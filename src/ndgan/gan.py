@@ -150,7 +150,10 @@ def discriminator_probs(model: GanModel, x) -> np.ndarray:
 
 
 def discriminator_features(model: GanModel, x) -> np.ndarray:
-    return forward(model, x)[1]
+    """Eval-mode feature-layer activations from a pass that stops at that layer."""
+    k = model.feature_layer + 1
+    with ad.suspend_tape():
+        return nn.mlp_forward(model.disc_params[:k], model.disc_specs[:k], Tensor(x))[0].data
 
 
 def sample_z(model: GanModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -253,21 +256,23 @@ def generator_loss_feature_matching(
     """Squared L2 distance between mean real and mean generated features.
 
     The real branch and the discriminator are constants of this loss:
-    gradients reach generator parameters only.
+    gradients reach generator parameters only. The discriminator runs up to
+    its feature layer; after it, build_gan puts only the noiseless output layer.
     """
-    disc, keep = nn.constant_params(model.disc_params), model.feature_layer
+    k = model.feature_layer + 1
+    disc, specs = nn.constant_params(model.disc_params[:k]), model.disc_specs[:k]
     with ad.suspend_tape():
-        _, real = nn.mlp_forward(disc, model.disc_specs, Tensor(np.asarray(real_x, np.float64)), mode, noise_rng, keep)
+        real, _ = nn.mlp_forward(disc, specs, Tensor(np.asarray(real_x, np.float64)), mode, noise_rng)
         mean_real = real.data.mean(axis=0)
     fake = generator_forward(model, Tensor(z), mode, noise_rng)
-    _, features = nn.mlp_forward(disc, model.disc_specs, fake, mode, noise_rng, keep)
+    features, _ = nn.mlp_forward(disc, specs, fake, mode, noise_rng)
     mean_fake = ad.reduce_mean(features, axis=0)
     return ad.l2_norm_squared(ad.add(mean_fake, ad.mul(Tensor(mean_real), Tensor(-1.0))))
 
 
 def feature_matching_distance(model: GanModel, real_x: np.ndarray, fake_x: np.ndarray) -> float:
     """Eval-mode squared distance between the mean features of two concrete batches."""
-    d = forward(model, real_x)[1].mean(axis=0) - forward(model, fake_x)[1].mean(axis=0)
+    d = discriminator_features(model, real_x).mean(axis=0) - discriminator_features(model, fake_x).mean(axis=0)
     return float((d * d).sum())
 
 
@@ -350,12 +355,14 @@ def train_gan(
     data: Dataset,
     config: TrainConfig,
     fake_source=None,
+    diagnostics: bool = True,
 ) -> tuple[GanModel, TrainLog]:
     """Alternating Adam on the discriminator and generator.
 
     ``fake_source(n, rng) -> array`` replaces the learned generator as the
     source of fake batches (uniform-baseline or fixed-mixture training); in
-    that case generator steps are skipped.
+    that case generator steps are skipped. ``diagnostics=False`` leaves the log's
+    fm_distance empty, for a caller that drops the log; the model's bits stay the same.
     """
     if model.frozen:
         raise FrozenModelError("train_gan: model is frozen; build a fresh model to retrain")
@@ -417,7 +424,7 @@ def train_gan(
 
                 fm = None
                 if step % config.log_every == 0 or step == 1 or step == config.total_steps:
-                    if fake_source is None:
+                    if fake_source is None and diagnostics:
                         diag = streams.diagnostics
                         real = all_x[diag.integers(0, len(all_x), min(256, len(all_x)))]
                         fake = sample_generator(model, min(256, len(all_x)), diag)
@@ -467,11 +474,17 @@ def load_model(path) -> GanModel:
         K, z_dim, feature_layer, prior_code, frozen = struct.unpack("<IIIBB", raw)
         if prior_code not in _Z_PRIOR_NAMES:
             raise FormatError(source, f"unknown z-prior code {prior_code}")
+        gen_at = fh.tell()
         gen_specs, gen_params = nn.read_mlp_block(fh, source)
+        disc_at = fh.tell()
         disc_specs, disc_params = nn.read_mlp_block(fh, source)
         end = fh.tell()
         if fh.read(1):
             raise FormatError(source, "trailing bytes after the model", offset=end)
+    if gen_specs[0].in_dim != z_dim:
+        raise FormatError(source, f"generator input width {gen_specs[0].in_dim} is not z_dim={z_dim}", offset=gen_at)
+    if disc_specs[-1].out_dim != K + 1:
+        raise FormatError(source, f"discriminator output width {disc_specs[-1].out_dim} is not K+1={K + 1}", offset=disc_at)
     return GanModel(
         gen_specs=gen_specs,
         gen_params=gen_params,

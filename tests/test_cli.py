@@ -1,6 +1,7 @@
 import csv
 import gc
 import hashlib
+import io
 import json
 import struct
 import warnings
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from ndgan import cli, gan, scores
+from ndgan import layers as nn
 from ndgan import data as dio
 from ndgan.errors import FormatError
 
@@ -150,11 +152,12 @@ def test_atomic_write_failure_keeps_old_file_and_leaves_no_temp(tmp_path):
 
 
 GEN_BLOCK = 6 + 5 + 14  # magic, version and kind, then the GAN header: the generator block starts here
+K_FIELD, Z_DIM_FIELD = GEN_BLOCK - 14, GEN_BLOCK - 10  # the first two fields of the GAN header
 
 
 @pytest.mark.parametrize("damage", ["trailing-bytes", "non-finite-weight", "zero-layer-generator",
-                                    "huge-layer-dims"])
-def test_score_of_a_damaged_model_file_exits_2(pipeline, tmp_path, damage):
+                                    "huge-layer-dims", "K-not-discriminator-output", "z-dim-not-generator-input"])
+def test_score_of_a_damaged_model_file_exits_2(pipeline, tmp_path, capsys, damage):
     root, data_dir, model_dir = pipeline
     raw = bytearray((model_dir / "model.ndgan").read_bytes())
     offset = None  # where the FormatError points
@@ -166,18 +169,28 @@ def test_score_of_a_damaged_model_file_exits_2(pipeline, tmp_path, damage):
     elif damage == "zero-layer-generator":
         raw[GEN_BLOCK : GEN_BLOCK + 4] = struct.pack("<I", 0)
         offset = GEN_BLOCK
-    else:  # a 2^32-1 x 2^32-1 first layer: its size in bytes overflows 64 bits
+    elif damage == "huge-layer-dims":  # a 2^32-1 x 2^32-1 first layer: its size in bytes overflows 64 bits
         raw[GEN_BLOCK + 4 : GEN_BLOCK + 12] = struct.pack("<II", 2**32 - 1, 2**32 - 1)
         offset = GEN_BLOCK + 4 + struct.calcsize("<IIBBd")
+    elif damage == "K-not-discriminator-output":  # well-formed blocks, but K+1 logits no longer fit K
+        struct.pack_into("<I", raw, K_FIELD, struct.unpack_from("<I", raw, K_FIELD)[0] + 1)
+        model, gen_block = gan.load_model(model_dir / "model.ndgan"), io.BytesIO()
+        nn.write_mlp_block(gen_block, model.gen_specs, model.gen_params)
+        offset = GEN_BLOCK + gen_block.tell()  # the discriminator block
+    else:
+        struct.pack_into("<I", raw, Z_DIM_FIELD, struct.unpack_from("<I", raw, Z_DIM_FIELD)[0] + 1)
+        offset = GEN_BLOCK
     bad = tmp_path / "bad.ndgan"
     bad.write_bytes(bytes(raw))
     with pytest.raises(FormatError) as err:
         gan.load_model(bad)
-    assert err.value.offset == offset
+    assert err.value.offset == offset and err.value.source == str(bad)
     assert run(
         "score", "--model", str(bad), "--data", str(data_dir / "novel.csv"),
         "--scorers", "nd-gan-ratio", "--seed", "1", "--out-dir", str(tmp_path / "out"),
     ) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("label_column", [None, "label"])
@@ -422,21 +435,32 @@ def test_eval_holdout_writes_one_tpr_column_per_alpha(pipeline, tmp_path, alphas
     assert header == ",".join(["scorer", "split", "auroc", *columns])
 
 
-@pytest.mark.parametrize("alphas", [[0.0], [0.05, 1.0], [1.5], [True], ["0.05"], 0.05, [None]],
-                         ids=["zero", "one", "above-one", "bool", "string", "not-a-list", "null"])
+class Flag(str):
+    """An --alphas flag value, where the other cases are config-file values."""
+
+
+@pytest.mark.parametrize("alphas, where", [
+    ([0.0], "[0]"), ([0.05, 1.0], "[1]"), ([1.5], "[0]"), ([True], "[0]"), (["0.05"], "[0]"), (0.05, ""),
+    ([None], "[0]"), (Flag("0.05,abc"), "[1]"), (Flag("abc"), "[0]"), (Flag("0.05,,0.1"), "[1]"),
+    (Flag("0.05,1.5"), "[1]"), (Flag("nan"), "[0]")],
+    ids=["zero", "one", "above-one", "bool", "string", "not-a-list", "null",
+         "flag-word", "flag-only-word", "flag-empty", "flag-above-one", "flag-nan"])
 @pytest.mark.parametrize("mode", ["holdout", "scores"])
-def test_eval_bad_alphas_fail_before_any_work(pipeline, tmp_path, monkeypatch, capsys, alphas, mode):
+def test_eval_bad_alphas_fail_before_any_work(pipeline, tmp_path, monkeypatch, capsys, alphas, where, mode):
     root, data_dir, _ = pipeline
     monkeypatch.setattr(gan, "train_gan", lambda *args, **kwargs: pytest.fail("trained before the check"))
     monkeypatch.setattr(cli, "_load_dataset", lambda *args: pytest.fail("dataset loaded before the check"))
     monkeypatch.setattr(cli, "_read_scores_csv", lambda *args: pytest.fail("scores read before the check"))
+    in_config = {} if isinstance(alphas, Flag) else {"alphas": alphas}
+    flag = ["--alphas", alphas] if isinstance(alphas, Flag) else []
     if mode == "holdout":
-        path = _holdout_config(tmp_path, data_dir, alphas=alphas)
+        path = _holdout_config(tmp_path, data_dir, **in_config)
     else:
         path = tmp_path / "flat.json"
-        path.write_text(json.dumps({"scores": [str(tmp_path / "scores.csv")], "alphas": alphas, "seed": 5}))
-    assert run("eval", "--config", str(path), "--out-dir", str(tmp_path / "out")) == 2
-    assert "$.alphas" in capsys.readouterr().err
+        path.write_text(json.dumps({"scores": [str(tmp_path / "scores.csv")], **in_config, "seed": 5}))
+    assert run("eval", "--config", str(path), *flag, "--out-dir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert f"$.alphas{where}" in err and "Traceback" not in err
 
 
 def test_eval_holdout_frees_each_split_before_training_the_next(pipeline, tmp_path, monkeypatch):

@@ -301,6 +301,38 @@ def test_downscale_handles_non_divisible_sides():
     assert small.features.min() >= 0.0 and small.features.max() <= 1.0
 
 
+def _box_weights(side, target):
+    """The dense 1-d area-average weights: W[i, j] = overlap of target cell i with source cell j, / ratio."""
+    ratio = side / target
+    w = np.zeros((target, side))
+    for i in range(target):
+        lo, hi = i * ratio, (i + 1) * ratio
+        for j in range(int(np.floor(lo)), min(side, int(np.ceil(hi)))):
+            w[i, j] = min(hi, j + 1) - max(lo, j)
+    return w / ratio
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_downscale_matches_the_dense_einsum_bit_for_bit(n):
+    """The reference is the dense einsum that downscale_images ran before its
+    sparse kernel, checked at every size pair up to 30, on pixels in [0, 1]
+    and on signed N(0, 10^2) values."""
+    rng = np.random.default_rng(n)
+    for side in range(1, 31):
+        for target in range(1, side + 1):
+            w = _box_weights(side, target)
+            for imgs in (rng.uniform(size=(n, side, side)), rng.normal(0.0, 10.0, size=(n, side, side))):
+                got = dio.downscale_images(dio.Dataset(imgs.reshape(n, -1), None, 0), side, target).features
+                ref = np.einsum("ir,nrc,jc->nij", w, imgs, w)
+                if (n, side, target) == (1, 2, 1):
+                    # The one exception: for one 2x2 image to 1x1 the einsum sums each source
+                    # row apart, then adds the two sums; the kernel adds term by term.
+                    p = (w[0, :, None] * imgs[0]) * w[0]
+                    assert ref[0, 0, 0] == (p[0, 0] + p[0, 1]) + (p[1, 0] + p[1, 1])
+                    ref = np.array([[((p[0, 0] + p[0, 1]) + p[1, 0]) + p[1, 1]]])
+                assert got.tobytes() == ref.reshape(n, -1).tobytes(), (side, target)
+
+
 def test_downscale_rejects_non_square_width():
     data = dio.Dataset(np.zeros((2, 10)), None, 0)
     with pytest.raises(ValidationError):

@@ -453,6 +453,40 @@ def test_load_model_rejects_trailing_bytes_and_non_finite_weights(tmp_path):
     assert "layer 1" in str(err.value) and "'b'" in str(err.value)
 
 
+@pytest.mark.parametrize("arch, data_dim, K", [("2d", 2, 4), ("mnist", 36, 3)])
+def test_training_diagnostics_do_not_change_the_model(tmp_path, arch, data_dim, K):
+    rng = np.random.default_rng(9)
+    data = dio.Dataset(rng.uniform(size=(64, data_dim)), rng.integers(0, K, 64), K=K)
+    cfg = gan.TrainConfig(total_steps=4, batch_size=8, seed=9, labeled_fraction=0.5, log_every=1)
+    files, logs = [], []
+    for diagnostics in (True, False):
+        model, log = gan.train_gan(gan.build_gan(data_dim, K, arch=arch, seed=9), data, cfg, diagnostics=diagnostics)
+        gan.save_model(tmp_path / f"{diagnostics}.ndgan", model)
+        files.append((tmp_path / f"{diagnostics}.ndgan").read_bytes())
+        logs.append(log.rows)
+    assert files[0] == files[1]
+    assert all(r.fm_distance is not None for r in logs[0]) and all(r.fm_distance is None for r in logs[1])
+    assert [(r.step, r.d_loss, r.g_loss) for r in logs[0]] == [(r.step, r.d_loss, r.g_loss) for r in logs[1]]
+
+
+def test_feature_passes_stop_at_the_feature_layer(monkeypatch):
+    model = tiny_model(K=2, disc_widths=(5, 4), noise_std=0.1, seed=3)
+    x = np.random.default_rng(3).normal(size=(6, 2))
+    _, features = gan.forward(model, x)
+    depths, real_forward = [], nn.mlp_forward
+
+    def recording(params, specs, *args, **kwargs):
+        if specs[0] is model.disc_specs[0]:
+            depths.append(len(specs))
+        return real_forward(params, specs, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "mlp_forward", recording)
+    assert gan.discriminator_features(model, x).tobytes() == features.tobytes()
+    assert gan.feature_matching_distance(model, x, x) == 0.0
+    gan.generator_loss_feature_matching(model, x, np.zeros((6, 3)), np.random.default_rng(0))
+    assert depths == [2] * 5  # feature layer 1: the output layer never runs
+
+
 def test_mnist_architecture_has_five_hidden_layers_and_250_features():
     model = gan.build_gan(data_dim=196, K=9, arch="mnist", seed=1)
     assert len(model.disc_specs) == 6  # 5 hidden + logits

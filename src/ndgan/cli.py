@@ -25,13 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, data as dio, densities, gan, metrics, scores
-from .errors import (
-    FormatError,
-    NdganError,
-    SchemaError,
-    TrainingDiverged,
-    ValidationError,
-)
+from .errors import FormatError, NdganError, Nullable, Req, SchemaError, TrainingDiverged, ValidationError, Where, check
 from .rng import RngStreams, derive_seed
 
 ENV_OUT_DIR = "NDGAN_OUT_DIR"
@@ -65,15 +59,6 @@ def _write_json(path: Path, doc: dict):
     _atomic(path, lambda p: p.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"))
 
 
-def _check_keys(obj: dict, allowed: set, required: set, path: str):
-    if not isinstance(obj, dict):
-        raise SchemaError(path, f"expected an object, got {type(obj).__name__}")
-    for key in sorted(set(obj) - allowed):
-        raise SchemaError(f"{path}.{key}", "unknown field")
-    for key in sorted(required - set(obj)):
-        raise SchemaError(f"{path}.{key}", "missing required field")
-
-
 def _load_config(path: str | None, command: str) -> dict:
     if path is None:
         return {}
@@ -92,8 +77,8 @@ def _load_config(path: str | None, command: str) -> dict:
     return doc
 
 
-def _resolve_out_dir(cfg: dict, args) -> Path:
-    out = getattr(args, "out_dir", None) or cfg.get("out_dir") or os.environ.get(ENV_OUT_DIR)
+def _resolve_out_dir(cfg: dict) -> Path:
+    out = cfg.get("out_dir") or os.environ.get(ENV_OUT_DIR)
     if not out:
         raise ValidationError(f"no output directory: pass --out-dir, set out_dir, or export {ENV_OUT_DIR}")
     out = Path(out)
@@ -103,13 +88,7 @@ def _resolve_out_dir(cfg: dict, args) -> Path:
     return out
 
 
-def _require_seed(cfg: dict, args) -> int:
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = cfg.get("seed")
-    if seed is None:
-        raise ValidationError("seed is mandatory (no wall-clock default); pass --seed or set config.seed")
-    return int(seed)
+_RUN = {"seed": Nullable(int), "out_dir": Nullable(str)}  # part of every command's schema
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: dict, provenance: str | None = None):
@@ -123,18 +102,20 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, provenance: str | No
 # dataset loading shared by train/score/eval
 # ---------------------------------------------------------------------------
 
-_DATASET_KEYS = {"path", "format", "label_column", "labels_path", "downscale", "split_tag"}
+_DATASET = {
+    "path": Req(str), "format": ("csv", "idx"),  # format default: idx when the file name says so
+    "label_column": Nullable(str), "labels_path": Nullable(str), "split_tag": Nullable(str),
+    "downscale": Nullable({"side": Req(int), "target": Req(int)}),
+}
 
 
-def _load_dataset(spec: dict, path_prefix: str) -> dio.Dataset:
-    _check_keys(spec, _DATASET_KEYS, {"path"}, path_prefix)
+def _load_dataset(spec: dict) -> dio.Dataset:
     path = spec["path"]
     if not Path(path).exists():
         raise ValidationError(f"dataset file not found: {path}")
-    fmt = spec.get("format", "idx" if "idx" in Path(path).name else "csv")
-    if fmt == "csv":
+    if spec.get("format", "idx" if "idx" in Path(path).name else "csv") == "csv":
         dataset, _ = dio.read_csv_dataset(path, spec.get("label_column"))
-    elif fmt == "idx":
+    else:
         dataset = dio.read_idx(path)
         labels_path = spec.get("labels_path")
         if labels_path:
@@ -144,12 +125,9 @@ def _load_dataset(spec: dict, path_prefix: str) -> dio.Dataset:
             dataset = dio.Dataset(
                 dataset.features, labels, int(labels.max()) + 1, dataset.split_tag, dataset.provenance
             )
-    else:
-        raise SchemaError(f"{path_prefix}.format", f"unknown format {fmt!r}")
     down = spec.get("downscale")
     if down:
-        _check_keys(down, {"side", "target"}, {"side", "target"}, f"{path_prefix}.downscale")
-        dataset = dio.downscale_images(dataset, int(down["side"]), int(down["target"]))
+        dataset = dio.downscale_images(dataset, down["side"], down["target"])
     if spec.get("split_tag"):
         dataset = dio.Dataset(dataset.features, dataset.labels, dataset.K, spec["split_tag"], dataset.provenance)
     return dataset
@@ -165,75 +143,66 @@ def _csv_has_column(path: str, column: str) -> bool:
     return column in [c.strip() for c in header.split(",")]
 
 
-def _fake_source_from_config(spec: dict | None, path_prefix: str):
+def _uniform(bounds, dim: int, path: str) -> scores.UniformBaselineGenerator:
+    """The uniform sampler over ``bounds`` (None when absent), which must hold ``dim`` [low, high] pairs."""
+    try:
+        source = scores.UniformBaselineGenerator(bounds)
+    except (ValidationError, ValueError) as exc:  # ValueError: a ragged list
+        raise SchemaError(path, str(exc)) from None
+    if len(source.bounds) != dim:
+        raise SchemaError(path, f"{len(source.bounds)} [low, high] pairs for {dim}-dimensional data")
+    return source
+
+
+_FAKE_SOURCE = {"kind": Req(("uniform", "mixture")), "bounds": [[float]], "density": str}
+
+
+def _fake_source_from_config(spec: dict | None, dim: int):
     if spec is None:
         return None
-    _check_keys(spec, {"kind", "bounds", "density"}, {"kind"}, path_prefix)
     if spec["kind"] == "uniform":
-        if "bounds" not in spec:
-            raise SchemaError(f"{path_prefix}.bounds", "uniform fake source needs bounds")
-        return scores.UniformBaselineGenerator(spec["bounds"]).sample
-    if spec["kind"] == "mixture":
-        if "density" not in spec:
-            raise SchemaError(f"{path_prefix}.density", "mixture fake source needs a density JSON path")
-        mix = densities.load_mixture_spec(spec["density"])
-        return mix.sample
-    raise SchemaError(f"{path_prefix}.kind", f"unknown fake source kind {spec['kind']!r}")
+        return _uniform(spec.get("bounds"), dim, "$.fake_source.bounds").sample
+    if "density" not in spec:
+        raise SchemaError("$.fake_source.density", "mixture fake source needs a density JSON path")
+    mix = densities.load_mixture_spec(spec["density"])
+    if mix.dim != dim:
+        raise SchemaError("$.fake_source.density", f"a {mix.dim}-dimensional mixture for {dim}-dimensional data")
+    return mix.sample
 
 
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
 
-_SYNTH_KEYS = {"kind", "n_train", "n_test", "components", "radius", "sigma", "novel", "pi", "seed", "out_dir"}
-_NOVEL_KEYS = {"kind", "mean", "sigma", "bounds", "n"}
-
 
 def cmd_synth(cfg: dict, out_dir: Path) -> int:
-    _check_keys(cfg, _SYNTH_KEYS, {"kind", "n_train", "components", "radius", "sigma", "seed"}, "$")
-    if cfg["kind"] != "ring":
-        raise SchemaError("$.kind", f"unknown synthetic dataset kind {cfg['kind']!r}")
-
-    seed = int(cfg["seed"])
-    train, density = dio.gen_ring_mixture(
-        int(cfg["n_train"]), int(cfg["components"]), float(cfg["radius"]), float(cfg["sigma"]), seed
-    )
-    _atomic(out_dir / "train.csv", lambda p: dio.write_csv_dataset(p, train))
-    _log(f"wrote {out_dir / 'train.csv'} ({train.n} rows, {train.K} classes)")
-
+    seed = cfg["seed"]
+    ring = (cfg["components"], float(cfg["radius"]), float(cfg["sigma"]))
+    train, density = dio.gen_ring_mixture(cfg["n_train"], *ring, seed)
+    sets = {"train": train}
     if cfg.get("n_test"):
-        test, _ = dio.gen_ring_mixture(
-            int(cfg["n_test"]), int(cfg["components"]), float(cfg["radius"]), float(cfg["sigma"]),
-            derive_seed(seed, "test"), split_tag="test",
-        )
-        _atomic(out_dir / "test.csv", lambda p: dio.write_csv_dataset(p, test))
-        _log(f"wrote {out_dir / 'test.csv'} ({test.n} rows)")
+        sets["test"] = dio.gen_ring_mixture(cfg["n_test"], *ring, derive_seed(seed, "test"), split_tag="test")[0]
 
-    novel_cfg = cfg.get("novel")
-    novel_density = None
+    novel_cfg, novel_density = cfg.get("novel"), None
     if novel_cfg:
-        _check_keys(novel_cfg, _NOVEL_KEYS, {"kind", "n"}, "$.novel")
-        n = int(novel_cfg["n"])
         rng = np.random.default_rng(derive_seed(seed, "novel"))
         if novel_cfg["kind"] == "gaussian":
-            mean = novel_cfg.get("mean", [0.0, 0.0])
-            sigma = float(novel_cfg.get("sigma", 0.25))
+            mean, sigma = novel_cfg.get("mean", [0.0, 0.0]), float(novel_cfg.get("sigma", 0.25))
             novel_density = densities.gaussian(mean, sigma**2)
-            feats = novel_density.sample(n, rng)
-        elif novel_cfg["kind"] == "uniform":
-            if "bounds" not in novel_cfg:
-                raise SchemaError("$.novel.bounds", "uniform novel companion needs bounds")
-            feats = scores.UniformBaselineGenerator(novel_cfg["bounds"]).sample(n, rng)
+            feats = novel_density.sample(novel_cfg["n"], rng)
         else:
-            raise SchemaError("$.novel.kind", f"unknown novel kind {novel_cfg['kind']!r}")
-        novel = dio.Dataset(feats, None, K=0, split_tag="test", provenance=f"novel:{novel_cfg['kind']}(seed={seed})")
-        _atomic(out_dir / "novel.csv", lambda p: dio.write_csv_dataset(p, novel))
-        _log(f"wrote {out_dir / 'novel.csv'} ({novel.n} rows)")
-
+            feats = _uniform(novel_cfg.get("bounds"), train.dim, "$.novel.bounds").sample(novel_cfg["n"], rng)
+        sets["novel"] = dio.Dataset(feats, None, K=0, split_tag="test",
+                                    provenance=f"novel:{novel_cfg['kind']}(seed={seed})")
     # pi=0 (generator == data) when there is no Gaussian novel component
     pi = float(cfg.get("pi", 0.5)) if novel_density is not None else 0.0
     spec = densities.MixtureSpec(pi=pi, novel=novel_density or density, data=density)
+
+    for name, dataset in sets.items():  # only now, so a rejected config leaves no files
+        _atomic(out_dir / f"{name}.csv", lambda p, d=dataset: dio.write_csv_dataset(p, d))
+        _log(f"wrote {out_dir / name}.csv ({dataset.n} rows)")
     _write_json(out_dir / "density.json", densities.mixture_spec_to_json(spec))
+    _write_manifest(out_dir, "synth", cfg)
     _log(f"wrote {out_dir / 'density.json'}")
     return EXIT_OK
 
@@ -242,36 +211,29 @@ def cmd_synth(cfg: dict, out_dir: Path) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-_TRAIN_KEYS = {"dataset", "arch", "z_dim", "disc_noise_std", "train", "fake_source", "seed", "out_dir"}
-_TRAIN_SUB_KEYS = {
-    "total_steps", "batch_size", "d_steps_per_g", "labeled_fraction", "generator_loss",
-    "lr", "beta1", "beta2", "eps", "log_every",
+_TRAIN = {  # gan.TrainConfig's fields, whose ranges it checks
+    "total_steps": Req(int), "batch_size": int, "d_steps_per_g": int, "labeled_fraction": Nullable(float),
+    "generator_loss": gan.GENERATOR_LOSSES, "lr": float, "beta1": float, "beta2": float, "eps": float,
+    "log_every": int,  # no effect in a holdout eval, which keeps no training log
 }
+_MODEL = {"arch": ("2d", "mnist"), "z_dim": Nullable(int), "disc_noise_std": float, "train": Req(_TRAIN)}
 
 
-def _train_config(cfg: dict) -> gan.TrainConfig:
-    sub = cfg.get("train", {})
-    _check_keys(sub, _TRAIN_SUB_KEYS, {"total_steps"}, "$.train")
-    return gan.TrainConfig(seed=int(cfg["seed"]), **sub)
+def _build_gan(cfg: dict, data_dim: int, K: int, arch: str, seed: int) -> gan.GanModel:
+    """The untrained model of a train or holdout config, of architecture ``arch`` unless it names one."""
+    return gan.build_gan(data_dim, K, cfg.get("arch", arch), cfg.get("z_dim"), seed,
+                         float(cfg.get("disc_noise_std", 0.1)))
 
 
 def cmd_train(cfg: dict, out_dir: Path) -> int:
-    _check_keys(cfg, _TRAIN_KEYS, {"dataset", "train", "seed"}, "$")
-    dataset = _load_dataset(cfg["dataset"], "$.dataset")
-    config = _train_config(cfg)
+    dataset = _load_dataset(cfg["dataset"])
+    config = gan.TrainConfig(seed=cfg["seed"], **cfg["train"])
     if config.labeled_fraction is not None and dataset.labels is None:
         raise ValidationError("labeled_fraction > 0 requires a labeled dataset")
 
     K = dataset.K if dataset.labels is not None else 1
-    model = gan.build_gan(
-        data_dim=dataset.dim,
-        K=K,
-        arch=cfg.get("arch", "2d"),
-        z_dim=cfg.get("z_dim"),
-        seed=int(cfg["seed"]),
-        disc_noise_std=float(cfg.get("disc_noise_std", 0.1)),
-    )
-    fake_source = _fake_source_from_config(cfg.get("fake_source"), "$.fake_source")
+    model = _build_gan(cfg, dataset.dim, K, "2d", cfg["seed"])
+    fake_source = _fake_source_from_config(cfg.get("fake_source"), dataset.dim)
 
     _log(f"training: {config.total_steps} steps, K={K}, dim={dataset.dim}, arch={cfg.get('arch', '2d')}")
     model, log = gan.train_gan(model, dataset, config, fake_source=fake_source)
@@ -287,19 +249,16 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
 # score
 # ---------------------------------------------------------------------------
 
-_SCORE_KEYS = {"model", "dataset", "scorers", "knn_reference", "mark_novel", "seed", "out_dir"}
-
 
 def cmd_score(cfg: dict, out_dir: Path) -> int:
-    _check_keys(cfg, _SCORE_KEYS, {"model", "dataset", "scorers", "seed"}, "$")
     if not Path(cfg["model"]).exists():
         raise ValidationError(f"model file not found: {cfg['model']}")
     model = gan.load_model(cfg["model"])
-    dataset = _load_dataset(cfg["dataset"], "$.dataset")
+    dataset = _load_dataset(cfg["dataset"])
 
     knn_reference = None
     if cfg.get("knn_reference"):
-        knn_reference = _load_dataset(cfg["knn_reference"], "$.knn_reference").features
+        knn_reference = _load_dataset(cfg["knn_reference"]).features
     scorer = scores.Scorer(model, cfg["scorers"], knn_reference)
 
     x = dataset.features
@@ -308,8 +267,7 @@ def cmd_score(cfg: dict, out_dir: Path) -> int:
     predicted = np.argmax(probs[:, : model.K], axis=1)
     fake_prob = probs[:, model.K]
 
-    mark = cfg.get("mark_novel")
-    is_novel = [None if mark is None else int(mark)] * len(x)
+    is_novel = [cfg.get("mark_novel")] * len(x)
     _atomic(out_dir / "scores.csv", lambda p: dio.write_table(
         p, ["example_id", "predicted_class", "fake_prob", "is_novel", *extra],
         [range(len(x)), predicted, fake_prob, is_novel, *extra.values()]))
@@ -321,12 +279,6 @@ def cmd_score(cfg: dict, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
-
-_EVAL_KEYS = {"scores", "score_column", "alphas", "holdout", "seed", "out_dir"}
-_HOLDOUT_KEYS = {
-    "train_dataset", "test_dataset", "arch", "z_dim", "disc_noise_std", "train",
-    "holdout_classes", "scorers", "workers",
-}
 
 
 def _read_scores_csv(path: str, column: str):
@@ -357,20 +309,8 @@ def _read_scores_csv(path: str, column: str):
     return np.asarray(score_v), np.asarray(novel_v, dtype=bool)
 
 
-def _alphas(cfg: dict) -> tuple[float, ...]:
-    """The target FPRs of an eval config, each checked to lie in (0, 1)."""
-    alphas = cfg.get("alphas", [0.05, 0.10])
-    if not isinstance(alphas, list):
-        raise SchemaError("$.alphas", f"must be a list of numbers, got {alphas!r}")
-    for i, a in enumerate(alphas):
-        if isinstance(a, bool) or not isinstance(a, (int, float)) or not 0 < a < 1:
-            raise SchemaError(f"$.alphas[{i}]", f"must be a number in (0, 1), got {a!r}")
-    return tuple(float(a) for a in alphas)
-
-
-def _eval_flat(cfg: dict, out_dir: Path) -> int:
+def _eval_flat(cfg: dict, alphas: tuple, out_dir: Path) -> int:
     column = cfg.get("score_column", "nd_gan_ratio")
-    alphas = _alphas(cfg)
     all_scores, all_novel = [], []
     for path in cfg["scores"]:
         s, n = _read_scores_csv(path, column)
@@ -402,33 +342,18 @@ def _eval_flat(cfg: dict, out_dir: Path) -> int:
 
 
 def _run_holdout_split(split, hold_cfg, seed):
-    config = gan.TrainConfig(seed=derive_seed(seed, f"split-{split.holdout_class}"),
-                             **hold_cfg.get("train", {}))
-    model = gan.build_gan(
-        data_dim=split.train.dim,
-        K=split.train.K,
-        arch=hold_cfg.get("arch", "mnist"),
-        z_dim=hold_cfg.get("z_dim"),
-        seed=config.seed,
-        disc_noise_std=float(hold_cfg.get("disc_noise_std", 0.1)),
-    )
+    config = gan.TrainConfig(seed=derive_seed(seed, f"split-{split.holdout_class}"), **hold_cfg["train"])
+    model = _build_gan(hold_cfg, split.train.dim, split.train.K, "mnist", config.seed)
     model, _ = gan.train_gan(model, split.train, config, diagnostics=False)
     return scores.Scorer(model, hold_cfg["scorers"], split.train.features, split.fingerprint)
 
 
-def _eval_holdout(cfg: dict, out_dir: Path) -> int:
-    hold = cfg["holdout"]
-    _check_keys(hold, _HOLDOUT_KEYS, {"train_dataset", "test_dataset", "train", "scorers"}, "$.holdout")
-    _check_keys(hold.get("train", {}), _TRAIN_SUB_KEYS, {"total_steps"}, "$.holdout.train")
+def _eval_holdout(cfg: dict, alphas: tuple, out_dir: Path) -> int:
+    hold, seed = cfg["holdout"], cfg["seed"]
     for name in hold["scorers"]:  # before any load or training
         scores._knn_k(name)
-    alphas = _alphas(cfg)
-    workers = hold.get("workers", 1)
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise SchemaError("$.holdout.workers", f"must be an integer >= 1, got {workers!r}")
-    seed = int(cfg["seed"])
-    train = _load_dataset(hold["train_dataset"], "$.holdout.train_dataset")
-    test = _load_dataset(hold["test_dataset"], "$.holdout.test_dataset")
+    train = _load_dataset(hold["train_dataset"])
+    test = _load_dataset(hold["test_dataset"])
 
     splits = metrics.make_holdout_splits(train, test, seed)
     wanted = hold.get("holdout_classes")
@@ -437,7 +362,7 @@ def _eval_holdout(cfg: dict, out_dir: Path) -> int:
         if not splits:
             raise ValidationError(f"no holdout splits match classes {wanted}")
 
-    # one split after another (`workers` has no effect); its model dies once its sets are scored
+    # one split after another; its model dies once its sets are scored
     rows, curves = [], {}
     for split in splits:
         _log(f"holdout class {split.holdout_class}: training on {split.train.n} examples")
@@ -459,19 +384,15 @@ def _eval_holdout(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_eval(cfg: dict, out_dir: Path) -> int:
-    _check_keys(cfg, _EVAL_KEYS, {"seed"}, "$")
     if bool(cfg.get("scores")) == bool(cfg.get("holdout")):
         raise ValidationError("eval needs exactly one of: scores files, or a holdout config")
-    if cfg.get("scores"):
-        return _eval_flat(cfg, out_dir)
-    return _eval_holdout(cfg, out_dir)
+    alphas = tuple(cfg.get("alphas", [0.05, 0.10]))
+    return (_eval_flat if cfg.get("scores") else _eval_holdout)(cfg, alphas, out_dir)
 
 
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
-
-_ORACLE_KEYS = {"density", "grid_points", "tolerance", "mc_samples", "seed", "out_dir"}
 
 
 def _grid_for_spec(spec: densities.MixtureSpec, n_points: int) -> np.ndarray:
@@ -500,14 +421,12 @@ def _closed_form_lr_auroc(spec: densities.MixtureSpec) -> float | None:
 
 
 def cmd_oracle(cfg: dict, out_dir: Path) -> int:
-    _check_keys(cfg, _ORACLE_KEYS, {"density", "seed"}, "$")
     spec = densities.load_mixture_spec(cfg["density"])
     tol = float(cfg.get("tolerance", 1e-12))
-    n_grid = int(cfg.get("grid_points", 10_000))
-    n_mc = int(cfg.get("mc_samples", 20_000))
-    rng = RngStreams(int(cfg["seed"])).sampling
+    n_mc = cfg.get("mc_samples", 20_000)
+    rng = RngStreams(cfg["seed"]).sampling
 
-    grid = _grid_for_spec(spec, n_grid)
+    grid = _grid_for_spec(spec, cfg.get("grid_points", 10_000))
     ident = densities.verify_mixture_identity(spec, grid)
     _log(f"mixture identity residual: {ident.max_residual:.3e} over {ident.n_checked} points")
 
@@ -556,15 +475,6 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _apply_overrides(cfg: dict, args, fields: dict):
-    """Flags override config fields; record the final values back into cfg."""
-    for flag, key in fields.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg[key] = value
-    return cfg
-
-
 def _float_or_text(text: str):
     try:
         return float(text)
@@ -572,96 +482,117 @@ def _float_or_text(text: str):
         return text
 
 
+def _flag(name: str, key: str | None = None, convert=None, **kwargs):
+    """A flag that sets the config ``key`` (``parent.key`` one level down) to ``convert(value)``."""
+    return name, key, convert, kwargs
+
+
+_COMMON = [
+    _flag("--config", help="JSON config (a manifest.json also works)"),
+    _flag("--out-dir", "out_dir", help=f"output directory (or ${ENV_OUT_DIR})"),
+    _flag("--seed", "seed", help="master seed (mandatory, via flag or config)"),
+]
+# command -> (help, config schema, flags). A flag without ``convert`` takes its
+# argparse type and choices from its key's schema; one left out or given as ""
+# leaves the config as it is.
+_COMMANDS = {
+    "synth": ("materialize a synthetic benchmark to disk", {
+        "kind": Req(("ring",)), "n_train": Req(int), "n_test": Nullable(int),
+        "components": Req(int), "radius": Req(float), "sigma": Req(float), "pi": float,
+        "novel": Nullable({"kind": Req(("gaussian", "uniform")), "n": Req(int),
+                           "mean": [float], "sigma": float, "bounds": [[float]]}),
+        **_RUN,
+    }, [
+        _flag("--n-train", "n_train"), _flag("--n-test", "n_test"), _flag("--components", "components"),
+        _flag("--radius", "radius"), _flag("--sigma", "sigma"),
+    ]),
+    "train": ("train a GAN and write the frozen model", {
+        "dataset": Req(_DATASET), **_MODEL, "fake_source": Nullable(_FAKE_SOURCE), **_RUN,
+    }, [
+        _flag("--steps", "train.total_steps", help="override train.total_steps"), _flag("--arch", "arch"),
+    ]),
+    "score": ("score a dataset with a trained model", {
+        "model": Req(str), "dataset": Req(_DATASET), "scorers": Req([str]),
+        "knn_reference": Nullable(_DATASET), "mark_novel": Nullable((0, 1)), **_RUN,
+    }, [
+        _flag("--model", "model"),
+        _flag("--data", "dataset", lambda path: {"path": path}, help="dataset file (csv or idx)"),
+        _flag("--label-column", help="label column name for csv inputs (ignored as a feature)"),
+        _flag("--scorers", "scorers", lambda text: [s.strip() for s in text.split(",") if s.strip()],
+              help="comma-separated scorer names"),
+        _flag("--knn-reference", "knn_reference", lambda path: {"path": path},
+              help="reference dataset file for knn-<k>"),
+        _flag("--mark-novel", "mark_novel", help="ground-truth flag for every row"),
+    ]),
+    "eval": ("ROC/AUROC metrics from scores or a holdout config", {
+        "scores": Nullable([str]), "score_column": str,
+        "alphas": [Where(float, lambda a: 0 < a < 1, "a number in (0, 1)")],
+        "holdout": Nullable({
+            "train_dataset": Req(_DATASET), "test_dataset": Req(_DATASET), **_MODEL,
+            "holdout_classes": Nullable([int]), "scorers": Req([str]),
+            "workers": Where(int, lambda w: w >= 1, "an integer >= 1"),  # no effect: splits run one after another
+        }),
+        **_RUN,
+    }, [
+        _flag("--scores", "scores", action="append", help="scores CSV with ground truth (repeatable)"),
+        _flag("--score-column", "score_column"),
+        # a cell float() rejects stays a string for the check to name
+        _flag("--alphas", "alphas", lambda text: [_float_or_text(a) for a in text.split(",")],
+              help="comma-separated target FPRs"),
+    ]),
+    "oracle": ("verify analytic identities for a density spec", {
+        "density": Req(str), "grid_points": int, "tolerance": float, "mc_samples": int, **_RUN,
+    }, [
+        _flag("--density", "density", help="density spec JSON"),
+        _flag("--tolerance", "tolerance"),
+        _flag("--grid-points", "grid_points"),
+    ]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ndgan", description=__doc__)
     parser.add_argument("--version", action="version", version=f"ndgan {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config (a manifest.json also works)")
-        p.add_argument("--out-dir", help=f"output directory (or ${ENV_OUT_DIR})")
-        p.add_argument("--seed", type=int, help="master seed (mandatory, via flag or config)")
-
-    p = sub.add_parser("synth", help="materialize a synthetic benchmark to disk")
-    common(p)
-    p.add_argument("--n-train", type=int)
-    p.add_argument("--n-test", type=int)
-    p.add_argument("--components", type=int)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--sigma", type=float)
-
-    p = sub.add_parser("train", help="train a GAN and write the frozen model")
-    common(p)
-    p.add_argument("--steps", type=int, help="override train.total_steps")
-    p.add_argument("--arch", choices=["2d", "mnist"])
-
-    p = sub.add_parser("score", help="score a dataset with a trained model")
-    common(p)
-    p.add_argument("--model")
-    p.add_argument("--data", help="dataset file (csv or idx)")
-    p.add_argument("--label-column", help="label column name for csv inputs (ignored as a feature)")
-    p.add_argument("--scorers", help="comma-separated scorer names")
-    p.add_argument("--knn-reference", help="reference dataset file for knn-<k>")
-    p.add_argument("--mark-novel", type=int, choices=[0, 1], help="ground-truth flag for every row")
-
-    p = sub.add_parser("eval", help="ROC/AUROC metrics from scores or a holdout config")
-    common(p)
-    p.add_argument("--scores", action="append", help="scores CSV with ground truth (repeatable)")
-    p.add_argument("--score-column")
-    p.add_argument("--alphas", help="comma-separated target FPRs")
-
-    p = sub.add_parser("oracle", help="verify analytic identities for a density spec")
-    common(p)
-    p.add_argument("--density", help="density spec JSON")
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--grid-points", type=int)
+    for command, (help_text, schema, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, key, convert, kwargs in _COMMON + flags:
+            node = schema if key and not convert else None
+            for part in key.split(".") if node else ():
+                node = node[part].node if isinstance(node[part], (Req, Nullable)) else node[part]
+            if isinstance(node, tuple):
+                kwargs = {"type": type(node[0]), "choices": node, **kwargs}
+            elif node in (int, float):
+                kwargs = {"type": node, **kwargs}
+            p.add_argument(name, **kwargs)
     return parser
 
 
 def _dispatch(args) -> int:
+    _, schema, flags = _COMMANDS[args.command]
     cfg = _load_config(args.config, args.command)
-
+    for name, key, convert, _ in _COMMON + flags:
+        value = getattr(args, name[2:].replace("-", "_"))
+        if key is None or value is None or value == "":
+            continue
+        parent, _, leaf = key.rpartition(".")
+        node = cfg.setdefault(parent, {}) if parent else cfg
+        if isinstance(node, dict):  # otherwise the check reports the parent
+            node[leaf] = convert(value) if convert else value
     if args.command == "synth":
-        _apply_overrides(cfg, args, {"n_train": "n_train", "n_test": "n_test",
-                                     "components": "components", "radius": "radius", "sigma": "sigma"})
         cfg.setdefault("kind", "ring")
-    elif args.command == "train":
-        if getattr(args, "steps", None) is not None:
-            cfg.setdefault("train", {})["total_steps"] = args.steps
-        _apply_overrides(cfg, args, {"arch": "arch"})
-    elif args.command == "score":
-        _apply_overrides(cfg, args, {"model": "model", "mark_novel": "mark_novel"})
-        label_column = getattr(args, "label_column", None)
-        if getattr(args, "data", None):
-            cfg["dataset"] = {"path": args.data}
-        if getattr(args, "scorers", None):
-            cfg["scorers"] = [s.strip() for s in args.scorers.split(",") if s.strip()]
-        if getattr(args, "knn_reference", None):
-            cfg["knn_reference"] = {"path": args.knn_reference}
-        if label_column:
-            for key in ("dataset", "knn_reference"):
-                if key in cfg and _csv_has_column(cfg[key].get("path", ""), label_column):
-                    cfg[key].setdefault("label_column", label_column)
-    elif args.command == "eval":
-        if getattr(args, "scores", None):
-            cfg["scores"] = args.scores
-        _apply_overrides(cfg, args, {"score_column": "score_column"})
-        if getattr(args, "alphas", None):  # a cell float() rejects stays a string for _alphas to name
-            cfg["alphas"] = [_float_or_text(a) for a in args.alphas.split(",")]
-    elif args.command == "oracle":
-        _apply_overrides(cfg, args, {"density": "density", "tolerance": "tolerance",
-                                     "grid_points": "grid_points"})
+    check(cfg, schema)
 
-    cfg["seed"] = _require_seed(cfg, args)
-    out_dir = _resolve_out_dir(cfg, args)
+    if getattr(args, "label_column", None):  # a header peek, so after the check
+        for spec in (cfg["dataset"], cfg.get("knn_reference")):
+            if spec and _csv_has_column(spec["path"], args.label_column):
+                spec.setdefault("label_column", args.label_column)
+    if cfg.get("seed") is None:
+        raise ValidationError("seed is mandatory (no wall-clock default); pass --seed or set config.seed")
+    out_dir = _resolve_out_dir(cfg)
     cfg["out_dir"] = str(out_dir)
-
     handler = {"synth": cmd_synth, "train": cmd_train, "score": cmd_score,
                "eval": cmd_eval, "oracle": cmd_oracle}[args.command]
-    if args.command == "synth":
-        code = handler(cfg, out_dir)
-        _write_manifest(out_dir, "synth", cfg)
-        return code
     return handler(cfg, out_dir)
 
 

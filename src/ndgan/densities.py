@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, ValidationError
+from .errors import DomainError, Req, SchemaError, ValidationError, Where, check
 
 DENSITY_FLOOR = 1e-300  # clamp before ratios; below this a density "underflowed"
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -258,49 +258,28 @@ def verify_mixture_identity(spec: MixtureSpec, x) -> IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# JSON schema (version 1):
-# {"version": 1, "pi": float, "data": {"weights": [...], "means": [[...]],
-#  "variances": [[...]]}, "novel": {...}}
+# JSON schema, version 1
 # ---------------------------------------------------------------------------
 
 
-def _component_from_json(obj, path: str) -> GaussianMixtureDensity:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, f"expected an object, got {type(obj).__name__}")
-    for key in ("weights", "means", "variances"):
-        if key not in obj:
-            raise SchemaError(f"{path}.{key}", "missing required field")
-    extra = set(obj) - {"weights", "means", "variances"}
-    if extra:
-        raise SchemaError(f"{path}.{sorted(extra)[0]}", "unknown field")
-    try:
-        return GaussianMixtureDensity(
-            np.asarray(obj["weights"], dtype=np.float64),
-            np.asarray(obj["means"], dtype=np.float64),
-            np.asarray(obj["variances"], dtype=np.float64),
-        )
-    except (ValidationError, ValueError) as exc:
-        raise SchemaError(path, str(exc)) from exc
+_COMPONENT = {"weights": Req([float]), "means": Req([[float]]), "variances": Req([[float]])}
+_MIXTURE_SPEC = {
+    "version": Req((1,)),
+    "pi": Req(Where(float, lambda p: 0 <= p <= 1, "a number in [0, 1]")),
+    "data": Req(_COMPONENT),
+    "novel": Req(_COMPONENT),
+}
 
 
 def mixture_spec_from_json(doc) -> MixtureSpec:
-    if not isinstance(doc, dict):
-        raise SchemaError("$", "document must be a JSON object")
-    for key in ("version", "pi", "data", "novel"):
-        if key not in doc:
-            raise SchemaError(f"$.{key}", "missing required field")
-    extra = set(doc) - {"version", "pi", "data", "novel"}
-    if extra:
-        raise SchemaError(f"$.{sorted(extra)[0]}", "unknown field")
-    if doc["version"] != 1:
-        raise SchemaError("$.version", f"unsupported version {doc['version']!r}")
-    if not isinstance(doc["pi"], (int, float)) or not 0 <= doc["pi"] <= 1:
-        raise SchemaError("$.pi", f"must be a number in [0, 1], got {doc['pi']!r}")
-    return MixtureSpec(
-        pi=float(doc["pi"]),
-        data=_component_from_json(doc["data"], "$.data"),
-        novel=_component_from_json(doc["novel"], "$.novel"),
-    )
+    check(doc, _MIXTURE_SPEC)
+    parts = {}
+    for key in ("data", "novel"):
+        try:
+            parts[key] = GaussianMixtureDensity(**doc[key])
+        except (ValidationError, ValueError) as exc:  # ValueError: ragged lists
+            raise SchemaError(f"$.{key}", str(exc)) from exc
+    return MixtureSpec(pi=float(doc["pi"]), **parts)
 
 
 def load_mixture_spec(path) -> MixtureSpec:

@@ -1,10 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and ``check``, the JSON schema walk behind SchemaError.
 
 Every error raised on purpose carries enough structure (op names, shapes,
 offsets, step numbers) for a caller to act on it without parsing messages.
 """
 
 from __future__ import annotations
+
+import reprlib
 
 
 class NdganError(Exception):
@@ -45,6 +47,61 @@ class SchemaError(ValidationError):
     def __init__(self, path: str, detail: str):
         self.json_path = path
         super().__init__(f"schema violation at {path}: {detail}")
+
+
+class Req:
+    """Schema of an object key that must be present and not null."""
+
+    def __init__(self, node):
+        self.node = node
+
+
+class Nullable:
+    """Schema of an object key whose null counts as absent."""
+
+    def __init__(self, node):
+        self.node = node
+
+
+class Where:
+    """Schema ``node`` narrowed by ``test``; ``text`` names the values it allows."""
+
+    def __init__(self, node, test, text: str):
+        self.node, self.test, self.text = node, test, text
+
+
+_TYPES = {int: ("an integer", int), float: ("a number", (int, float)), str: ("a string", str),
+          list: ("a list", list), dict: ("an object", dict)}
+
+
+def check(value, node, path: str = "$"):
+    """Raise SchemaError at the first ``$.path`` where the JSON ``value`` breaks ``node``:
+    ``int``, ``float`` (any number; never a bool) or ``str``; a tuple of the allowed values;
+    ``[node]``, a list of them; ``{key: node}``, an object with only those keys, each node
+    bare, in ``Req`` or in ``Nullable``; or a ``Where``."""
+    if isinstance(node, Where):
+        check(value, node.node, path)
+        ok, what = node.test(value), node.text
+    elif isinstance(node, tuple):
+        ok, what = any(type(value) is type(c) and value == c for c in node), f"one of {list(node)}"
+    else:
+        what, types = _TYPES.get(type(node)) or _TYPES[node]
+        ok = isinstance(value, types) and not isinstance(value, bool)
+    if not ok:
+        raise SchemaError(path, f"must be {what}, got {reprlib.repr(value)}")
+    if isinstance(node, list):
+        for i, item in enumerate(value):
+            check(item, node[0], f"{path}[{i}]")
+    elif isinstance(node, dict):
+        for key in sorted(set(value) - set(node)):
+            raise SchemaError(f"{path}.{key}", "unknown field")
+        for key, field in node.items():
+            if value.get(key) is not None:
+                check(value[key], field.node if isinstance(field, (Req, Nullable)) else field, f"{path}.{key}")
+            elif key in value and not isinstance(field, Nullable):
+                raise SchemaError(f"{path}.{key}", "must not be null")
+            elif key not in value and isinstance(field, Req):
+                raise SchemaError(f"{path}.{key}", "missing required field")
 
 
 class FormatError(NdganError):

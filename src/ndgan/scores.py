@@ -128,7 +128,9 @@ class UniformBaselineGenerator:
     bounds: np.ndarray  # (d, 2)
 
     def __post_init__(self):
-        b = np.asarray(self.bounds, dtype=np.float64).reshape(-1, 2)
+        b = np.asarray(self.bounds, dtype=np.float64)
+        if b.ndim != 2 or b.shape[1] != 2:
+            raise ValidationError(f"bounds must be a list of [low, high] pairs, got {self.bounds!r}")
         if np.any(b[:, 0] >= b[:, 1]):
             bad = int(np.argmax(b[:, 0] >= b[:, 1]))
             raise ValidationError(f"dimension {bad}: lower bound {b[bad, 0]} >= upper bound {b[bad, 1]}")

@@ -503,6 +503,89 @@ def test_eval_holdout_bad_config_fails_before_training(pipeline, tmp_path, monke
     assert trained == []
 
 
+def _probe_configs(pipeline, tmp_path):
+    """A working config of each kind, on the pipeline's files."""
+    _, data_dir, model_dir = pipeline
+    dataset = {"path": str(data_dir / "train.csv"), "label_column": "label"}
+    return {
+        "synth": ("synth", json.loads(synth_config(tmp_path).read_text())),
+        "train": ("train", {"dataset": dataset, "train": {"total_steps": 30, "batch_size": 32}, "seed": 13}),
+        "score": ("score", {"model": str(model_dir / "model.ndgan"), "dataset": {"path": str(data_dir / "novel.csv")},
+                            "scorers": ["nd-gan-ratio"], "seed": 1}),
+        "flat": ("eval", {"scores": [str(tmp_path / "scores.csv")], "seed": 1}),
+        "holdout": ("eval", json.loads(_holdout_config(tmp_path, data_dir).read_text())),
+        "oracle": ("oracle", {"density": str(data_dir / "density.json"), "seed": 3}),
+    }
+
+
+@pytest.mark.parametrize("base, key, value, where", [
+    ("synth", "radius", "x", "$.radius"),
+    ("synth", "seed", "abc", "$.seed"),
+    ("synth", "seed", 1.9, "$.seed"),
+    ("synth", "n_train", "200", "$.n_train"),
+    ("synth", "n_train", 200.7, "$.n_train"),
+    ("train", "train.lr", "x", "$.train.lr"),
+    ("train", "train.batch_size", 8.5, "$.train.batch_size"),
+    ("train", "train.batch_size", None, "$.train.batch_size"),
+    ("train", "z_dim", "4", "$.z_dim"),
+    ("train", "train.total_steps", "3", "$.train.total_steps"),
+    ("train", "dataset.downscale", {"side": "abc", "target": 14}, "$.dataset.downscale.side"),
+    ("holdout", "holdout.holdout_classes", 0, "$.holdout.holdout_classes"),
+    ("holdout", "holdout.train.total_steps", "3", "$.holdout.train.total_steps"),
+    ("holdout", "holdout.train_dataset.downscale", {"side": "abc", "target": 14},
+     "$.holdout.train_dataset.downscale.side"),
+    ("holdout", "holdout.test_dataset.downscale", {"side": 28, "target": 14.5},
+     "$.holdout.test_dataset.downscale.target"),
+    ("oracle", "grid_points", "x", "$.grid_points"),
+    ("oracle", "tolerance", "x", "$.tolerance"),
+    ("score", "model", ["model.ndgan"], "$.model"),
+    ("score", "mark_novel", 7, "$.mark_novel"),
+    ("score", "mark_novel", "1", "$.mark_novel"),
+    ("score", "scorers", "entropy", "$.scorers"),
+    ("flat", "scores", "x.csv", "$.scores"),
+])
+def test_a_malformed_config_exits_2_at_its_path_before_any_work(pipeline, tmp_path, monkeypatch, capsys,
+                                                                 base, key, value, where):
+    command, cfg = _probe_configs(pipeline, tmp_path)[base]
+    monkeypatch.setattr(gan, "train_gan", lambda *args, **kwargs: pytest.fail("trained before the check"))
+    monkeypatch.setattr(cli, "_load_dataset", lambda *args: pytest.fail("dataset loaded before the check"))
+    monkeypatch.setattr(cli, "_read_scores_csv", lambda *args: pytest.fail("scores read before the check"))
+    *parents, leaf = key.split(".")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert run(command, "--config", str(path), "--out-dir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert f"schema violation at {where}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fake_source, message", [
+    ({"kind": "uniform", "bounds": [[0, 1, 2]]}, "[low, high] pairs"),
+    ({"kind": "uniform", "bounds": [[-3, 3], [-3, 3], [-3, 3]]}, "3 [low, high] pairs for 2-dimensional data"),
+    ({"kind": "uniform"}, "[low, high] pairs, got None"),
+], ids=["not-pairs", "three-dims", "no-bounds"])
+def test_train_rejects_uniform_bounds_that_do_not_fit_the_data(pipeline, tmp_path, monkeypatch, capsys,
+                                                              fake_source, message):
+    _, data_dir, _ = pipeline
+    monkeypatch.setattr(gan, "train_gan", lambda *args, **kwargs: pytest.fail("trained before the check"))
+    cfg = train_config(tmp_path, data_dir, fake_source=fake_source)
+    assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "schema violation at $.fake_source.bounds:" in err and message in err and "Traceback" not in err
+
+
+def test_synth_rejects_uniform_novel_bounds_that_are_not_2d_and_writes_nothing(tmp_path, capsys):
+    cfg = synth_config(tmp_path, novel={"kind": "uniform", "bounds": [[0, 1], [0, 1], [0, 1]], "n": 50})
+    out = tmp_path / "out"
+    assert run("synth", "--config", str(cfg), "--out-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "schema violation at $.novel.bounds:" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 def test_oracle_passes_on_valid_spec_and_respects_tolerance_flag(pipeline, tmp_path):
     root, data_dir, _ = pipeline
     out = tmp_path / "oracle"

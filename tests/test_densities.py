@@ -185,6 +185,15 @@ def test_schema_errors_carry_json_paths(mutate, path):
     assert err.value.json_path == path
 
 
+@pytest.mark.parametrize("key", ["version", "pi"])
+def test_a_bool_is_not_a_number_in_a_density_spec(key):
+    doc = _spec_doc()
+    doc[key] = True  # equal to 1, which both keys accept
+    with pytest.raises(SchemaError) as err:
+        dn.mixture_spec_from_json(doc)
+    assert err.value.json_path == f"$.{key}"
+
+
 def test_grid_cell_index_maps_edges_inward():
     grid = dn.GridDensity(bounds=[[0.0, 1.0]], resolution=(4,), values=np.ones(4))
     idx = grid.cell_index(np.array([[0.0], [0.999], [1.0], [1.5]]))

@@ -217,6 +217,12 @@ def test_uniform_baseline_rejects_inverted_bounds():
         scores.UniformBaselineGenerator([[1.0, 1.0]])
 
 
+@pytest.mark.parametrize("bounds", [[[0.0, 1.0, 2.0]], [0.0, 1.0], [], None], ids=["triple", "flat", "empty", "none"])
+def test_uniform_baseline_rejects_bounds_that_are_not_pairs(bounds):
+    with pytest.raises(ValidationError, match=r"\[low, high\] pairs"):
+        scores.UniformBaselineGenerator(bounds)
+
+
 # ---------------------------------------------------------------------------
 # mixture-generator check
 # ---------------------------------------------------------------------------

@@ -7,9 +7,17 @@ For each workload of this checkout's ``bench/workloads.py`` (imported, never
 written), write its seeded inputs under ``<dir>/<workload>`` (deleting what
 was there), then run its set-up stages and one pass of its stages through
 the ``ndgan`` CLI imported from ``<tree>/src``. Print one line
-``workload path sha256`` for every file under ``<dir>/<workload>``. Configs
-and manifests record paths, so the workload directory is blanked out of each
-file's bytes before hashing; two trees' outputs then compare by a diff:
+``workload path sha256`` for every file under ``<dir>/<workload>``.
+
+The workloads all train with the feature-matching loss, one D step per G
+step, labels and the learned generator. So every run also trains on a
+synthesized ring under ``<dir>/training-branches``, once per other branch
+(the standard loss at two D steps per G step without labels, a uniform fake
+source, a mixture fake source), and prints those files as workload
+``training-branches``.
+
+Configs and manifests record paths, so the workload directory is blanked out
+of each file's bytes before hashing; two trees' outputs then compare by a diff:
 
     python3 scripts/output_hashes.py --src ../parent --seed 7 --work-dir /tmp/a > a.txt
     python3 scripts/output_hashes.py --src . --seed 7 --work-dir /tmp/b > b.txt
@@ -25,6 +33,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import shutil
 import sys
 from pathlib import Path
@@ -50,6 +59,39 @@ def file_hashes(root: Path):
         yield path.relative_to(root).as_posix(), hashlib.sha256(data).hexdigest()
 
 
+def training_branches(root: Path, seed: int, small: bool) -> list[list[str]]:
+    """Write the configs of the training-branch runs under ``root``; the CLI argv of each
+    command, the ring's synth first."""
+    root.mkdir(parents=True)
+    data = root / "data"
+    synth = {"kind": "ring", "n_train": 400, "components": 8, "radius": 2.0, "sigma": 0.2, "pi": 0.5,
+             "novel": {"kind": "gaussian", "mean": [0.0, 0.0], "sigma": 0.25, "n": 10}, "seed": seed}
+    dataset = {"path": str(data / "train.csv"), "label_column": "label"}
+    train = {"total_steps": 20 if small else 300, "batch_size": 32, "log_every": 10 if small else 100}
+    runs = {
+        "standard": {"train": {**train, "generator_loss": "standard", "d_steps_per_g": 2, "labeled_fraction": None}},
+        "uniform": {"train": {**train, "labeled_fraction": 0.5},
+                    "fake_source": {"kind": "uniform", "bounds": [[-3.0, 3.0], [-3.0, 3.0]]}},
+        "mixture": {"train": {**train, "labeled_fraction": 1.0},
+                    "fake_source": {"kind": "mixture", "density": str(data / "density.json")}},
+    }
+    (root / "synth.json").write_text(json.dumps(synth, indent=2), encoding="utf-8")
+    argvs = [["synth", "--config", str(root / "synth.json"), "--out-dir", str(data)]]
+    for name, cfg in runs.items():
+        (root / f"{name}.json").write_text(json.dumps({"dataset": dataset, "seed": seed, **cfg}, indent=2),
+                                           encoding="utf-8")
+        argvs.append(["train", "--config", str(root / f"{name}.json"), "--out-dir", str(root / name)])
+    return argvs
+
+
+def _run(cli, argv: list[str]) -> str | None:
+    """Run one CLI command; its log on failure, else None."""
+    log = io.StringIO()
+    with contextlib.redirect_stderr(log):
+        code = cli.main(argv)
+    return None if code == 0 else f"exit code {code}\n{log.getvalue()}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", required=True, help="tree whose src/ provides ndgan")
@@ -70,15 +112,22 @@ def main(argv=None) -> int:
         shutil.rmtree(root, ignore_errors=True)
         workload = WORKLOADS[name]().generate(root, args.seed, args.small)
         for stage in workload.setup_stages() + workload.stages():
-            log = io.StringIO()
-            with contextlib.redirect_stderr(log):
-                code = cli.main(stage.argv)
-            err = f"exit code {code}" if code != 0 else stage.check(stage.out)
+            err = _run(cli, stage.argv) or stage.check(stage.out)
             if err is not None:
-                print(f"{name} {stage.cmd}: {err}\n{log.getvalue()}", file=sys.stderr)
+                print(f"{name} {stage.cmd}: {err}", file=sys.stderr)
                 return 1
         for path, digest in file_hashes(root):
             print(name, path, digest)
+
+    root = Path(args.work_dir).resolve() / "training-branches"
+    shutil.rmtree(root, ignore_errors=True)
+    for command in training_branches(root, args.seed, args.small):
+        err = _run(cli, command)
+        if err is not None:
+            print(f"training-branches {command[0]} {command[-1]}: {err}", file=sys.stderr)
+            return 1
+    for path, digest in file_hashes(root):
+        print("training-branches", path, digest)
     return 0
 
 

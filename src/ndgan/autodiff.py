@@ -1,16 +1,17 @@
-"""Minimal reverse-mode automatic differentiation over dense float64 tensors.
+"""Minimal reverse-mode automatic differentiation for the loss heads, and the
+activations' forward and derivative expressions, written once.
 
 A :class:`Tape` records every operation executed while it is active (it is a
 context manager); :func:`backward` replays the records in reverse to
 accumulate gradients. Tensors are plain value holders: running the same
 forward code with or without an active tape produces bit-identical values.
+The networks themselves run off the tape: ``layers.mlp_forward`` and
+``layers.mlp_backward`` use :func:`activate`, :func:`activation_grad` and
+:func:`weight_normalize`, and a network's output enters a loss as a leaf.
 
 Broadcasting is deliberately restricted: two operands must either have equal
 shapes or one must equal the trailing shape of the other (a leading batch
-axis), which keeps every shape rule small and testable. The one construct
-that genuinely needs per-row scaling, weight normalization, lives inside the
-fused layer primitive (:func:`linear`) instead of loosening the broadcast
-rule.
+axis), which keeps every shape rule small and testable.
 """
 
 from __future__ import annotations
@@ -35,22 +36,6 @@ def active_tape() -> "Tape | None":
     return stack[-1] if stack else None
 
 
-class suspend_tape:
-    """Context manager: run forward code without recording, even inside a tape.
-
-    Used where a sub-computation is a constant of the optimization (for
-    example the real-batch feature means of the feature-matching loss).
-    """
-
-    def __enter__(self):
-        _tape_stack().append(None)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
-        assert popped is None
-
-
 class Tensor:
     """Dense n-dimensional float64 value, optionally recorded on the active tape."""
 
@@ -59,55 +44,24 @@ class Tensor:
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
 
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape})"
-
-    # Sugar for loss arithmetic; every operator routes through a primitive op.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
+    # Sugar for the loss heads' arithmetic; each operator routes through a primitive op.
     def __neg__(self):
         return mul(self, Tensor(-1.0))
 
-    def __sub__(self, other):
-        return add(self, -_as_tensor(other))
-
     def __rsub__(self, other):
-        return add(_as_tensor(other), -self)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+        return add(Tensor(other), -self)
 
 
 class _Node:
-    __slots__ = ("op", "input_ids", "backward", "out_shape")
+    __slots__ = ("op", "input_ids", "backward")
 
-    def __init__(self, op, input_ids, backward, out_shape):
+    def __init__(self, op, input_ids, backward):
         self.op = op
         self.input_ids = input_ids
         self.backward = backward
-        self.out_shape = out_shape
 
 
 class Tape:
@@ -133,7 +87,7 @@ class Tape:
         """Register ``t`` as a leaf if it is not already on this tape."""
         nid = self._ids.get(id(t))
         if nid is None:
-            nid = self._register(t, _Node("leaf", (), None, t.data.shape))
+            nid = self._register(t, _Node("leaf", (), None))
         return nid
 
     def _register(self, t: Tensor, node: _Node) -> int:
@@ -150,7 +104,7 @@ class Tape:
         order (``None`` marks a constant input).
         """
         input_ids = tuple(self.ensure_node(t) for t in inputs)
-        self._register(out, _Node(op, input_ids, backward, out.data.shape))
+        self._register(out, _Node(op, input_ids, backward))
         return out
 
 
@@ -232,44 +186,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("elementwise-mul", ad * bd, (a, b), bwd)
 
 
-def relu(x: Tensor) -> Tensor:
-    xd = x.data
-
-    def bwd(g):
-        return (g * (xd > 0),)
-
-    return _emit("relu", np.maximum(xd, 0.0), (x,), bwd)
-
-
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    xd = x.data
-
-    def bwd(g):
-        return (g * np.where(xd > 0, 1.0, slope),)
-
-    return _emit("leaky-relu", np.maximum(xd, slope * xd), (x,), bwd)  # = where(x > 0, x, slope*x) for 0 < slope < 1
-
-
-def tanh(x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-
-    def bwd(g):
-        return (g * (1.0 - y * y),)
-
-    return _emit("tanh", y, (x,), bwd)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    # Split by sign to avoid overflow in exp for large |x|.
-    xd = x.data
-    y = np.where(xd >= 0, 1.0 / (1.0 + np.exp(-np.abs(xd))), np.exp(-np.abs(xd)) / (1.0 + np.exp(-np.abs(xd))))
-
-    def bwd(g):
-        return (g * y * (1.0 - y),)
-
-    return _emit("sigmoid", y, (x,), bwd)
-
-
 def log(x: Tensor) -> Tensor:
     xd = x.data
     if np.any(xd <= 0):
@@ -292,12 +208,10 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def softmax(x: Tensor) -> Tensor:
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = activate("softmax", x.data)
 
     def bwd(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+        return (activation_grad("softmax", g, x.data, y),)
 
     return _emit("softmax", y, (x,), bwd)
 
@@ -353,16 +267,44 @@ def l2_norm_squared(x: Tensor) -> Tensor:
     return _emit("l2-norm-squared", np.asarray((xd * xd).sum()), (x,), bwd)
 
 
-def gaussian_noise(x: Tensor, std: float, rng: np.random.Generator) -> Tensor:
-    """Add i.i.d. N(0, std^2) draws; the noise is a constant for backward."""
-    if std < 0:
-        raise DomainError("gaussian-noise", f"negative std {std}")
-    eps = rng.normal(0.0, std, size=x.data.shape)
+# ---------------------------------------------------------------------------
+# activations and weight normalization, shared by the networks and the loss heads
+# ---------------------------------------------------------------------------
 
-    def bwd(g):
-        return (g,)
+LEAKY_SLOPE = 0.2
 
-    return _emit("gaussian-noise", x.data + eps, (x,), bwd)
+
+def activate(kind: str, h: np.ndarray) -> np.ndarray:
+    """The activation ``kind`` (a ``layers.ACTIVATIONS`` name) of the pre-activations ``h``."""
+    if kind == "relu":
+        return np.maximum(h, 0.0)
+    if kind == "leaky-relu":
+        return np.maximum(h, LEAKY_SLOPE * h)  # = where(h > 0, h, slope*h) for 0 < slope < 1
+    if kind == "tanh":
+        return np.tanh(h)
+    if kind == "sigmoid":
+        e = np.exp(-np.abs(h))  # split by sign: exp never overflows
+        return np.where(h >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    if kind == "softmax":
+        z = h - h.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        return e / e.sum(axis=-1, keepdims=True)
+    return h  # linear
+
+
+def activation_grad(kind: str, g: np.ndarray, h: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The gradient at the pre-activations ``h`` from the gradient ``g`` at ``y = activate(kind, h)``."""
+    if kind == "relu":
+        return g * (h > 0)
+    if kind == "leaky-relu":
+        return g * np.where(h > 0, 1.0, LEAKY_SLOPE)
+    if kind == "tanh":
+        return g * (1.0 - y * y)
+    if kind == "sigmoid":
+        return g * y * (1.0 - y)
+    if kind == "softmax":
+        return y * (g - (g * y).sum(axis=-1, keepdims=True))
+    return g  # linear
 
 
 def weight_normalize(v: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -375,43 +317,6 @@ def weight_normalize(v: np.ndarray, g: np.ndarray, out: np.ndarray | None = None
         raise DomainError("linear", "zero direction row has no unit direction")
     norm = np.sqrt(sq)
     return np.multiply((g / norm)[:, None], v, out=out), norm
-
-
-def linear(x: Tensor, v, g, b, wn: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
-    """Fully connected layer ``x @ W.T + b`` with ``W = g * v / ||v||`` row-wise, or ``W = v`` when ``g`` is None.
-
-    ``v``, ``g`` and ``b`` are either all tensors, which receive gradients,
-    or all plain arrays, which are constants of the optimization: then only
-    ``x`` is an input of the recorded op. ``wn``, when given, is
-    ``weight_normalize(v, g)`` computed beforehand. The backward forms
-    ``dW = grad.T @ x`` once and applies the weight-norm chain rule
-    (Salimans & Kingma 2016) to it.
-    """
-    trained = isinstance(v, Tensor)
-    inputs = (x, *(p for p in (v, g, b) if p is not None)) if trained else (x,)
-    vd, gd, bd = (p.data if isinstance(p, Tensor) else p for p in (v, g, b))
-    xd = x.data
-    if xd.ndim != 2 or vd.ndim != 2 or xd.shape[1] != vd.shape[1] or bd.shape != (vd.shape[0],):
-        raise ShapeMismatch("linear", xd.shape, vd.shape, bd.shape)
-    if gd is None:
-        w = vd
-    else:
-        w, norm = weight_normalize(vd, gd) if wn is None else wn
-
-    def bwd(grad):
-        dx = grad @ w
-        if not trained:
-            return (dx,)
-        dw = grad.T @ xd
-        db = grad.sum(axis=0)
-        if gd is None:
-            return dx, dw, db
-        gv = (dw * vd).sum(axis=1)
-        d_g = gv / norm
-        d_v = (gd / norm)[:, None] * dw - (gd * gv / norm**3)[:, None] * vd
-        return dx, d_v, d_g, db
-
-    return _emit("linear", xd @ w.T + bd, inputs, bwd)
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:

@@ -89,6 +89,7 @@ def _resolve_out_dir(cfg: dict) -> Path:
 
 
 _RUN = {"seed": Nullable(int), "out_dir": Nullable(str)}  # part of every command's schema
+_COUNT = Where(int, lambda n: n >= 1, "an integer >= 1")
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: dict, provenance: str | None = None):
@@ -530,7 +531,7 @@ _COMMANDS = {
         "holdout": Nullable({
             "train_dataset": Req(_DATASET), "test_dataset": Req(_DATASET), **_MODEL,
             "holdout_classes": Nullable([int]), "scorers": Req([str]),
-            "workers": Where(int, lambda w: w >= 1, "an integer >= 1"),  # no effect: splits run one after another
+            "workers": _COUNT,  # no effect: splits run one after another
         }),
         **_RUN,
     }, [
@@ -541,7 +542,7 @@ _COMMANDS = {
               help="comma-separated target FPRs"),
     ]),
     "oracle": ("verify analytic identities for a density spec", {
-        "density": Req(str), "grid_points": int, "tolerance": float, "mc_samples": int, **_RUN,
+        "density": Req(str), "grid_points": _COUNT, "tolerance": float, "mc_samples": _COUNT, **_RUN,
     }, [
         _flag("--density", "density", help="density spec JSON"),
         _flag("--tolerance", "tolerance"),
@@ -559,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name, key, convert, kwargs in _COMMON + flags:
             node = schema if key and not convert else None
             for part in key.split(".") if node else ():
-                node = node[part].node if isinstance(node[part], (Req, Nullable)) else node[part]
+                node = node[part].node if isinstance(node[part], (Req, Nullable, Where)) else node[part]
             if isinstance(node, tuple):
                 kwargs = {"type": type(node[0]), "choices": node, **kwargs}
             elif node in (int, float):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, Req, SchemaError, ValidationError, Where, check
+from .errors import DomainError, FormatError, Req, SchemaError, ValidationError, Where, check
 
 DENSITY_FLOOR = 1e-300  # clamp before ratios; below this a density "underflowed"
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -283,11 +283,17 @@ def mixture_spec_from_json(doc) -> MixtureSpec:
 
 
 def load_mixture_spec(path) -> MixtureSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("$", f"not valid JSON: {exc}") from exc
+    except FileNotFoundError:
+        raise ValidationError(f"density spec not found: {path}") from None
+    except IsADirectoryError:
+        raise ValidationError(f"density spec is a directory, not a file: {path}") from None
+    except UnicodeDecodeError:
+        raise FormatError(str(path), "not UTF-8 text") from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError("$", f"not valid JSON: {exc}") from exc
     return mixture_spec_from_json(doc)
 
 

@@ -126,10 +126,11 @@ def _check_data_dim(model: GanModel, x: np.ndarray):
 
 
 def discriminator_logits(
-    model: GanModel, x: Tensor, mode: str = "eval", noise_rng=None
-) -> tuple[Tensor, Tensor]:
-    """(K+1 logits, feature-layer activations) of one discriminator pass."""
-    return nn.mlp_forward(model.disc_params, model.disc_specs, x, mode, noise_rng, model.feature_layer)
+    model: GanModel, x: np.ndarray, mode: str = "eval", noise_rng=None, cache: list | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(K+1 logits, feature-layer activations) of one discriminator pass; see
+    ``layers.mlp_forward`` for ``cache``."""
+    return nn.mlp_forward(model.disc_params, model.disc_specs, x, mode, noise_rng, model.feature_layer, cache)
 
 
 def forward(model: GanModel, x) -> tuple[np.ndarray, np.ndarray]:
@@ -137,11 +138,9 @@ def forward(model: GanModel, x) -> tuple[np.ndarray, np.ndarray]:
     at PROB_CLAMP and renormalized; the activations of the feature layer)."""
     x = np.asarray(x, dtype=np.float64)
     _check_data_dim(model, x)
-    with ad.suspend_tape():
-        logits, features = discriminator_logits(model, Tensor(x))
-        p = ad.softmax(logits).data
-    p = np.clip(p, PROB_CLAMP, 1.0)
-    return p / p.sum(axis=1, keepdims=True), features.data
+    logits, features = discriminator_logits(model, x)
+    p = np.clip(ad.activate("softmax", logits), PROB_CLAMP, 1.0)
+    return p / p.sum(axis=1, keepdims=True), features
 
 
 def discriminator_probs(model: GanModel, x) -> np.ndarray:
@@ -152,8 +151,7 @@ def discriminator_probs(model: GanModel, x) -> np.ndarray:
 def discriminator_features(model: GanModel, x) -> np.ndarray:
     """Eval-mode feature-layer activations from a pass that stops at that layer."""
     k = model.feature_layer + 1
-    with ad.suspend_tape():
-        return nn.mlp_forward(model.disc_params[:k], model.disc_specs[:k], Tensor(x))[0].data
+    return nn.mlp_forward(model.disc_params[:k], model.disc_specs[:k], x)[0]
 
 
 def sample_z(model: GanModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -162,16 +160,14 @@ def sample_z(model: GanModel, n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=(n, model.z_dim))
 
 
-def generator_forward(model: GanModel, z: Tensor, mode: str = "eval", noise_rng=None) -> Tensor:
-    out, _ = nn.mlp_forward(model.gen_params, model.gen_specs, z, mode, noise_rng)
-    return out
+def generator_forward(model: GanModel, z: np.ndarray, mode: str = "eval", noise_rng=None,
+                      cache: list | None = None) -> np.ndarray:
+    return nn.mlp_forward(model.gen_params, model.gen_specs, z, mode, noise_rng, cache=cache)[0]
 
 
 def sample_generator(model: GanModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. draws G(z) with z from the model's latent prior."""
-    z = sample_z(model, n, rng)
-    with ad.suspend_tape():
-        return generator_forward(model, Tensor(z)).data
+    return generator_forward(model, sample_z(model, n, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -222,19 +218,23 @@ def discriminator_loss(
     fake_x: np.ndarray,
     noise_rng=None,
     mode: str = "train",
-) -> Tensor:
-    """The discriminator loss from one pass over the stacked [labeled; unlabeled; fake] batch."""
+    caches: tuple[list, list] | None = None,
+) -> tuple[Tensor, Tensor]:
+    """The discriminator loss from one pass over the stacked [labeled; unlabeled; fake] batch,
+    and the pass's logits, the loss's leaf. ``caches`` is (generator cache, discriminator cache):
+    the lists that the networks' passes fill for ``layers.mlp_backward``, as in every loss."""
     if labeled_x is None or labels is None or not len(labeled_x):
         labeled_x, labels = np.empty((0, model.data_dim)), None
     parts = [np.asarray(a, dtype=np.float64) for a in (labeled_x, unlabeled_x, fake_x)]
     for part in parts:
         _check_data_dim(model, part)
-    logits, _ = discriminator_logits(model, Tensor(np.concatenate(parts)), mode, noise_rng)
+    disc_cache = caches[1] if caches else None
+    logits = Tensor(discriminator_logits(model, np.concatenate(parts), mode, noise_rng, disc_cache)[0])
     n_lab, n_real = len(parts[0]), len(parts[0]) + len(parts[1])
     lab_logits = None if labels is None else ad.slice_rows(logits, 0, n_lab)
     unl_logits = ad.slice_rows(logits, n_lab, n_real)
     fake_logits = ad.slice_rows(logits, n_real, len(logits.data))
-    return discriminator_loss_from_logits(lab_logits, labels, unl_logits, fake_logits, model.K)
+    return discriminator_loss_from_logits(lab_logits, labels, unl_logits, fake_logits, model.K), logits
 
 
 def generator_loss_standard_from_logits(fake_logits: Tensor, K: int) -> Tensor:
@@ -242,32 +242,34 @@ def generator_loss_standard_from_logits(fake_logits: Tensor, K: int) -> Tensor:
     return ad.reduce_mean(ad.log(_fake_prob(fake_logits, K)))
 
 
-def generator_loss_standard(model: GanModel, z: np.ndarray, noise_rng=None, mode: str = "train") -> Tensor:
-    """The discriminator is a constant of this loss: gradients reach generator parameters only."""
-    disc = nn.constant_params(model.disc_params)
-    fake = generator_forward(model, Tensor(z), mode, noise_rng)
-    logits, _ = nn.mlp_forward(disc, model.disc_specs, fake, mode, noise_rng)
-    return generator_loss_standard_from_logits(logits, model.K)
+def generator_loss_standard(
+    model: GanModel, z: np.ndarray, noise_rng=None, mode: str = "train", caches: tuple[list, list] | None = None
+) -> tuple[Tensor, Tensor]:
+    """The loss, and the discriminator's logits on G(z), its leaf."""
+    gen_cache, disc_cache = caches or (None, None)
+    fake = generator_forward(model, z, mode, noise_rng, gen_cache)
+    logits = Tensor(nn.mlp_forward(model.disc_params, model.disc_specs, fake, mode, noise_rng, cache=disc_cache)[0])
+    return generator_loss_standard_from_logits(logits, model.K), logits
 
 
 def generator_loss_feature_matching(
-    model: GanModel, real_x: np.ndarray, z: np.ndarray, noise_rng=None, mode: str = "train"
-) -> Tensor:
-    """Squared L2 distance between mean real and mean generated features.
+    model: GanModel, real_x: np.ndarray, z: np.ndarray, noise_rng=None, mode: str = "train",
+    caches: tuple[list, list] | None = None,
+) -> tuple[Tensor, Tensor]:
+    """Squared L2 distance between mean real and mean generated features, and the
+    generated features, its leaf.
 
-    The real branch and the discriminator are constants of this loss:
-    gradients reach generator parameters only. The discriminator runs up to
+    The real branch is a constant of this loss. The discriminator runs up to
     its feature layer; after it, build_gan puts only the noiseless output layer.
     """
+    gen_cache, disc_cache = caches or (None, None)
     k = model.feature_layer + 1
-    disc, specs = nn.constant_params(model.disc_params[:k]), model.disc_specs[:k]
-    with ad.suspend_tape():
-        real, _ = nn.mlp_forward(disc, specs, Tensor(np.asarray(real_x, np.float64)), mode, noise_rng)
-        mean_real = real.data.mean(axis=0)
-    fake = generator_forward(model, Tensor(z), mode, noise_rng)
-    features, _ = nn.mlp_forward(disc, specs, fake, mode, noise_rng)
+    params, specs = model.disc_params[:k], model.disc_specs[:k]
+    mean_real = nn.mlp_forward(params, specs, real_x, mode, noise_rng)[0].mean(axis=0)
+    fake = generator_forward(model, z, mode, noise_rng, gen_cache)
+    features = Tensor(nn.mlp_forward(params, specs, fake, mode, noise_rng, cache=disc_cache)[0])
     mean_fake = ad.reduce_mean(features, axis=0)
-    return ad.l2_norm_squared(ad.add(mean_fake, ad.mul(Tensor(mean_real), Tensor(-1.0))))
+    return ad.l2_norm_squared(ad.add(mean_fake, ad.mul(Tensor(mean_real), Tensor(-1.0)))), features
 
 
 def feature_matching_distance(model: GanModel, real_x: np.ndarray, fake_x: np.ndarray) -> float:
@@ -337,15 +339,35 @@ def _loss_value(loss: Tensor, step: int, name: str) -> float:
     return value
 
 
-def _descend(params: list[nn.LayerParams], state: nn.AdamState, step: int, name: str, loss_fn, *args) -> float:
-    """One Adam update of ``params`` on the loss ``loss_fn(*args)``; returns the loss value.
+def _gradients(model: GanModel, step: int, loss_fn, *args, noise_rng=None, mode: str = "train"):
+    """(loss value, per-layer gradients of the network that ``loss_fn(model, *args)`` trains).
 
-    The tape and the gradients die on return, before the next phase builds its own.
+    Only the loss head runs on the tape, and the value is checked to be
+    finite before any backward. The gradient at the leaf goes back through
+    the discriminator's pass. A generator loss, the one kind whose pass
+    fills the generator cache, holds the discriminator constant and trains
+    the generator: the gradient goes on through the generator's pass.
     """
+    gen_cache, disc_cache = [], []
     with ad.Tape() as tape:
-        loss = loss_fn(*args)
-        value = _loss_value(loss, step, name)
-        grads = nn.collect_grads(tape, ad.backward(tape, loss), params)
+        loss, leaf = loss_fn(model, *args, noise_rng, mode, (gen_cache, disc_cache))
+        trains_disc = not gen_cache
+        value = _loss_value(loss, step, "d-loss" if trains_disc else "g-loss")
+        grad = ad.backward(tape, loss)[tape.node_of(leaf)]
+    k = len(disc_cache)  # a feature-matching pass stops at the feature layer
+    grad, grads = nn.mlp_backward(model.disc_specs[:k], model.disc_params[:k], disc_cache, grad,
+                                  trained=trains_disc, need_dx=not trains_disc)
+    if not trains_disc:
+        grads = nn.mlp_backward(model.gen_specs, model.gen_params, gen_cache, grad, need_dx=False)[1]
+    return value, grads
+
+
+def _descend(params: list[nn.LayerParams], state: nn.AdamState, *args, **kwargs) -> float:
+    """One Adam update of ``params`` on ``_gradients(*args, **kwargs)``; returns the loss value.
+
+    The gradients die on return, before the next phase builds its own.
+    """
+    value, grads = _gradients(*args, **kwargs)
     nn.adam_step(params, grads, state)
     return value
 
@@ -406,8 +428,8 @@ def train_gan(
                         fake = np.asarray(fake_source(config.batch_size, streams.sampling), dtype=np.float64)
                     else:
                         fake = sample_generator(model, config.batch_size, streams.sampling)
-                    d_val = _descend(model.disc_params, d_state, step, "d-loss",
-                                     discriminator_loss, model, lx, ly, unl, fake, streams.noise, "train")
+                    d_val = _descend(model.disc_params, d_state, model, step,
+                                     discriminator_loss, lx, ly, unl, fake, noise_rng=streams.noise)
                     nn.cache_weights(model.disc_params)
 
                 g_val = None
@@ -415,11 +437,10 @@ def train_gan(
                     z = sample_z(model, config.batch_size, streams.sampling)
                     if config.generator_loss == "feature-matching":
                         real = all_x[streams.shuffling.integers(0, len(all_x), config.batch_size)]
-                        g_val = _descend(model.gen_params, g_state, step, "g-loss",
-                                         generator_loss_feature_matching, model, real, z, streams.noise, "train")
+                        args = (generator_loss_feature_matching, real, z)
                     else:
-                        g_val = _descend(model.gen_params, g_state, step, "g-loss",
-                                         generator_loss_standard, model, z, streams.noise, "train")
+                        args = (generator_loss_standard, z)
+                    g_val = _descend(model.gen_params, g_state, model, step, *args, noise_rng=streams.noise)
                     nn.cache_weights(model.gen_params)
 
                 fm = None

@@ -12,11 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import DomainError, FormatError, ShapeMismatch, ValidationError
 
-ACTIVATIONS = ("relu", "leaky-relu", "tanh", "sigmoid", "linear", "softmax")
-LEAKY_SLOPE = 0.2
+ACTIVATIONS = ("relu", "leaky-relu", "tanh", "sigmoid", "linear", "softmax")  # in model-file code order
 
 
 @dataclass(frozen=True)
@@ -38,15 +36,11 @@ class LayerSpec:
 
 @dataclass
 class LayerParams:
-    """One layer's parameters: direction rows v (out x in), optional gain g, bias b.
+    """One layer's parameters: direction rows v (out x in), optional gain g, bias b."""
 
-    Tensors are trained; plain arrays (see :func:`constant_params`) are
-    constants that ``mlp_forward`` records no gradient for.
-    """
-
-    v: Tensor | np.ndarray
-    g: Tensor | np.ndarray | None
-    b: Tensor | np.ndarray
+    v: np.ndarray
+    g: np.ndarray | None
+    b: np.ndarray
     # ``weight_normalize(v, g)`` while v and g stay unchanged; see cache_weights
     wn: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -71,7 +65,7 @@ def _carve(shapes) -> list[np.ndarray]:
 def init_mlp(specs: list[LayerSpec], rng: np.random.Generator) -> list[LayerParams]:
     """He-style init: v ~ N(0, 2/in_dim), gains 1, biases 0.
 
-    Every tensor is a view of one flat buffer, in ``named()`` order, which
+    Every array is a view of one flat buffer, in ``named()`` order, which
     Adam updates in one blocked pass.
     """
     shapes = []
@@ -85,42 +79,29 @@ def init_mlp(specs: list[LayerSpec], rng: np.random.Generator) -> list[LayerPara
         g = next(views) if spec.weight_norm else None
         if g is not None:
             g[...] = 1.0
-        params.append(LayerParams(v=Tensor(v), g=None if g is None else Tensor(g), b=Tensor(next(views))))
+        params.append(LayerParams(v=v, g=g, b=next(views)))
     return params
 
 
 def cache_weights(params: list[LayerParams]):
     """Store each weight-normalized layer's effective weights and row norms on it.
 
-    ``mlp_forward`` and ``constant_params`` then reuse them instead of
-    normalizing again. The cache is only right while v and g stay unchanged:
-    refresh it after every update and clear it with ``drop_weights`` before
-    the arrays are edited any other way. A refresh writes the weights into
-    the previous cache's arrays, which keeps them in place in memory, so no
-    tape that captured them may be used after it.
+    ``mlp_forward`` then reuses them instead of normalizing again. The cache
+    is only right while v and g stay unchanged: refresh it after every update
+    and clear it with ``drop_weights`` before the arrays are edited any other
+    way. A refresh writes the weights into the previous cache's arrays, which
+    keeps them in place in memory, so no ``mlp_forward`` cache that holds them
+    may be used after it.
     """
     for p in params:
         if p.g is not None:
-            p.wn = ad.weight_normalize(p.v.data, p.g.data, out=None if p.wn is None else p.wn[0])
+            p.wn = ad.weight_normalize(p.v, p.g, out=None if p.wn is None else p.wn[0])
 
 
 def drop_weights(params: list[LayerParams]):
     """Clear what ``cache_weights`` stored: passes normalize from the arrays again."""
     for p in params:
         p.wn = None
-
-
-def constant_params(params: list[LayerParams]) -> list[LayerParams]:
-    """The stack's effective weights ``g * v / ||v||`` (or ``v``) and biases, as plain arrays.
-
-    ``mlp_forward`` over the result gives the same values as over ``params``
-    but keeps the weights off the tape, so gradients reach only the input.
-    """
-    return [
-        LayerParams(v=p.v.data if p.g is None else (p.wn or ad.weight_normalize(p.v.data, p.g.data))[0],
-                    g=None, b=p.b.data)
-        for p in params
-    ]
 
 
 def _check_chain(specs: list[LayerSpec], in_width: int):
@@ -138,50 +119,87 @@ def _check_chain(specs: list[LayerSpec], in_width: int):
             )
 
 
-def _activate(h: Tensor, kind: str) -> Tensor:
-    if kind == "relu":
-        return ad.relu(h)
-    if kind == "leaky-relu":
-        return ad.leaky_relu(h, LEAKY_SLOPE)
-    if kind == "tanh":
-        return ad.tanh(h)
-    if kind == "sigmoid":
-        return ad.sigmoid(h)
-    if kind == "softmax":
-        return ad.softmax(h)
-    return h  # linear
-
-
 def mlp_forward(
     params: list[LayerParams],
     specs: list[LayerSpec],
-    x: Tensor,
+    x: np.ndarray,
     mode: str = "eval",
     noise_rng: np.random.Generator | None = None,
     keep: int | None = None,
-) -> tuple[Tensor, Tensor | None]:
+    cache: list | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Run the stack; returns (final output, post-activation output of layer ``keep`` or None).
 
     The kept output is the actual value fed to the next layer, i.e. it
     includes the train-mode Gaussian noise when the layer specifies one.
+    When ``cache`` is a list, each layer appends ``[input, weights, row norms
+    or None, pre-activation, activation]`` to it for :func:`mlp_backward`;
+    otherwise no layer's input outlives the layer.
     """
     if mode not in ("train", "eval"):
         raise ValidationError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if x.data.ndim != 2:
-        raise ShapeMismatch("mlp-forward", x.data.shape, detail="expects a batch (n, d)")
-    _check_chain(specs, x.data.shape[1])
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim != 2:
+        raise ShapeMismatch("mlp-forward", h.shape, detail="expects a batch (n, d)")
+    _check_chain(specs, h.shape[1])
 
-    h, kept = x, None
+    kept = None
     for i, (spec, p) in enumerate(zip(specs, params)):
-        h = ad.linear(h, p.v, p.g, p.b, p.wn)
-        h = _activate(h, spec.activation)
+        if p.v.ndim != 2 or h.shape[1] != p.v.shape[1] or p.b.shape != (p.v.shape[0],):
+            raise ShapeMismatch("linear", h.shape, p.v.shape, p.b.shape)
+        w, norm = (p.v, None) if p.g is None else p.wn or ad.weight_normalize(p.v, p.g)
+        if cache is not None:
+            cache.append([h, w, norm])
+        h = h @ w.T + p.b
+        del w, norm  # without a cache, no array of a layer outlives it
+        if cache is not None:
+            cache[-1].append(h)
+        h = ad.activate(spec.activation, h)
+        if cache is not None:
+            cache[-1].append(h)
         if mode == "train" and spec.noise_std > 0:
             if noise_rng is None:
                 raise ValidationError(f"layer {i} has noise_std > 0 but no noise rng was supplied")
-            h = ad.gaussian_noise(h, spec.noise_std, noise_rng)
+            h = h + noise_rng.normal(0.0, spec.noise_std, size=h.shape)  # a constant for backward
         if i == keep:
             kept = h
     return h, kept
+
+
+def mlp_backward(
+    specs: list[LayerSpec],
+    params: list[LayerParams],
+    cache: list,
+    grad: np.ndarray,
+    trained: bool = True,
+    need_dx: bool = True,
+) -> tuple[np.ndarray | None, list[dict[str, np.ndarray]] | None]:
+    """Backpropagate ``grad``, the gradient at the output of the pass that filled ``cache``.
+
+    Returns the gradient at the pass's input (None when ``need_dx`` is
+    false) and, when ``trained``, one ``{name: gradient}`` dict per layer;
+    with ``trained`` false the stack is a constant and only the input
+    gradient is formed. The noise is a constant, so its gradient is the
+    identity. Each layer forms ``dW = grad.T @ x`` once and applies the
+    weight-norm chain rule (Salimans & Kingma 2016) to it.
+    """
+    grads = []
+    for i in range(len(cache) - 1, -1, -1):
+        x, w, norm, pre, y = cache[i]
+        v, g = params[i].v, params[i].g
+        grad = ad.activation_grad(specs[i].activation, grad, pre, y)
+        dx = grad @ w if need_dx or i > 0 else None
+        if trained:
+            dw = grad.T @ x
+            db = grad.sum(axis=0)
+            if g is None:
+                grads.append({"v": dw, "b": db})
+            else:
+                gv = (dw * v).sum(axis=1)
+                d_v = (g / norm)[:, None] * dw - (g * gv / norm**3)[:, None] * v
+                grads.append({"v": d_v, "g": gv / norm, "b": db})
+        grad = dx
+    return grad, grads[::-1] if trained else None
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +215,7 @@ ADAM_BLOCK = 32768
 @dataclass
 class AdamState:
     """Adam's settings and moments. ``m`` and ``v`` are laid out like the
-    network's flat parameter buffer, whose tensors ``slots`` lists."""
+    network's flat parameter buffer, whose arrays ``slots`` lists."""
 
     lr: float = 3e-4
     beta1: float = 0.5
@@ -213,25 +231,26 @@ def _pack(params: list[LayerParams]) -> list[tuple[int, str, int, int, np.ndarra
     """(layer, name, start, stop, array) of each tensor of the stack in its flat buffer.
 
     ``init_mlp`` lays a stack out this way; any other stack (hand-built, or
-    with a tensor's array replaced) is first copied into a new buffer, and
-    its tensors rebound to views of it.
+    with an array replaced) is first copied into a new buffer, and its
+    arrays rebound to views of it.
     """
-    tensors = [(i, name, t) for i, p in enumerate(params) for name, t in p.named()]
-    starts = np.cumsum([0] + [t.data.size for _, _, t in tensors]).tolist()
-    flat = tensors[0][2].data.base
+    arrays = [(i, name, a) for i, p in enumerate(params) for name, a in p.named()]
+    starts = np.cumsum([0] + [a.size for _, _, a in arrays]).tolist()
+    flat = arrays[0][2].base
     packed = flat is not None and flat.ndim == 1 and flat.size == starts[-1] and flat.dtype == np.float64
     if packed:
         addr = flat.__array_interface__["data"][0]
         packed = all(
-            t.data.base is flat and t.data.flags.c_contiguous
-            and t.data.__array_interface__["data"][0] == addr + 8 * start
-            for (_, _, t), start in zip(tensors, starts)
+            a.base is flat and a.flags.c_contiguous and a.__array_interface__["data"][0] == addr + 8 * start
+            for (_, _, a), start in zip(arrays, starts)
         )
     if not packed:
-        for view, (_, _, t) in zip(_carve([t.data.shape for _, _, t in tensors]), tensors):
-            view[...] = t.data
-            t.data = view
-    return [(i, name, start, stop, t.data) for (i, name, t), start, stop in zip(tensors, starts, starts[1:])]
+        views = _carve([a.shape for _, _, a in arrays])
+        for view, (i, name, a) in zip(views, arrays):
+            view[...] = a
+            setattr(params[i], name, view)
+        arrays = [(i, name, view) for view, (i, name, _) in zip(views, arrays)]
+    return [(i, name, start, stop, a) for (i, name, a), start, stop in zip(arrays, starts, starts[1:])]
 
 
 def init_adam(params: list[LayerParams], lr=3e-4, beta1=0.5, beta2=0.999, eps=1e-8) -> AdamState:
@@ -269,9 +288,9 @@ def adam_step(
     t = state.step_count
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    arrays = [tensor.data for p in params for _, tensor in p.named()]
+    arrays = [a for p in params for _, a in p.named()]
     if len(arrays) != len(state.slots) or not all(map(operator.is_, arrays, (s[4] for s in state.slots))):
-        slots = _pack(params)  # a tensor's array was replaced since init_adam
+        slots = _pack(params)  # an array was replaced since init_adam
         if [s[2:4] for s in slots] != [s[2:4] for s in state.slots]:
             raise ShapeMismatch("adam-step", (slots[-1][3],), state.m.shape, detail="parameters vs Adam moments")
         state.slots = slots
@@ -313,19 +332,6 @@ def adam_step(
     return params, state
 
 
-def collect_grads(tape: ad.Tape, grad_map: dict[int, np.ndarray], params: list[LayerParams]):
-    """Pull per-parameter gradients out of a backward() result."""
-    out = []
-    for p in params:
-        layer = {}
-        for name, tensor in p.named():
-            nid = tape.node_of(tensor)
-            if nid is not None and nid in grad_map:
-                layer[name] = grad_map[nid]
-        out.append(layer)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # serialization: little-endian binary, bit-exact round trip
 # ---------------------------------------------------------------------------
@@ -364,10 +370,10 @@ def write_mlp_block(fh, specs: list[LayerSpec], params: list[LayerParams]):
                 spec.noise_std,
             )
         )
-        _write_array(fh, p.v.data)
+        _write_array(fh, p.v)
         if spec.weight_norm:
-            _write_array(fh, p.g.data)
-        _write_array(fh, p.b.data)
+            _write_array(fh, p.g)
+        _write_array(fh, p.b)
 
 
 def read_mlp_block(fh, source: str) -> tuple[list[LayerSpec], list[LayerParams]]:
@@ -386,12 +392,12 @@ def read_mlp_block(fh, source: str) -> tuple[list[LayerSpec], list[LayerParams]]
         if act not in _ACT_NAMES:
             raise FormatError(source, f"unknown activation code {act} in layer {i}")
         spec = LayerSpec(in_dim, out_dim, _ACT_NAMES[act], bool(wn), noise_std)
-        v = Tensor(_read_array(fh, (out_dim, in_dim), source))
-        g = Tensor(_read_array(fh, (out_dim,), source)) if wn else None
-        b = Tensor(_read_array(fh, (out_dim,), source))
+        v = _read_array(fh, (out_dim, in_dim), source)
+        g = _read_array(fh, (out_dim,), source) if wn else None
+        b = _read_array(fh, (out_dim,), source)
         layer = LayerParams(v=v, g=g, b=b)
-        for name, t in layer.named():
-            if not np.all(np.isfinite(t.data)):
+        for name, a in layer.named():
+            if not np.all(np.isfinite(a)):
                 raise FormatError(source, f"non-finite weights in layer {i} param {name!r}")
         specs.append(spec)
         params.append(layer)

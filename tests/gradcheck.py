@@ -1,12 +1,15 @@
 """Finite-difference gradient checks shared by the unit and acceptance suites.
 
-The oracle side never touches the tape: it re-runs the forward computation
-with perturbed inputs and differences the scalar output.
+Two kinds of case: the loss heads' tape ops, and single network layers
+through ``layers.mlp_backward``. The oracle side never touches either
+backward: it re-runs the forward computation with perturbed inputs and
+differences the scalar output.
 """
 
 import numpy as np
 
 from ndgan import autodiff as ad
+from ndgan import layers as nn
 from tests.conftest import assert_grad_close, finite_difference_grad
 
 
@@ -21,15 +24,9 @@ def _away_from(values, points, margin=0.05):
 def op_case(name: str, rng: np.random.Generator):
     """(callable inputs->Tensor, list of input arrays) for one op, with
     input ranges keeping finite differences valid (away from kinks/domains)."""
-    m, k, n = rng.integers(1, 9, size=3)
+    m, k, _ = rng.integers(1, 9, size=3)
     box = lambda *shape: rng.uniform(-2.0, 2.0, size=shape)
 
-    if name in ("linear", "linear-no-gain"):
-        v = box(n, k)
-        v[np.abs(v).sum(axis=1) < 0.5] += 1.0  # keep rows clearly nonzero
-        if name == "linear-no-gain":
-            return lambda x, v, b: ad.linear(x, v, None, b), [box(m, k), v, box(n)]
-        return lambda x, v, g, b: ad.linear(x, v, g, b), [box(m, k), v, rng.uniform(0.5, 1.5, size=n), box(n)]
     if name == "slice-rows":
         start = int(rng.integers(0, m))
         stop = int(rng.integers(start + 1, m + 1))
@@ -42,14 +39,6 @@ def op_case(name: str, rng: np.random.Generator):
         if rng.random() < 0.5:
             return lambda a, b: ad.mul(a, b), [box(m, k), box(m, k)]
         return lambda a, b: ad.mul(a, b), [box(m, k), box(k)]
-    if name == "relu":
-        return lambda a: ad.relu(a), [_away_from(box(m, k), [0.0])]
-    if name == "leaky-relu":
-        return lambda a: ad.leaky_relu(a, 0.2), [_away_from(box(m, k), [0.0])]
-    if name == "tanh":
-        return lambda a: ad.tanh(a), [box(m, k)]
-    if name == "sigmoid":
-        return lambda a: ad.sigmoid(a), [box(m, k)]
     if name == "log":
         return lambda a: ad.log(a), [rng.uniform(0.2, 2.0, size=(m, k))]
     if name == "clip":
@@ -70,10 +59,27 @@ def op_case(name: str, rng: np.random.Generator):
 
 
 CHECKED_OPS = [
-    "linear", "linear-no-gain", "slice-rows", "add", "elementwise-mul", "relu", "leaky-relu",
-    "tanh", "sigmoid", "log", "clip", "softmax", "log-softmax",
+    "slice-rows", "add", "elementwise-mul", "log", "clip", "softmax", "log-softmax",
     "reduce-mean", "reduce-sum", "l2-norm-squared",
 ]
+
+# name -> (activation, weight norm): one layer per activation, with a weight-normalized
+# gain and without. A case is named after its activation, softmax's with "-activation"
+# to keep it apart from the op.
+CHECKED_LAYERS = {
+    ("softmax-activation" if act == "softmax" else act) + suffix: (act, not suffix)
+    for act in nn.ACTIVATIONS for suffix in ("", "-no-gain")
+}
+
+CHECKED = CHECKED_OPS + list(CHECKED_LAYERS)
+
+
+def check_gradient(name: str, seed: int):
+    """Compare the backward of one tape op or one layer against central finite differences."""
+    if name in CHECKED_LAYERS:
+        check_layer_gradient(*CHECKED_LAYERS[name], seed)
+    else:
+        check_op_gradient(name, seed)
 
 
 def check_op_gradient(name: str, seed: int):
@@ -96,3 +102,34 @@ def check_op_gradient(name: str, seed: int):
         assert analytic is not None, f"{name}: input never received a gradient"
         numeric = finite_difference_grad(scalar, arr)
         assert_grad_close(analytic, numeric)
+
+
+def check_layer_gradient(activation: str, weight_norm: bool, seed: int):
+    """Compare ``mlp_backward``'s parameter and input gradients of one layer against
+    central finite differences, under the same random functional as the ops."""
+    rng = np.random.default_rng(seed)
+    m, k, n = rng.integers(1, 9, size=3)
+    spec = nn.LayerSpec(int(k), int(n), activation, weight_norm)
+    v = rng.uniform(-2.0, 2.0, size=(n, k))
+    v[np.abs(v).sum(axis=1) < 0.5] += 1.0  # keep rows clearly nonzero
+    g = rng.uniform(0.5, 1.5, size=n) if weight_norm else None
+    params = nn.LayerParams(v=v, g=g, b=rng.uniform(-2.0, 2.0, size=n))
+    x = rng.uniform(-2.0, 2.0, size=(m, k))
+    kinked = activation in ("relu", "leaky-relu")
+    while True:  # redraw the rows with a pre-activation near a kink
+        cache = []
+        nn.mlp_forward([params], [spec], x, cache=cache)
+        near = (np.abs(cache[0][3]) < 0.05).any(axis=1) & kinked
+        if not near.any():
+            break
+        x[near] = rng.uniform(-2.0, 2.0, size=(int(near.sum()), k))
+    weights = np.random.default_rng(seed + 1).uniform(0.5, 1.5, size=(m, n))
+
+    def scalar():
+        return float((nn.mlp_forward([params], [spec], x)[0] * weights).sum())
+
+    dx, (grads,) = nn.mlp_backward([spec], [params], cache, weights)
+    assert_grad_close(dx, finite_difference_grad(scalar, x))
+    assert set(grads) == {name for name, _ in params.named()}
+    for name, array in params.named():
+        assert_grad_close(grads[name], finite_difference_grad(scalar, array))

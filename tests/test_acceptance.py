@@ -17,14 +17,13 @@ import numpy as np
 import pytest
 
 import ndgan
-from ndgan import autodiff as ad
 from ndgan import data as dio
 from ndgan import densities as dn
 from ndgan import gan
 from ndgan import layers as nn
 from ndgan import metrics, scores
 from tests.conftest import assert_grad_close, finite_difference_grad
-from tests.gradcheck import CHECKED_OPS, check_op_gradient
+from tests.gradcheck import CHECKED, check_gradient
 from tests.test_metrics import pairwise_auroc
 
 N_SEEDS = 50
@@ -41,8 +40,8 @@ def _check_network_gradients(seed: int):
     Hidden activations are tanh here: central differences are only a valid
     derivative oracle away from kinks, and a random network puts some relu
     pre-activation inside the step window for a fair share of seeds. The
-    kinked activations get their 50-seed coverage in the per-op checks,
-    which place inputs away from the kink by construction.
+    kinked activations get their 50-seed coverage in the per-layer checks,
+    which place pre-activations away from the kink by construction.
     """
     rng = np.random.default_rng(seed)
     gen_specs = gan._stack([8, 16], 4, 3, "tanh", "linear", True, 0.0)
@@ -62,30 +61,26 @@ def _check_network_gradients(seed: int):
     fake = gan.sample_generator(model, 2, np.random.default_rng(seed))
 
     def d_loss_fixed_fake():
-        return gan.discriminator_loss(model, real, labels, real, fake, mode="eval").item()
+        return gan.discriminator_loss(model, real, labels, real, fake, mode="eval")[0].item()
 
-    with ad.Tape() as tape:
-        loss = gan.discriminator_loss(model, real, labels, real, fake, mode="eval")
-        grads = nn.collect_grads(tape, ad.backward(tape, loss), model.disc_params)
+    _, grads = gan._gradients(model, 0, gan.discriminator_loss, real, labels, real, fake, mode="eval")
     for li, p in enumerate(model.disc_params):
-        for name, t in p.named():
-            assert_grad_close(grads[li][name], finite_difference_grad(d_loss_fixed_fake, t.data))
+        for name, a in p.named():
+            assert_grad_close(grads[li][name], finite_difference_grad(d_loss_fixed_fake, a))
 
     def g_loss_value():
-        return gan.generator_loss_feature_matching(model, real, z, mode="eval").item()
+        return gan.generator_loss_feature_matching(model, real, z, mode="eval")[0].item()
 
-    with ad.Tape() as tape:
-        loss = gan.generator_loss_feature_matching(model, real, z, mode="eval")
-        grads = nn.collect_grads(tape, ad.backward(tape, loss), model.gen_params)
+    _, grads = gan._gradients(model, 0, gan.generator_loss_feature_matching, real, z, mode="eval")
     for li, p in enumerate(model.gen_params):
-        for name, t in p.named():
-            assert_grad_close(grads[li][name], finite_difference_grad(g_loss_value, t.data))
+        for name, a in p.named():
+            assert_grad_close(grads[li][name], finite_difference_grad(g_loss_value, a))
 
 
 def test_c1_gradients_match_finite_differences_everywhere():
-    for op in CHECKED_OPS:
+    for op in CHECKED:
         for seed in range(N_SEEDS):
-            check_op_gradient(op, 10_000 + seed)
+            check_gradient(op, 10_000 + seed)
     for seed in range(N_SEEDS):
         _check_network_gradients(20_000 + seed)
 

@@ -216,7 +216,7 @@ def test_one_score_call_makes_one_discriminator_pass_per_input_set(pipeline, tmp
     real_logits = gan.discriminator_logits
 
     def counting(model, x, *args):
-        calls.append(x.data.shape)
+        calls.append(x.shape)
         return real_logits(model, x, *args)
 
     monkeypatch.setattr(gan, "discriminator_logits", counting)
@@ -543,6 +543,10 @@ def _probe_configs(pipeline, tmp_path):
     ("score", "mark_novel", "1", "$.mark_novel"),
     ("score", "scorers", "entropy", "$.scorers"),
     ("flat", "scores", "x.csv", "$.scores"),
+    ("oracle", "grid_points", -4, "$.grid_points"),
+    ("oracle", "grid_points", 0, "$.grid_points"),
+    ("oracle", "mc_samples", -5, "$.mc_samples"),
+    ("oracle", "mc_samples", 0, "$.mc_samples"),
 ])
 def test_a_malformed_config_exits_2_at_its_path_before_any_work(pipeline, tmp_path, monkeypatch, capsys,
                                                                  base, key, value, where):
@@ -624,6 +628,30 @@ def test_oracle_malformed_spec_reports_json_path(tmp_path, capsys):
     path.write_text(json.dumps({"version": 1, "pi": 0.5, "data": {"weights": [1.0]}, "novel": {}}))
     assert run("oracle", "--density", str(path), "--seed", "1", "--out-dir", str(tmp_path / "o")) == 2
     assert "$.data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["oracle", "train"])
+@pytest.mark.parametrize("case, message", [
+    ("missing", "density spec not found"),
+    ("directory", "density spec is a directory"),
+    ("not-utf8", "not UTF-8 text"),
+])
+def test_an_unreadable_density_spec_exits_2(pipeline, tmp_path, monkeypatch, capsys, command, case, message):
+    _, data_dir, _ = pipeline
+    path = tmp_path / "density.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(b'{"version": 1, "pi": "\xff"}')
+    monkeypatch.setattr(gan, "train_gan", lambda *args, **kwargs: pytest.fail("trained before the check"))
+    if command == "oracle":
+        argv = ["oracle", "--density", str(path), "--seed", "1"]
+    else:  # a mixture fake source reads the same spec
+        argv = ["train", "--config", str(train_config(tmp_path, data_dir,
+                                                      fake_source={"kind": "mixture", "density": str(path)}))]
+    assert run(*argv, "--out-dir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_missing_out_dir_is_a_validation_error(tmp_path):

@@ -34,9 +34,9 @@ def bias_model(bias_logits, data_dim=2):
     K = len(bias_logits) - 1
     model = tiny_model(K=K, data_dim=data_dim, weight_norm=False)
     for p in model.disc_params:
-        p.v.data[:] = 0.0
-        p.b.data[:] = 0.0
-    model.disc_params[-1].b.data[:] = np.asarray(bias_logits, dtype=np.float64)
+        p.v[:] = 0.0
+        p.b[:] = 0.0
+    model.disc_params[-1].b[:] = np.asarray(bias_logits, dtype=np.float64)
     return model
 
 
@@ -143,13 +143,13 @@ def test_stacked_discriminator_loss_equals_three_separate_passes(rng):
     labels = np.array([0, 1, 1])
 
     def logits(x):
-        return gan.discriminator_logits(model, ad.Tensor(x))[0]
+        return ad.Tensor(gan.discriminator_logits(model, x)[0])
 
     separate = gan.discriminator_loss_from_logits(logits(lab), labels, logits(unl), logits(fake), 2).item()
-    stacked = gan.discriminator_loss(model, lab, labels, unl, fake, mode="eval").item()
+    stacked = gan.discriminator_loss(model, lab, labels, unl, fake, mode="eval")[0].item()
     assert stacked == pytest.approx(separate, rel=1e-12)
     separate = gan.discriminator_loss_from_logits(None, None, logits(unl), logits(fake), 2).item()
-    stacked = gan.discriminator_loss(model, None, None, unl, fake, mode="eval").item()
+    stacked = gan.discriminator_loss(model, None, None, unl, fake, mode="eval")[0].item()
     assert stacked == pytest.approx(separate, rel=1e-12)
 
 
@@ -183,8 +183,8 @@ def test_generator_loss_is_clamped_when_d_saturates():
 def test_feature_stats_distance_hand_values():
     # identity feature layer: the mean features of a batch are its mean rows
     model = tiny_model(disc_widths=(2,), weight_norm=False)
-    model.disc_params[0].v.data[:] = np.eye(2)
-    model.disc_params[0].b.data[:] = 0.0
+    model.disc_params[0].v[:] = np.eye(2)
+    model.disc_params[0].b[:] = 0.0
     assert gan.feature_matching_distance(model, np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]])) == 0.0
     assert gan.feature_matching_distance(model, np.array([[1.0, 2.0]]), np.array([[1.0, 0.0]])) == 4.0
 
@@ -199,8 +199,8 @@ def test_feature_matching_loss_invariant_under_batch_shuffles(rng):
     model = tiny_model(seed=5)
     real = rng.normal(size=(8, 2))
     z = rng.normal(size=(8, 3))
-    base = gan.generator_loss_feature_matching(model, real, z, mode="eval").item()
-    shuffled = gan.generator_loss_feature_matching(model, real[::-1], z, mode="eval").item()
+    base = gan.generator_loss_feature_matching(model, real, z, mode="eval")[0].item()
+    shuffled = gan.generator_loss_feature_matching(model, real[::-1], z, mode="eval")[0].item()
     assert shuffled == pytest.approx(base, abs=1e-12)
 
 
@@ -208,31 +208,42 @@ def test_feature_matching_gradient_reaches_only_the_generator(rng):
     model = tiny_model(seed=6)
     real = rng.normal(size=(5, 2))
     z = rng.normal(size=(5, 3))
-    with ad.Tape() as tape:
-        loss = gan.generator_loss_feature_matching(model, real, z, mode="eval")
-        grad_map = ad.backward(tape, loss)
-    gen_grads = nn.collect_grads(tape, grad_map, model.gen_params)
+    _, gen_grads = gan._gradients(model, 0, gan.generator_loss_feature_matching, real, z, mode="eval")
+    assert len(gen_grads) == len(model.gen_params)
     assert any(np.any(g != 0) for layer in gen_grads for g in layer.values())
 
     def value():
-        return gan.generator_loss_feature_matching(model, real, z, mode="eval").item()
+        return gan.generator_loss_feature_matching(model, real, z, mode="eval")[0].item()
 
     for li, p in enumerate(model.gen_params):
-        for name, t in p.named():
-            assert_grad_close(gen_grads[li][name], finite_difference_grad(value, t.data))
+        for name, a in p.named():
+            assert_grad_close(gen_grads[li][name], finite_difference_grad(value, a))
 
 
 @pytest.mark.parametrize("loss", ["feature-matching", "standard"])
-def test_generator_step_tape_holds_no_discriminator_parameter(loss, rng):
+def test_generator_step_tape_holds_no_discriminator_parameter(loss, rng, monkeypatch):
     model = tiny_model(seed=11, noise_std=0.1)
     real, z = rng.normal(size=(5, 2)), rng.normal(size=(5, 3))
-    with ad.Tape() as tape:
-        if loss == "feature-matching":
-            value = gan.generator_loss_feature_matching(model, real, z, np.random.default_rng(0))
-        else:
-            value = gan.generator_loss_standard(model, z, np.random.default_rng(0))
-        grads = nn.collect_grads(tape, ad.backward(tape, value), model.gen_params)
-    assert all(tape.node_of(t) is None for p in model.disc_params for _, t in p.named())
+    tapes, backward_calls, real_backward = [], [], nn.mlp_backward
+
+    class RecordedTape(ad.Tape):
+        def __enter__(self):
+            tapes.append(self)
+            return super().__enter__()
+
+    def recording(specs, *args, **kwargs):
+        backward_calls.append((specs[0] is model.disc_specs[0], kwargs.get("trained", True)))
+        return real_backward(specs, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "Tape", RecordedTape)
+    monkeypatch.setattr(nn, "mlp_backward", recording)
+    args = (gan.generator_loss_feature_matching, real, z) if loss == "feature-matching" else (
+        gan.generator_loss_standard, z)
+    _, grads = gan._gradients(model, 1, *args, noise_rng=np.random.default_rng(0))
+    params = [a for p in model.disc_params + model.gen_params for _, a in p.named()]
+    (tape,) = tapes
+    assert not any(np.shares_memory(t.data, a) for t in tape._keepalive for a in params)
+    assert backward_calls == [(True, False), (False, True)]  # the discriminator is a constant
     assert all(set(layer) == {name for name, _ in p.named()} for layer, p in zip(grads, model.gen_params))
 
 
@@ -262,9 +273,9 @@ def test_uniform_z_prior_samples_inside_unit_box():
 def test_zero_weight_generator_emits_its_bias():
     model = tiny_model(seed=8, weight_norm=False)
     for p in model.gen_params:
-        p.v.data[:] = 0.0
-        p.b.data[:] = 0.0
-    model.gen_params[-1].b.data[:] = [0.25, -0.5]
+        p.v[:] = 0.0
+        p.b[:] = 0.0
+    model.gen_params[-1].b[:] = [0.25, -0.5]
     out = gan.sample_generator(model, 4, np.random.default_rng(0))
     np.testing.assert_allclose(out, [[0.25, -0.5]] * 4, atol=0)
 
@@ -279,8 +290,8 @@ def test_training_is_bit_deterministic():
         results.append((model, log))
     m1, m2 = results[0][0], results[1][0]
     for p, q in zip(m1.disc_params + m1.gen_params, m2.disc_params + m2.gen_params):
-        assert np.array_equal(p.v.data, q.v.data)
-        assert np.array_equal(p.b.data, q.b.data)
+        assert np.array_equal(p.v, q.v)
+        assert np.array_equal(p.b, q.b)
     assert [(r.step, r.d_loss, r.g_loss) for r in results[0][1].rows] == [
         (r.step, r.d_loss, r.g_loss) for r in results[1][1].rows
     ]
@@ -317,8 +328,7 @@ def test_train_step_normalizes_each_layer_once_per_adam_update(monkeypatch, gene
 
 def _copied(params):
     """The same stack in new arrays, with no cached weights."""
-    return [nn.LayerParams(*(None if t is None else ad.Tensor(t.data.copy()) for t in (p.v, p.g, p.b)))
-            for p in params]
+    return [nn.LayerParams(*(None if a is None else a.copy() for a in (p.v, p.g, p.b))) for p in params]
 
 
 def test_editing_weights_after_training_changes_forward_like_fresh_arrays():
@@ -328,17 +338,17 @@ def test_editing_weights_after_training_changes_forward_like_fresh_arrays():
     x = np.random.default_rng(6).normal(size=(16, 2))
     before = gan.forward(model, x)
     for p in model.disc_params:
-        p.v.data[0] *= -1.7  # in place, as a finite-difference check edits v
-        p.g.data[1] += 0.25
+        p.v[0] *= -1.7  # in place, as a finite-difference check edits v
+        p.g[1] += 0.25
     edited = gan.forward(model, x)
     want = gan.forward(dataclasses.replace(model, disc_params=_copied(model.disc_params)), x)
     assert not np.array_equal(edited[0], before[0])
     assert edited[0].tobytes() == want[0].tobytes() and edited[1].tobytes() == want[1].tobytes()
     z = np.random.default_rng(7).normal(size=(4, model.z_dim))
-    model.gen_params[-1].v.data[0] *= 3.0
+    model.gen_params[-1].v[0] *= 3.0
     fresh = dataclasses.replace(model, gen_params=_copied(model.gen_params))
-    got = gan.generator_forward(model, ad.Tensor(z)).data
-    assert got.tobytes() == gan.generator_forward(fresh, ad.Tensor(z)).data.tobytes()
+    got = gan.generator_forward(model, z)
+    assert got.tobytes() == gan.generator_forward(fresh, z).tobytes()
 
 
 def test_trained_model_is_frozen():
@@ -409,8 +419,7 @@ def test_feature_matching_distance_shrinks_on_ring_benchmark():
 
     rng = np.random.default_rng(0)
     z = gan.sample_z(model, 512, rng)
-    with ad.suspend_tape():
-        fake_initial = nn.mlp_forward(init_gen, model.gen_specs, ad.Tensor(z))[0].data
+    fake_initial = nn.mlp_forward(init_gen, model.gen_specs, z)[0]
     fake_trained = gan.sample_generator(model, 512, np.random.default_rng(0))
     real = data.features[rng.integers(0, data.n, 512)]
     d_initial = gan.feature_matching_distance(model, real, fake_initial)
@@ -446,7 +455,7 @@ def test_load_model_rejects_trailing_bytes_and_non_finite_weights(tmp_path):
         gan.load_model(path)
     assert err.value.offset == len(good) and "trailing" in str(err.value)
 
-    model.disc_params[1].b.data[0] = np.inf
+    model.disc_params[1].b[0] = np.inf
     gan.save_model(path, model)
     with pytest.raises(FormatError) as err:
         gan.load_model(path)

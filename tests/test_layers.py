@@ -14,88 +14,114 @@ from tests.conftest import assert_grad_close, finite_difference_grad
 
 def _plain_layer(in_dim, out_dim, activation="linear", noise_std=0.0):
     spec = nn.LayerSpec(in_dim, out_dim, activation, weight_norm=False, noise_std=noise_std)
-    params = nn.LayerParams(
-        v=ad.Tensor(np.zeros((out_dim, in_dim))), g=None, b=ad.Tensor(np.zeros(out_dim))
-    )
+    params = nn.LayerParams(v=np.zeros((out_dim, in_dim)), g=None, b=np.zeros(out_dim))
     return spec, params
 
 
 def test_identity_linear_layer_is_identity():
     spec, params = _plain_layer(2, 2)
-    params.v.data[:] = np.eye(2)
-    out, kept = nn.mlp_forward([params], [spec], ad.Tensor([[1.0, 2.0]]))
-    assert out.data.tolist() == [[1.0, 2.0]]
+    params.v[:] = np.eye(2)
+    out, kept = nn.mlp_forward([params], [spec], np.array([[1.0, 2.0]]))
+    assert out.tolist() == [[1.0, 2.0]]
     assert kept is None  # no layer asked for
-    out, kept = nn.mlp_forward([params], [spec], ad.Tensor([[1.0, 2.0]]), keep=0)
+    out, kept = nn.mlp_forward([params], [spec], np.array([[1.0, 2.0]]), keep=0)
     assert kept is out
+
+
+def test_linear_layer_hand_example():
+    # x @ v.T + b with v = [[1, 1]]: the product [[1, 2], [3, 4]] @ [[1], [1]]
+    spec, params = _plain_layer(2, 1)
+    params.v[:] = 1.0
+    out, _ = nn.mlp_forward([params], [spec], [[1.0, 2.0], [3.0, 4.0]])
+    assert out.tolist() == [[3.0], [7.0]]
 
 
 def test_zero_weight_sigmoid_unit_outputs_half():
     spec, params = _plain_layer(3, 1, "sigmoid")
-    out, _ = nn.mlp_forward([params], [spec], ad.Tensor([[5.0, -2.0, 0.3]]))
-    assert out.data.tolist() == [[0.5]]
+    out, _ = nn.mlp_forward([params], [spec], np.array([[5.0, -2.0, 0.3]]))
+    assert out.tolist() == [[0.5]]
 
 
 def test_eval_mode_is_deterministic_train_mode_is_noisy():
     rng = np.random.default_rng(1)
     specs = [nn.LayerSpec(3, 4, "tanh", weight_norm=True, noise_std=0.2), nn.LayerSpec(4, 2)]
     params = nn.init_mlp(specs, rng)
-    x = ad.Tensor(rng.normal(size=(5, 3)))
+    x = rng.normal(size=(5, 3))
     a, _ = nn.mlp_forward(params, specs, x, "eval")
     b, _ = nn.mlp_forward(params, specs, x, "eval")
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
     c, _ = nn.mlp_forward(params, specs, x, "train", np.random.default_rng(7))
-    assert not np.array_equal(a.data, c.data)
+    assert not np.array_equal(a, c)
+
+
+def test_noise_is_seed_deterministic_and_constant_in_backward():
+    spec, params = _plain_layer(2, 2, noise_std=0.5)
+    params.v[:] = np.eye(2)
+    x = np.zeros((3, 2))
+    draws = [nn.mlp_forward([params], [spec], x, "train", np.random.default_rng(9))[0] for _ in range(2)]
+    assert np.array_equal(draws[0], draws[1])
+    assert draws[0].std() > 0
+
+    cache = []
+    nn.mlp_forward([params], [spec], x, "train", np.random.default_rng(9), cache=cache)
+    dx, _ = nn.mlp_backward([spec], [params], cache, np.ones((3, 2)))
+    np.testing.assert_array_equal(dx, np.ones((3, 2)))
 
 
 def test_train_mode_with_noise_requires_rng():
     specs = [nn.LayerSpec(2, 2, "relu", noise_std=0.1), nn.LayerSpec(2, 1)]
     params = nn.init_mlp(specs, np.random.default_rng(0))
     with pytest.raises(ValidationError):
-        nn.mlp_forward(params, specs, ad.Tensor(np.ones((1, 2))), "train")
+        nn.mlp_forward(params, specs, np.ones((1, 2)), "train")
 
 
 def test_weight_norm_row_scaling_leaves_output_bit_unchanged():
     rng = np.random.default_rng(2)
     specs = [nn.LayerSpec(4, 3, "tanh", weight_norm=True)]
     params = nn.init_mlp(specs, rng)
-    x = ad.Tensor(rng.normal(size=(6, 4)))
+    x = rng.normal(size=(6, 4))
     base, _ = nn.mlp_forward(params, specs, x)
     # power-of-two scalings are exact in float64, so outputs match bit for bit
     for scale in (2.0, 0.5, 8.0):
-        params[0].v.data[1] *= scale
+        params[0].v[1] *= scale
         scaled, _ = nn.mlp_forward(params, specs, x)
-        assert np.array_equal(base.data, scaled.data)
-        params[0].v.data[1] /= scale
-    params[0].v.data[1] *= 1.7  # generic positive scaling: equal within rounding
+        assert np.array_equal(base, scaled)
+        params[0].v[1] /= scale
+    params[0].v[1] *= 1.7  # generic positive scaling: equal within rounding
     scaled, _ = nn.mlp_forward(params, specs, x)
-    np.testing.assert_allclose(base.data, scaled.data, rtol=1e-12)
+    np.testing.assert_allclose(base, scaled, rtol=1e-12)
 
 
 def test_weight_norm_effective_rows_have_gain_norm():
     rng = np.random.default_rng(3)
     specs = [nn.LayerSpec(3, 4, "tanh", weight_norm=True)]
     params = nn.init_mlp(specs, rng)
-    params[0].g.data[:] = rng.uniform(0.5, 2.0, size=4)
-    (const,) = nn.constant_params(params)
-    np.testing.assert_allclose(np.linalg.norm(const.v, axis=1), np.abs(params[0].g.data), rtol=1e-12)
-    # the constant stack computes the trained stack's values bit for bit
-    x = ad.Tensor(rng.normal(size=(5, 3)))
-    assert np.array_equal(nn.mlp_forward(params, specs, x)[0].data, nn.mlp_forward([const], specs, x)[0].data)
+    params[0].g[:] = rng.uniform(0.5, 2.0, size=4)
+    w, _ = ad.weight_normalize(params[0].v, params[0].g)
+    np.testing.assert_allclose(np.linalg.norm(w, axis=1), np.abs(params[0].g), rtol=1e-12)
+    # a plain layer with the effective weights computes the same values bit for bit
+    const = nn.LayerParams(v=w, g=None, b=params[0].b)
+    x = rng.normal(size=(5, 3))
+    assert np.array_equal(nn.mlp_forward(params, specs, x)[0], nn.mlp_forward([const], specs, x)[0])
 
 
 def test_linear_rejects_bad_shapes_and_zero_direction_rows():
     x, v, g, b = np.ones((2, 3)), np.ones((4, 3)), np.ones(4), np.zeros(4)
+
+    def layer(x, g):  # params hand-built against a spec that matches the input
+        spec = nn.LayerSpec(x.shape[1], 4, "linear", weight_norm=g is not None)
+        return nn.mlp_forward([nn.LayerParams(v, g, b)], [spec], x)
+
     with pytest.raises(ShapeMismatch) as err:
-        ad.linear(ad.Tensor(np.ones((2, 5))), ad.Tensor(v), ad.Tensor(g), ad.Tensor(b))
+        layer(np.ones((2, 5)), g)
     assert "linear" in str(err.value) and "(2, 5)" in str(err.value)
     with pytest.raises(ShapeMismatch):
-        ad.linear(ad.Tensor(x), ad.Tensor(v), ad.Tensor(np.ones(3)), ad.Tensor(b))
+        layer(x, np.ones(3))
     v[2] = 0.0
     with pytest.raises(DomainError) as err:
-        ad.linear(ad.Tensor(x), ad.Tensor(v), ad.Tensor(g), ad.Tensor(b))
+        layer(x, g)
     assert "linear" in str(err.value)
-    ad.linear(ad.Tensor(x), ad.Tensor(v), None, ad.Tensor(b))  # without a gain a zero row is fine
+    layer(x, None)  # without a gain a zero row is fine
 
 
 def test_full_mlp_gradient_matches_finite_differences(rng):
@@ -109,24 +135,27 @@ def test_full_mlp_gradient_matches_finite_differences(rng):
     weights = rng.normal(size=(4, 2))
 
     def value():
-        out, _ = nn.mlp_forward(params, specs, ad.Tensor(x))
-        return float((out.data * weights).sum())
+        out, _ = nn.mlp_forward(params, specs, x)
+        return float((out * weights).sum())
 
-    with ad.Tape() as tape:
-        out, _ = nn.mlp_forward(params, specs, ad.Tensor(x))
-        loss = ad.reduce_sum(ad.mul(out, ad.Tensor(weights)))
-        grad_map = ad.backward(tape, loss)
-    grads = nn.collect_grads(tape, grad_map, params)
+    cache = []
+    nn.mlp_forward(params, specs, x, cache=cache)
+    dx, grads = nn.mlp_backward(specs, params, cache, weights)
+    assert_grad_close(dx, finite_difference_grad(value, x))
     for li, p in enumerate(params):
-        for name, t in p.named():
-            assert_grad_close(grads[li][name], finite_difference_grad(value, t.data))
+        for name, a in p.named():
+            assert_grad_close(grads[li][name], finite_difference_grad(value, a))
+    # a constant stack forms the same input gradient and none for its parameters
+    const_dx, none = nn.mlp_backward(specs, params, cache, weights, trained=False)
+    assert none is None and const_dx.tobytes() == dx.tobytes()
+    assert nn.mlp_backward(specs, params, cache, weights, need_dx=False)[0] is None
 
 
 def test_dimension_chain_break_names_layer():
     specs = [nn.LayerSpec(3, 4), nn.LayerSpec(5, 2)]
     params = nn.init_mlp(specs, np.random.default_rng(0))
     with pytest.raises(ShapeMismatch) as err:
-        nn.mlp_forward(params, specs, ad.Tensor(np.ones((1, 3))))
+        nn.mlp_forward(params, specs, np.ones((1, 3)))
     assert "layer 1" in str(err.value)
 
 
@@ -136,14 +165,14 @@ def test_dimension_chain_break_names_layer():
 
 
 def _scalar_param(value=0.0):
-    return [nn.LayerParams(v=ad.Tensor([[value]]), g=None, b=ad.Tensor(np.zeros(1)))]
+    return [nn.LayerParams(v=np.array([[value]]), g=None, b=np.zeros(1))]
 
 
 def test_adam_zero_gradient_is_a_fixed_point():
     params = _scalar_param(1.5)
     state = nn.init_adam(params, lr=0.1)
     nn.adam_step(params, [{"v": np.zeros((1, 1)), "b": np.zeros(1)}], state)
-    assert params[0].v.data[0, 0] == 1.5
+    assert params[0].v[0, 0] == 1.5
     assert state.step_count == 1
 
 
@@ -152,7 +181,7 @@ def test_adam_first_step_is_bias_corrected_unit_step():
     state = nn.init_adam(params, lr=0.1)
     nn.adam_step(params, [{"v": np.ones((1, 1)), "b": np.zeros(1)}], state)
     # mhat = vhat = 1 at t=1, so the step is lr/(1 + eps) regardless of betas
-    assert params[0].v.data[0, 0] == pytest.approx(-0.1, abs=1e-6)
+    assert params[0].v[0, 0] == pytest.approx(-0.1, abs=1e-6)
 
 
 def test_adam_converges_on_scalar_quadratic_and_matches_recurrence():
@@ -163,15 +192,15 @@ def test_adam_converges_on_scalar_quadratic_and_matches_recurrence():
     # independent plain-float oracle of the same recurrence
     w, m, v = 0.0, 0.0, 0.0
     for t in range(1, 201):
-        grad = 2.0 * (params[0].v.data[0, 0] - 3.0)
+        grad = 2.0 * (params[0].v[0, 0] - 3.0)
         nn.adam_step(params, [{"v": np.array([[grad]]), "b": np.zeros(1)}], state)
 
         g = 2.0 * (w - 3.0)
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         w -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-    assert params[0].v.data[0, 0] == pytest.approx(w, abs=1e-12)
-    assert abs(params[0].v.data[0, 0] - 3.0) < 0.05
+    assert params[0].v[0, 0] == pytest.approx(w, abs=1e-12)
+    assert abs(params[0].v[0, 0] - 3.0) < 0.05
 
 
 def test_adam_rejects_non_finite_gradient_naming_the_parameter():
@@ -208,9 +237,8 @@ def test_blocked_flat_adam_equals_per_tensor_update_bit_for_bit(data, block, ste
     rng = np.random.default_rng(seed)
     params = nn.init_mlp(specs, rng)
     if not from_init:  # separate arrays: init_adam copies them into a buffer
-        params = [nn.LayerParams(*(None if t is None else ad.Tensor(t.data.copy()) for t in (p.v, p.g, p.b)))
-                  for p in params]
-    arrays = {(i, name): t.data.copy() for i, p in enumerate(params) for name, t in p.named()}
+        params = [nn.LayerParams(*(None if a is None else a.copy() for a in (p.v, p.g, p.b))) for p in params]
+    arrays = {(i, name): a.copy() for i, p in enumerate(params) for name, a in p.named()}
     m = {key: np.zeros_like(w) for key, w in arrays.items()}
     v = {key: np.zeros_like(w) for key, w in arrays.items()}
     lr, b1, b2, eps = 1e-3, 0.5, 0.999, 1e-8
@@ -223,8 +251,8 @@ def test_blocked_flat_adam_equals_per_tensor_update_bit_for_bit(data, block, ste
                          state)
             _per_tensor_adam(arrays, grads, m, v, t, lr, b1, b2, eps)
     for i, p in enumerate(params):
-        for name, tensor in p.named():
-            assert tensor.data.tobytes() == arrays[i, name].tobytes(), (i, name)
+        for name, a in p.named():
+            assert a.tobytes() == arrays[i, name].tobytes(), (i, name)
     assert state.m.tobytes() == b"".join(a.tobytes() for a in m.values())
     assert state.v.tobytes() == b"".join(a.tobytes() for a in v.values())
 
@@ -232,7 +260,7 @@ def test_blocked_flat_adam_equals_per_tensor_update_bit_for_bit(data, block, ste
 def test_adam_names_the_non_finite_tensor_inside_a_shared_block():
     specs = [nn.LayerSpec(2, 2, weight_norm=True), nn.LayerSpec(2, 1)]
     params = nn.init_mlp(specs, np.random.default_rng(0))
-    grads = [{name: np.ones_like(t.data) for name, t in p.named()} for p in params]
+    grads = [{name: np.ones_like(a) for name, a in p.named()} for p in params]
     grads[1]["b"][0] = np.inf
     with mock.patch.object(nn, "ADAM_BLOCK", 16):  # all five tensors share one block
         state = nn.init_adam(params)
@@ -244,18 +272,18 @@ def test_adam_names_the_non_finite_tensor_inside_a_shared_block():
 def test_init_mlp_lays_the_stack_out_in_one_buffer_that_adam_updates():
     specs = [nn.LayerSpec(3, 4, weight_norm=True), nn.LayerSpec(4, 2)]
     params = nn.init_mlp(specs, np.random.default_rng(5))
-    flat = params[0].v.data.base
+    flat = params[0].v.base
     assert flat.shape == (12 + 4 + 4 + 8 + 2,)
-    assert all(t.data.base is flat for p in params for _, t in p.named())
+    assert all(a.base is flat for p in params for _, a in p.named())
     state = nn.init_adam(params)
-    before = [t.data for p in params for _, t in p.named()]
+    before = [a for p in params for _, a in p.named()]
     nn.adam_step(params, [{"v": np.ones((4, 3))}, {"b": np.ones(2)}], state)
-    assert all(t.data is a for t, a in zip((t for p in params for _, t in p.named()), before))  # no copy
-    params[1].b.data = params[1].b.data.copy()  # a replaced array is packed again, not left behind
-    old = params[1].b.data.copy()
+    assert all(a is b for a, b in zip((a for p in params for _, a in p.named()), before))  # no copy
+    params[1].b = params[1].b.copy()  # a replaced array is packed again, not left behind
+    old = params[1].b.copy()
     nn.adam_step(params, [{}, {"b": np.ones(2)}], state)
-    assert params[1].b.data.base is state.slots[0][4].base
-    assert np.all(params[1].b.data < old)
+    assert params[1].b.base is state.slots[0][4].base
+    assert np.all(params[1].b < old)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +306,11 @@ def test_mlp_serialization_round_trip_is_bit_exact(tmp_path, rng):
     specs2, params2 = again.disc_specs, again.disc_params
     assert specs2 == specs
     for p, q in zip(params, params2):
-        assert np.array_equal(p.v.data, q.v.data)
+        assert np.array_equal(p.v, q.v)
         assert (p.g is None) == (q.g is None)
         if p.g is not None:
-            assert np.array_equal(p.g.data, q.g.data)
-        assert np.array_equal(p.b.data, q.b.data)
+            assert np.array_equal(p.g, q.g)
+        assert np.array_equal(p.b, q.b)
     # writing what was read reproduces the same bytes
     path2 = tmp_path / "net2.ndgan"
     gan.save_model(path2, again)

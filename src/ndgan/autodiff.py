@@ -1,17 +1,14 @@
-"""Minimal reverse-mode automatic differentiation for the loss heads, and the
-activations' forward and derivative expressions, written once.
+"""Each activation's forward and derivative expressions, written once, weight
+normalization, and a minimal reverse-mode tape.
 
-A :class:`Tape` records every operation executed while it is active (it is a
-context manager); :func:`backward` replays the records in reverse to
-accumulate gradients. Tensors are plain value holders: running the same
-forward code with or without an active tape produces bit-identical values.
-The networks themselves run off the tape: ``layers.mlp_forward`` and
-``layers.mlp_backward`` use :func:`activate`, :func:`activation_grad` and
-:func:`weight_normalize`, and a network's output enters a loss as a leaf.
+``layers.mlp_forward`` and ``layers.mlp_backward`` use :func:`activate`,
+:func:`activation_grad` and :func:`weight_normalize`; the loss heads in
+``gan`` have closed-form gradients, so training records nothing on a tape.
 
-Broadcasting is deliberately restricted: two operands must either have equal
-shapes or one must equal the trailing shape of the other (a leading batch
-axis), which keeps every shape rule small and testable.
+A :class:`Tape` records the custom operations passed to :meth:`Tape.record`
+while it is active (it is a context manager); :func:`backward` replays the
+records in reverse to accumulate gradients. A recorded value is any object
+holding its array as ``.data``.
 """
 
 from __future__ import annotations
@@ -31,30 +28,6 @@ def _tape_stack() -> list:
     return _state.stack
 
 
-def active_tape() -> "Tape | None":
-    stack = _tape_stack()
-    return stack[-1] if stack else None
-
-
-class Tensor:
-    """Dense n-dimensional float64 value, optionally recorded on the active tape."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        self.data = np.asarray(data, dtype=np.float64)
-
-    def item(self) -> float:
-        return float(self.data)
-
-    # Sugar for the loss heads' arithmetic; each operator routes through a primitive op.
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
-    def __rsub__(self, other):
-        return add(Tensor(other), -self)
-
-
 class _Node:
     __slots__ = ("op", "input_ids", "backward")
 
@@ -70,7 +43,7 @@ class Tape:
     def __init__(self):
         self.nodes: list[_Node] = []
         self._ids: dict[int, int] = {}  # id(tensor) -> node id
-        self._keepalive: list[Tensor] = []  # pins id()s for the tape's lifetime
+        self._keepalive: list = []  # pins id()s for the tape's lifetime
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -80,24 +53,24 @@ class Tape:
         popped = _tape_stack().pop()
         assert popped is self
 
-    def node_of(self, t: Tensor) -> int | None:
+    def node_of(self, t) -> int | None:
         return self._ids.get(id(t))
 
-    def ensure_node(self, t: Tensor) -> int:
+    def ensure_node(self, t) -> int:
         """Register ``t`` as a leaf if it is not already on this tape."""
         nid = self._ids.get(id(t))
         if nid is None:
             nid = self._register(t, _Node("leaf", (), None))
         return nid
 
-    def _register(self, t: Tensor, node: _Node) -> int:
+    def _register(self, t, node: _Node) -> int:
         nid = len(self.nodes)
         self.nodes.append(node)
         self._ids[id(t)] = nid
         self._keepalive.append(t)
         return nid
 
-    def record(self, op: str, out: Tensor, inputs, backward) -> Tensor:
+    def record(self, op: str, out, inputs, backward):
         """Extension point: record a custom differentiable primitive.
 
         ``backward(grad_out)`` must return one gradient array per input, in
@@ -108,15 +81,7 @@ class Tape:
         return out
 
 
-def _emit(op: str, out_data: np.ndarray, inputs, backward) -> Tensor:
-    out = Tensor(out_data)
-    tape = active_tape()
-    if tape is not None:
-        tape.record(op, out, inputs, backward)
-    return out
-
-
-def backward(tape: Tape, output: Tensor) -> dict[int, np.ndarray]:
+def backward(tape: Tape, output) -> dict[int, np.ndarray]:
     """Gradients of a scalar ``output`` with respect to every recorded node.
 
     Returns a map from node id to gradient array; look node ids up with
@@ -143,132 +108,7 @@ def backward(tape: Tape, output: Tensor) -> dict[int, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# broadcast handling (leading batch axis only)
-# ---------------------------------------------------------------------------
-
-
-def _broadcast_plan(op: str, a: np.ndarray, b: np.ndarray):
-    """Return per-side leading axes to sum over in backward, or raise."""
-    if a.shape == b.shape:
-        return (), ()
-    if a.ndim > b.ndim and a.shape[a.ndim - b.ndim :] == b.shape:
-        return (), tuple(range(a.ndim - b.ndim))
-    if b.ndim > a.ndim and b.shape[b.ndim - a.ndim :] == a.shape:
-        return tuple(range(b.ndim - a.ndim)), ()
-    raise ShapeMismatch(op, a.shape, b.shape, detail="only leading-batch-axis broadcast is supported")
-
-
-def _reduce_to(g: np.ndarray, axes: tuple) -> np.ndarray:
-    return g.sum(axis=axes) if axes else g
-
-
-# ---------------------------------------------------------------------------
-# primitive operations
-# ---------------------------------------------------------------------------
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    a_axes, b_axes = _broadcast_plan("add", a.data, b.data)
-
-    def bwd(g):
-        return _reduce_to(g, a_axes), _reduce_to(g, b_axes)
-
-    return _emit("add", a.data + b.data, (a, b), bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a_axes, b_axes = _broadcast_plan("elementwise-mul", a.data, b.data)
-    ad, bd = a.data, b.data
-
-    def bwd(g):
-        return _reduce_to(g * bd, a_axes), _reduce_to(g * ad, b_axes)
-
-    return _emit("elementwise-mul", ad * bd, (a, b), bwd)
-
-
-def log(x: Tensor) -> Tensor:
-    xd = x.data
-    if np.any(xd <= 0):
-        raise DomainError("log", f"non-positive argument (min={xd.min()})")
-
-    def bwd(g):
-        return (g / xd,)
-
-    return _emit("log", np.log(xd), (x,), bwd)
-
-
-def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values into [lo, hi]; gradient passes through the unclipped region."""
-    xd = x.data
-
-    def bwd(g):
-        return (g * ((xd >= lo) & (xd <= hi)),)
-
-    return _emit("clip", np.clip(xd, lo, hi), (x,), bwd)
-
-
-def softmax(x: Tensor) -> Tensor:
-    y = activate("softmax", x.data)
-
-    def bwd(g):
-        return (activation_grad("softmax", g, x.data, y),)
-
-    return _emit("softmax", y, (x,), bwd)
-
-
-def log_softmax(x: Tensor) -> Tensor:
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    y = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-    def bwd(g):
-        return (g - np.exp(y) * g.sum(axis=-1, keepdims=True),)
-
-    return _emit("log-softmax", y, (x,), bwd)
-
-
-def reduce_mean(x: Tensor, axis: int | None = None) -> Tensor:
-    xd = x.data
-    if axis is None:
-        n = xd.size
-
-        def bwd(g):
-            return (np.full(xd.shape, float(g) / n),)
-
-        return _emit("reduce-mean", np.asarray(xd.mean()), (x,), bwd)
-    n = xd.shape[axis]
-
-    def bwd_axis(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), xd.shape) / n,)
-
-    return _emit("reduce-mean", xd.mean(axis=axis), (x,), bwd_axis)
-
-
-def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
-    xd = x.data
-    if axis is None:
-
-        def bwd(g):
-            return (np.full(xd.shape, float(g)),)
-
-        return _emit("reduce-sum", np.asarray(xd.sum()), (x,), bwd)
-
-    def bwd_axis(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), xd.shape).copy(),)
-
-    return _emit("reduce-sum", xd.sum(axis=axis), (x,), bwd_axis)
-
-
-def l2_norm_squared(x: Tensor) -> Tensor:
-    xd = x.data
-
-    def bwd(g):
-        return (2.0 * xd * float(g),)
-
-    return _emit("l2-norm-squared", np.asarray((xd * xd).sum()), (x,), bwd)
-
-
-# ---------------------------------------------------------------------------
-# activations and weight normalization, shared by the networks and the loss heads
+# activations and weight normalization
 # ---------------------------------------------------------------------------
 
 LEAKY_SLOPE = 0.2
@@ -297,7 +137,10 @@ def activation_grad(kind: str, g: np.ndarray, h: np.ndarray, y: np.ndarray) -> n
     if kind == "relu":
         return g * (h > 0)
     if kind == "leaky-relu":
-        return g * np.where(h > 0, 1.0, LEAKY_SLOPE)
+        d = (h > 0) * (1.0 - LEAKY_SLOPE)  # 1 or the slope, as where(h > 0, 1, slope): 0.8 + 0.2 == 1
+        d += LEAKY_SLOPE
+        d *= g
+        return d
     if kind == "tanh":
         return g * (1.0 - y * y)
     if kind == "sigmoid":
@@ -317,17 +160,3 @@ def weight_normalize(v: np.ndarray, g: np.ndarray, out: np.ndarray | None = None
         raise DomainError("linear", "zero direction row has no unit direction")
     norm = np.sqrt(sq)
     return np.multiply((g / norm)[:, None], v, out=out), norm
-
-
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Rows ``start:stop`` of a batch; the backward scatters into zeros elsewhere."""
-    xd = x.data
-    if xd.ndim < 1 or not 0 <= start <= stop <= xd.shape[0]:
-        raise ShapeMismatch("slice-rows", xd.shape, detail=f"rows {start}:{stop} out of range")
-
-    def bwd(g):
-        full = np.zeros_like(xd)
-        full[start:stop] = g
-        return (full,)
-
-    return _emit("slice-rows", xd[start:stop], (x,), bwd)

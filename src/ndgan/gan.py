@@ -15,7 +15,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import layers as nn
-from .autodiff import Tensor
 from .data import Dataset, subsample_labeled, write_table
 from .errors import (
     FrozenModelError,
@@ -175,39 +174,51 @@ def sample_generator(model: GanModel, n: int, rng: np.random.Generator) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-def _fake_prob(logits: Tensor, K: int) -> Tensor:
-    """Clamped p_fake per row; index K is the fake class."""
-    probs = ad.softmax(logits)
-    pick = np.zeros(K + 1)
-    pick[K] = 1.0
-    p_fake = ad.reduce_sum(ad.mul(probs, Tensor(pick)), axis=1)
-    return ad.clip(p_fake, PROB_CLAMP, 1.0 - PROB_CLAMP)
+def _softmax_head(logits: np.ndarray, K: int):
+    """(log-softmax, softmax s, p_fake clamped into [PROB_CLAMP, 1 - PROB_CLAMP], and
+    whether p_fake lies in that window, where the clamp passes the gradient) of each row."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
+    s = e / total
+    p = s[:, K]
+    inside = (p >= PROB_CLAMP) & (p <= 1.0 - PROB_CLAMP)
+    return z - np.log(total), s, np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP), inside
 
 
 def discriminator_loss_from_logits(
-    labeled_logits: Tensor | None,
-    labels: np.ndarray | None,
-    unlabeled_logits: Tensor,
-    fake_logits: Tensor,
-    K: int,
-) -> Tensor:
-    """Minimized form: CE over labeled reals - mean log D(x) - mean log(1 - D(G(z)))."""
-    terms = []
-    if labeled_logits is not None and labels is not None and len(labels):
+    logits: np.ndarray, labels: np.ndarray | None, n_unlabeled: int, K: int
+) -> tuple[float, np.ndarray]:
+    """Minimized form: CE over labeled reals - mean log D(x) - mean log(1 - D(G(z))),
+    and its gradient at ``logits``. The rows of ``logits`` are ``len(labels)``
+    labeled reals, then ``n_unlabeled`` unlabeled reals, then the fakes.
+
+    With s the softmax and c the clamped p_fake of a row, the gradient is
+    (s - onehot(y)) / n_lab on labeled rows, p / (1 - c) * (e_K - s) / n_unl on
+    unlabeled rows and (s - e_K) / n_fake on fakes, and zero on unlabeled and
+    fake rows whose p_fake the clamp holds (Salimans et al. 2016).
+    """
+    n_lab = 0 if labels is None else len(labels)
+    if n_lab:
         labels = np.asarray(labels)
         if labels.min() < 0 or labels.max() >= K:
             raise ValidationError(f"labels must lie in 0..{K - 1}, got range [{labels.min()}, {labels.max()}]")
-        onehot = np.zeros((len(labels), K + 1))
-        onehot[np.arange(len(labels)), labels] = 1.0
-        picked = ad.reduce_sum(ad.mul(ad.log_softmax(labeled_logits), Tensor(onehot)), axis=1)
-        terms.append(-ad.reduce_mean(picked))
-    d_real = 1.0 - _fake_prob(unlabeled_logits, K)  # already inside [clamp, 1-clamp]
-    terms.append(-ad.reduce_mean(ad.log(d_real)))
-    terms.append(-ad.reduce_mean(ad.log(_fake_prob(fake_logits, K))))
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return total
+    n_real = n_lab + n_unlabeled
+    log_s, s, c, inside = _softmax_head(logits, K)
+    unl, fake = slice(n_lab, n_real), slice(n_real, len(logits))
+    coef = np.empty(len(logits))  # the gradient is coef * (s - target), row by row
+    loss = -np.log(1.0 - c[unl]).mean()
+    if n_lab:
+        rows = np.arange(n_lab)
+        loss = -log_s[rows, labels].mean() + loss
+        coef[:n_lab] = 1.0 / n_lab
+        s[rows, labels] -= 1.0
+    loss -= np.log(c[fake]).mean()
+    coef[unl] = -(inside[unl] * s[unl, K] / (1.0 - c[unl])) / n_unlabeled
+    coef[fake] = inside[fake] / (len(logits) - n_real)
+    s[n_lab:, K] -= 1.0
+    s *= coef[:, None]
+    return float(loss), s
 
 
 def discriminator_loss(
@@ -219,9 +230,9 @@ def discriminator_loss(
     noise_rng=None,
     mode: str = "train",
     caches: tuple[list, list] | None = None,
-) -> tuple[Tensor, Tensor]:
+) -> tuple[float, np.ndarray]:
     """The discriminator loss from one pass over the stacked [labeled; unlabeled; fake] batch,
-    and the pass's logits, the loss's leaf. ``caches`` is (generator cache, discriminator cache):
+    and its gradient at the pass's logits. ``caches`` is (generator cache, discriminator cache):
     the lists that the networks' passes fill for ``layers.mlp_backward``, as in every loss."""
     if labeled_x is None or labels is None or not len(labeled_x):
         labeled_x, labels = np.empty((0, model.data_dim)), None
@@ -229,35 +240,42 @@ def discriminator_loss(
     for part in parts:
         _check_data_dim(model, part)
     disc_cache = caches[1] if caches else None
-    logits = Tensor(discriminator_logits(model, np.concatenate(parts), mode, noise_rng, disc_cache)[0])
-    n_lab, n_real = len(parts[0]), len(parts[0]) + len(parts[1])
-    lab_logits = None if labels is None else ad.slice_rows(logits, 0, n_lab)
-    unl_logits = ad.slice_rows(logits, n_lab, n_real)
-    fake_logits = ad.slice_rows(logits, n_real, len(logits.data))
-    return discriminator_loss_from_logits(lab_logits, labels, unl_logits, fake_logits, model.K), logits
+    logits = discriminator_logits(model, np.concatenate(parts), mode, noise_rng, disc_cache)[0]
+    return discriminator_loss_from_logits(logits, labels, len(parts[1]), model.K)
 
 
-def generator_loss_standard_from_logits(fake_logits: Tensor, K: int) -> Tensor:
-    """Mean log(1 - D(G(z))) over the batch, i.e. mean log p_fake(G(z))."""
-    return ad.reduce_mean(ad.log(_fake_prob(fake_logits, K)))
+def generator_loss_standard_from_logits(fake_logits: np.ndarray, K: int) -> tuple[float, np.ndarray]:
+    """Mean log(1 - D(G(z))) over the batch, i.e. mean log p_fake(G(z)), and its gradient
+    (e_K - s) / n at ``fake_logits``, zero on rows whose p_fake the clamp holds."""
+    _, s, c, inside = _softmax_head(fake_logits, K)
+    s[:, K] -= 1.0
+    s *= (inside / -len(fake_logits))[:, None]
+    return float(np.log(c).mean()), s
 
 
 def generator_loss_standard(
     model: GanModel, z: np.ndarray, noise_rng=None, mode: str = "train", caches: tuple[list, list] | None = None
-) -> tuple[Tensor, Tensor]:
-    """The loss, and the discriminator's logits on G(z), its leaf."""
+) -> tuple[float, np.ndarray]:
+    """The loss, and its gradient at the discriminator's logits on G(z)."""
     gen_cache, disc_cache = caches or (None, None)
     fake = generator_forward(model, z, mode, noise_rng, gen_cache)
-    logits = Tensor(nn.mlp_forward(model.disc_params, model.disc_specs, fake, mode, noise_rng, cache=disc_cache)[0])
-    return generator_loss_standard_from_logits(logits, model.K), logits
+    logits = nn.mlp_forward(model.disc_params, model.disc_specs, fake, mode, noise_rng, cache=disc_cache)[0]
+    return generator_loss_standard_from_logits(logits, model.K)
+
+
+def feature_matching_from_features(features: np.ndarray, mean_real: np.ndarray) -> tuple[float, np.ndarray]:
+    """Squared L2 distance between the mean row of ``features`` and ``mean_real``, and
+    its gradient 2 (mean_fake - mean_real) / n at each row of ``features``."""
+    d = features.mean(axis=0) - mean_real
+    return float((d * d).sum()), np.broadcast_to(2.0 * d, features.shape) / len(features)
 
 
 def generator_loss_feature_matching(
     model: GanModel, real_x: np.ndarray, z: np.ndarray, noise_rng=None, mode: str = "train",
     caches: tuple[list, list] | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Squared L2 distance between mean real and mean generated features, and the
-    generated features, its leaf.
+) -> tuple[float, np.ndarray]:
+    """Squared L2 distance between mean real and mean generated features, and its
+    gradient at the generated features.
 
     The real branch is a constant of this loss. The discriminator runs up to
     its feature layer; after it, build_gan puts only the noiseless output layer.
@@ -267,9 +285,8 @@ def generator_loss_feature_matching(
     params, specs = model.disc_params[:k], model.disc_specs[:k]
     mean_real = nn.mlp_forward(params, specs, real_x, mode, noise_rng)[0].mean(axis=0)
     fake = generator_forward(model, z, mode, noise_rng, gen_cache)
-    features = Tensor(nn.mlp_forward(params, specs, fake, mode, noise_rng, cache=disc_cache)[0])
-    mean_fake = ad.reduce_mean(features, axis=0)
-    return ad.l2_norm_squared(ad.add(mean_fake, ad.mul(Tensor(mean_real), Tensor(-1.0)))), features
+    features = nn.mlp_forward(params, specs, fake, mode, noise_rng, cache=disc_cache)[0]
+    return feature_matching_from_features(features, mean_real)
 
 
 def feature_matching_distance(model: GanModel, real_x: np.ndarray, fake_x: np.ndarray) -> float:
@@ -332,28 +349,20 @@ class TrainLog:
         write_table(path, columns, [[getattr(r, c) for r in self.rows] for c in columns])
 
 
-def _loss_value(loss: Tensor, step: int, name: str) -> float:
-    value = loss.item()
-    if not np.isfinite(value):
-        raise TrainingDiverged(step, name, value)
-    return value
-
-
 def _gradients(model: GanModel, step: int, loss_fn, *args, noise_rng=None, mode: str = "train"):
     """(loss value, per-layer gradients of the network that ``loss_fn(model, *args)`` trains).
 
-    Only the loss head runs on the tape, and the value is checked to be
-    finite before any backward. The gradient at the leaf goes back through
-    the discriminator's pass. A generator loss, the one kind whose pass
-    fills the generator cache, holds the discriminator constant and trains
-    the generator: the gradient goes on through the generator's pass.
+    The loss value is checked to be finite before any backward. The loss's
+    gradient at the network output goes back through the discriminator's
+    pass. A generator loss, the one kind whose pass fills the generator
+    cache, holds the discriminator constant and trains the generator: the
+    gradient goes on through the generator's pass.
     """
     gen_cache, disc_cache = [], []
-    with ad.Tape() as tape:
-        loss, leaf = loss_fn(model, *args, noise_rng, mode, (gen_cache, disc_cache))
-        trains_disc = not gen_cache
-        value = _loss_value(loss, step, "d-loss" if trains_disc else "g-loss")
-        grad = ad.backward(tape, loss)[tape.node_of(leaf)]
+    value, grad = loss_fn(model, *args, noise_rng, mode, (gen_cache, disc_cache))
+    trains_disc = not gen_cache
+    if not np.isfinite(value):
+        raise TrainingDiverged(step, "d-loss" if trains_disc else "g-loss", value)
     k = len(disc_cache)  # a feature-matching pass stops at the feature layer
     grad, grads = nn.mlp_backward(model.disc_specs[:k], model.disc_params[:k], disc_cache, grad,
                                   trained=trains_disc, need_dx=not trains_disc)
@@ -495,6 +504,8 @@ def load_model(path) -> GanModel:
         K, z_dim, feature_layer, prior_code, frozen = struct.unpack("<IIIBB", raw)
         if prior_code not in _Z_PRIOR_NAMES:
             raise FormatError(source, f"unknown z-prior code {prior_code}")
+        if frozen not in (0, 1):
+            raise FormatError(source, f"frozen flag must be 0 or 1, got {frozen}", offset=fh.tell() - 1)
         gen_at = fh.tell()
         gen_specs, gen_params = nn.read_mlp_block(fh, source)
         disc_at = fh.tell()

@@ -30,8 +30,8 @@ class LayerSpec:
             raise ValidationError(f"layer dims must be >= 1, got {self.in_dim}x{self.out_dim}")
         if self.activation not in ACTIVATIONS:
             raise ValidationError(f"unknown activation {self.activation!r}; have {ACTIVATIONS}")
-        if self.noise_std < 0:
-            raise ValidationError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not 0 <= self.noise_std < math.inf:  # NaN fails every comparison
+            raise ValidationError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 
 
 @dataclass
@@ -385,13 +385,20 @@ def read_mlp_block(fh, source: str) -> tuple[list[LayerSpec], list[LayerParams]]
         raise FormatError(source, "empty layer stack", offset=fh.tell() - 4)
     specs, params = [], []
     for i in range(n_layers):
+        at = fh.tell()
         raw = fh.read(struct.calcsize("<IIBBd"))
         if len(raw) != struct.calcsize("<IIBBd"):
             raise FormatError(source, f"truncated header for layer {i}")
         in_dim, out_dim, act, wn, noise_std = struct.unpack("<IIBBd", raw)
         if act not in _ACT_NAMES:
             raise FormatError(source, f"unknown activation code {act} in layer {i}")
-        spec = LayerSpec(in_dim, out_dim, _ACT_NAMES[act], bool(wn), noise_std)
+        if wn not in (0, 1):
+            raise FormatError(source, f"weight-norm flag of layer {i} must be 0 or 1, got {wn}",
+                              offset=at + struct.calcsize("<IIB"))
+        try:
+            spec = LayerSpec(in_dim, out_dim, _ACT_NAMES[act], bool(wn), noise_std)
+        except ValidationError as exc:
+            raise FormatError(source, f"layer {i}: {exc}", offset=at) from None
         v = _read_array(fh, (out_dim, in_dim), source)
         g = _read_array(fh, (out_dim,), source) if wn else None
         b = _read_array(fh, (out_dim,), source)

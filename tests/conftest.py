@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import ndgan
 
 # acceptance criteria -> one printed pass/fail line each, keyed by test name
 _CRITERIA = {
@@ -63,6 +70,19 @@ def assert_grad_close(analytic: np.ndarray, numeric: np.ndarray, rel: float = 1e
         f"gradient mismatch at {int(np.argmax(diff))}: "
         f"analytic={analytic.ravel()[np.argmax(diff)]}, numeric={numeric.ravel()[np.argmax(diff)]}"
     )
+
+
+def run_python(args, cwd):
+    """Run ``python *args`` in a fresh process on the ndgan this suite imported.
+
+    The directory holding the imported package goes first on the child's
+    PYTHONPATH as an absolute path: a relative entry such as `src` would
+    resolve against `cwd` and miss. Every other variable is inherited.
+    """
+    env = dict(os.environ)
+    package_root = str(Path(ndgan.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=600)
 
 
 @pytest.fixture

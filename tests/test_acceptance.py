@@ -9,20 +9,17 @@ import hashlib
 import json
 import math
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import ndgan
 from ndgan import data as dio
 from ndgan import densities as dn
 from ndgan import gan
 from ndgan import layers as nn
 from ndgan import metrics, scores
-from tests.conftest import assert_grad_close, finite_difference_grad
+from tests.conftest import assert_grad_close, finite_difference_grad, run_python
 from tests.gradcheck import CHECKED, check_gradient
 from tests.test_metrics import pairwise_auroc
 
@@ -61,20 +58,22 @@ def _check_network_gradients(seed: int):
     fake = gan.sample_generator(model, 2, np.random.default_rng(seed))
 
     def d_loss_fixed_fake():
-        return gan.discriminator_loss(model, real, labels, real, fake, mode="eval")[0].item()
+        return gan.discriminator_loss(model, real, labels, real, fake, mode="eval")[0]
 
     _, grads = gan._gradients(model, 0, gan.discriminator_loss, real, labels, real, fake, mode="eval")
     for li, p in enumerate(model.disc_params):
         for name, a in p.named():
             assert_grad_close(grads[li][name], finite_difference_grad(d_loss_fixed_fake, a))
 
-    def g_loss_value():
-        return gan.generator_loss_feature_matching(model, real, z, mode="eval")[0].item()
+    for loss, args in ((gan.generator_loss_feature_matching, (real, z)), (gan.generator_loss_standard, (z,))):
 
-    _, grads = gan._gradients(model, 0, gan.generator_loss_feature_matching, real, z, mode="eval")
-    for li, p in enumerate(model.gen_params):
-        for name, a in p.named():
-            assert_grad_close(grads[li][name], finite_difference_grad(g_loss_value, a))
+        def g_loss_value():
+            return loss(model, *args, mode="eval")[0]
+
+        _, grads = gan._gradients(model, 0, loss, *args, mode="eval")
+        for li, p in enumerate(model.gen_params):
+            for name, a in p.named():
+                assert_grad_close(grads[li][name], finite_difference_grad(g_loss_value, a))
 
 
 def test_c1_gradients_match_finite_differences_everywhere():
@@ -310,19 +309,8 @@ def test_c8_baseline_scorers_hit_their_closed_form_extremes():
 
 
 def _run_cli(args, cwd):
-    """Run `python -m ndgan.cli` in a fresh process on the ndgan this suite imported.
-
-    The directory holding the imported package goes first on the child's
-    PYTHONPATH as an absolute path: a relative entry such as `src` would
-    resolve against `cwd` and miss. Every other variable is inherited.
-    """
-    env = dict(os.environ)
-    package_root = str(Path(ndgan.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "ndgan.cli", *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=600,
-    )
+    """Run `python -m ndgan.cli` in a fresh process on the ndgan this suite imported."""
+    return run_python(["-m", "ndgan.cli", *args], cwd)
 
 
 def test_c9_train_rerun_from_manifest_is_bit_identical(tmp_path):

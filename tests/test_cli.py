@@ -156,7 +156,8 @@ K_FIELD, Z_DIM_FIELD = GEN_BLOCK - 14, GEN_BLOCK - 10  # the first two fields of
 
 
 @pytest.mark.parametrize("damage", ["trailing-bytes", "non-finite-weight", "zero-layer-generator",
-                                    "huge-layer-dims", "K-not-discriminator-output", "z-dim-not-generator-input"])
+                                    "huge-layer-dims", "K-not-discriminator-output", "z-dim-not-generator-input",
+                                    "nan-noise-std", "inf-noise-std", "frozen-flag-7", "weight-norm-flag-7"])
 def test_score_of_a_damaged_model_file_exits_2(pipeline, tmp_path, capsys, damage):
     root, data_dir, model_dir = pipeline
     raw = bytearray((model_dir / "model.ndgan").read_bytes())
@@ -177,9 +178,18 @@ def test_score_of_a_damaged_model_file_exits_2(pipeline, tmp_path, capsys, damag
         model, gen_block = gan.load_model(model_dir / "model.ndgan"), io.BytesIO()
         nn.write_mlp_block(gen_block, model.gen_specs, model.gen_params)
         offset = GEN_BLOCK + gen_block.tell()  # the discriminator block
-    else:
+    elif damage == "z-dim-not-generator-input":
         struct.pack_into("<I", raw, Z_DIM_FIELD, struct.unpack_from("<I", raw, Z_DIM_FIELD)[0] + 1)
         offset = GEN_BLOCK
+    elif damage.endswith("noise-std"):  # generator layer 0, which scoring never runs
+        offset = GEN_BLOCK + 4
+        struct.pack_into("<d", raw, offset + struct.calcsize("<IIBB"), np.nan if damage[0] == "n" else np.inf)
+    elif damage == "frozen-flag-7":  # the last byte of the GAN header
+        offset = GEN_BLOCK - 1
+        raw[offset] = 7
+    else:  # generator layer 0's weight-norm flag, after its dims and activation code
+        offset = GEN_BLOCK + 4 + struct.calcsize("<IIB")
+        raw[offset] = 7
     bad = tmp_path / "bad.ndgan"
     bad.write_bytes(bytes(raw))
     with pytest.raises(FormatError) as err:

@@ -40,8 +40,9 @@ def bias_model(bias_logits, data_dim=2):
     return model
 
 
-def logits_tensor(rows):
-    return ad.Tensor(np.asarray(rows, dtype=np.float64))
+def stacked_logits(*blocks):
+    """One array of logits: the rows of every block, in order."""
+    return np.concatenate([np.asarray(b, dtype=np.float64) for b in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -89,36 +90,36 @@ def _two_class_logits(p_real):
 
 
 def test_discriminator_loss_hand_value():
-    unl = logits_tensor([_two_class_logits(0.8)] * 4)   # D(x) = 0.8 on every real
-    fake = logits_tensor([_two_class_logits(0.3)] * 4)  # D(fake) = 0.3
-    loss = gan.discriminator_loss_from_logits(None, None, unl, fake, K=1)
-    assert loss.item() == pytest.approx(-math.log(0.8) - math.log(0.7), abs=1e-9)
+    unl = [_two_class_logits(0.8)] * 4   # D(x) = 0.8 on every real
+    fake = [_two_class_logits(0.3)] * 4  # D(fake) = 0.3
+    loss, _ = gan.discriminator_loss_from_logits(stacked_logits(unl, fake), None, 4, K=1)
+    assert loss == pytest.approx(-math.log(0.8) - math.log(0.7), abs=1e-9)
 
 
 def test_perfect_discriminator_has_near_zero_unsupervised_loss():
-    unl = logits_tensor([[40.0, -40.0]])   # D -> 1
-    fake = logits_tensor([[-40.0, 40.0]])  # D -> 0
-    loss = gan.discriminator_loss_from_logits(None, None, unl, fake, K=1)
-    assert abs(loss.item()) < 1e-5  # exactly zero up to the probability clamp
+    unl = [[40.0, -40.0]]   # D -> 1
+    fake = [[-40.0, 40.0]]  # D -> 0
+    loss, _ = gan.discriminator_loss_from_logits(stacked_logits(unl, fake), None, 1, K=1)
+    assert abs(loss) < 1e-5  # exactly zero up to the probability clamp
 
 
 def test_coin_flip_discriminator_loss_is_two_log_two():
-    unl = logits_tensor([[0.0, 0.0]] * 3)
-    fake = logits_tensor([[0.0, 0.0]] * 3)
-    loss = gan.discriminator_loss_from_logits(None, None, unl, fake, K=1)
-    assert loss.item() == pytest.approx(-2.0 * math.log(0.5), abs=1e-12)
+    unl = [[0.0, 0.0]] * 3
+    fake = [[0.0, 0.0]] * 3
+    loss, _ = gan.discriminator_loss_from_logits(stacked_logits(unl, fake), None, 3, K=1)
+    assert loss == pytest.approx(-2.0 * math.log(0.5), abs=1e-12)
 
 
 def test_supervised_term_is_k_plus_one_way_cross_entropy():
-    labeled = logits_tensor([[2.0, 0.0, -1.0], [0.0, 2.0, -1.0]])
+    labeled = [[2.0, 0.0, -1.0], [0.0, 2.0, -1.0]]
     labels = np.array([0, 1])
-    unl = logits_tensor([[0.0, 0.0, 0.0]])
-    fake = logits_tensor([[0.0, 0.0, 0.0]])
-    loss = gan.discriminator_loss_from_logits(labeled, labels, unl, fake, K=2)
+    unl = [[0.0, 0.0, 0.0]]
+    fake = [[0.0, 0.0, 0.0]]
+    loss, _ = gan.discriminator_loss_from_logits(stacked_logits(labeled, unl, fake), labels, 1, K=2)
     lsm = np.log(np.exp([2.0, 0.0, -1.0]) / np.exp([2.0, 0.0, -1.0]).sum())
     expected_ce = -lsm[0]  # same value for both rows by symmetry
     expected_unsup = -math.log(2 / 3) - math.log(1 / 3)
-    assert loss.item() == pytest.approx(expected_ce + expected_unsup, abs=1e-9)
+    assert loss == pytest.approx(expected_ce + expected_unsup, abs=1e-9)
 
 
 def test_one_d_step_makes_one_discriminator_pass(monkeypatch):
@@ -142,35 +143,35 @@ def test_stacked_discriminator_loss_equals_three_separate_passes(rng):
     lab, unl, fake = rng.normal(size=(3, 2)), rng.normal(size=(4, 2)), rng.normal(size=(5, 2))
     labels = np.array([0, 1, 1])
 
-    def logits(x):
-        return ad.Tensor(gan.discriminator_logits(model, x)[0])
+    def logits(*batches):  # one pass per batch
+        return stacked_logits(*(gan.discriminator_logits(model, x)[0] for x in batches))
 
-    separate = gan.discriminator_loss_from_logits(logits(lab), labels, logits(unl), logits(fake), 2).item()
-    stacked = gan.discriminator_loss(model, lab, labels, unl, fake, mode="eval")[0].item()
+    separate = gan.discriminator_loss_from_logits(logits(lab, unl, fake), labels, 4, 2)[0]
+    stacked = gan.discriminator_loss(model, lab, labels, unl, fake, mode="eval")[0]
     assert stacked == pytest.approx(separate, rel=1e-12)
-    separate = gan.discriminator_loss_from_logits(None, None, logits(unl), logits(fake), 2).item()
-    stacked = gan.discriminator_loss(model, None, None, unl, fake, mode="eval")[0].item()
+    separate = gan.discriminator_loss_from_logits(logits(unl, fake), None, 4, 2)[0]
+    stacked = gan.discriminator_loss(model, None, None, unl, fake, mode="eval")[0]
     assert stacked == pytest.approx(separate, rel=1e-12)
 
 
 def test_labels_out_of_range_are_rejected():
-    labeled = logits_tensor([[0.0, 0.0, 0.0]])
+    labeled = [[0.0, 0.0, 0.0]]
     with pytest.raises(ValidationError):
-        gan.discriminator_loss_from_logits(labeled, np.array([2]), labeled, labeled, K=2)
+        gan.discriminator_loss_from_logits(stacked_logits(labeled, labeled, labeled), np.array([2]), 1, K=2)
 
 
 def test_generator_loss_standard_hand_values():
-    half = logits_tensor([_two_class_logits(0.5)] * 2)
-    assert gan.generator_loss_standard_from_logits(half, 1).item() == pytest.approx(math.log(0.5), abs=1e-9)
+    half = stacked_logits([_two_class_logits(0.5)] * 2)
+    assert gan.generator_loss_standard_from_logits(half, 1)[0] == pytest.approx(math.log(0.5), abs=1e-9)
 
-    two = logits_tensor([_two_class_logits(0.2), _two_class_logits(0.8)])
+    two = stacked_logits([_two_class_logits(0.2), _two_class_logits(0.8)])
     expected = 0.5 * (math.log(0.8) + math.log(0.2))
-    assert gan.generator_loss_standard_from_logits(two, 1).item() == pytest.approx(expected, abs=1e-9)
+    assert gan.generator_loss_standard_from_logits(two, 1)[0] == pytest.approx(expected, abs=1e-9)
 
 
 def test_generator_loss_is_clamped_when_d_saturates():
-    sat = logits_tensor([[60.0, -60.0]])  # D(G(z)) -> 1, log(1-D) -> -inf without clamping
-    loss = gan.generator_loss_standard_from_logits(sat, 1).item()
+    sat = stacked_logits([[60.0, -60.0]])  # D(G(z)) -> 1, log(1-D) -> -inf without clamping
+    loss = gan.generator_loss_standard_from_logits(sat, 1)[0]
     assert np.isfinite(loss)
     assert loss == pytest.approx(math.log(gan.PROB_CLAMP), abs=1e-6)
 
@@ -199,8 +200,8 @@ def test_feature_matching_loss_invariant_under_batch_shuffles(rng):
     model = tiny_model(seed=5)
     real = rng.normal(size=(8, 2))
     z = rng.normal(size=(8, 3))
-    base = gan.generator_loss_feature_matching(model, real, z, mode="eval")[0].item()
-    shuffled = gan.generator_loss_feature_matching(model, real[::-1], z, mode="eval")[0].item()
+    base = gan.generator_loss_feature_matching(model, real, z, mode="eval")[0]
+    shuffled = gan.generator_loss_feature_matching(model, real[::-1], z, mode="eval")[0]
     assert shuffled == pytest.approx(base, abs=1e-12)
 
 
@@ -213,7 +214,7 @@ def test_feature_matching_gradient_reaches_only_the_generator(rng):
     assert any(np.any(g != 0) for layer in gen_grads for g in layer.values())
 
     def value():
-        return gan.generator_loss_feature_matching(model, real, z, mode="eval")[0].item()
+        return gan.generator_loss_feature_matching(model, real, z, mode="eval")[0]
 
     for li, p in enumerate(model.gen_params):
         for name, a in p.named():
@@ -222,6 +223,7 @@ def test_feature_matching_gradient_reaches_only_the_generator(rng):
 
 @pytest.mark.parametrize("loss", ["feature-matching", "standard"])
 def test_generator_step_tape_holds_no_discriminator_parameter(loss, rng, monkeypatch):
+    """A generator step opens no tape, and holds the discriminator as a constant."""
     model = tiny_model(seed=11, noise_std=0.1)
     real, z = rng.normal(size=(5, 2)), rng.normal(size=(5, 3))
     tapes, backward_calls, real_backward = [], [], nn.mlp_backward
@@ -241,8 +243,8 @@ def test_generator_step_tape_holds_no_discriminator_parameter(loss, rng, monkeyp
         gan.generator_loss_standard, z)
     _, grads = gan._gradients(model, 1, *args, noise_rng=np.random.default_rng(0))
     params = [a for p in model.disc_params + model.gen_params for _, a in p.named()]
-    (tape,) = tapes
-    assert not any(np.shares_memory(t.data, a) for t in tape._keepalive for a in params)
+    assert tapes == []
+    assert not any(np.shares_memory(g, a) for layer in grads for g in layer.values() for a in params)
     assert backward_calls == [(True, False), (False, True)]  # the discriminator is a constant
     assert all(set(layer) == {name for name, _ in p.named()} for layer, p in zip(grads, model.gen_params))
 

@@ -23,6 +23,12 @@ of each file's bytes before hashing; two trees' outputs then compare by a diff:
     python3 scripts/output_hashes.py --src . --seed 7 --work-dir /tmp/b > b.txt
     diff a.txt b.txt
 
+The OpenBLAS thread setting the run had goes to stderr. Training pins BLAS
+to one thread, but scoring and the kNN search use the library's count, so
+two runs under different settings should give the same bytes only for the
+`2d` outputs (ring-pipeline and training-branches); holdout-mnist and
+score-bulk score at mnist width.
+
 Exits 1, with the stage's log on stderr, when a stage fails or its output
 check does.
 """
@@ -34,6 +40,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -103,6 +110,8 @@ def main(argv=None) -> int:
 
     sys.dont_write_bytecode = True  # leave both trees as they are
     cli = import_cli(Path(args.src))
+    print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', '(unset: the library default)')}",
+          file=sys.stderr)
     sys.path.insert(0, str(BENCH))
     from workloads import WORKLOADS
 

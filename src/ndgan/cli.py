@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import os
+import platform
 import sys
 import traceback
 import uuid
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, data as dio, densities, gan, metrics, scores
+from . import __version__, blas, data as dio, densities, gan, metrics, scores
 from .errors import FormatError, NdganError, Nullable, Req, SchemaError, TrainingDiverged, ValidationError, Where, check
 from .rng import RngStreams, derive_seed
 
@@ -92,10 +93,34 @@ _RUN = {"seed": Nullable(int), "out_dir": Nullable(str)}  # part of every comman
 _COUNT = Where(int, lambda n: n >= 1, "an integer >= 1")
 
 
+def _is_scorer(name: str) -> bool:
+    try:
+        scores._knn_k(name)
+    except ValidationError:
+        return False
+    return True
+
+
+_SCORERS = Req([Where(str, _is_scorer, f"one of {list(scores.SCORERS)} or knn-<k> with k >= 1")])
+
+
+def _env() -> dict:
+    """The software and CPUs a run had, for its manifest; a rerun from the manifest ignores them."""
+    try:
+        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its build
+        build = {}
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": build.get("name"),
+            "blas_version": build.get("version"), "nproc": blas.cpu_count(),
+            "training_blas_threads": 1 if blas.openblas() else "not pinned"}
+
+
 def _write_manifest(out_dir: Path, command: str, cfg: dict, provenance: str | None = None):
     doc = {"command": command, "ndgan_version": __version__, "seed": cfg["seed"], "config": cfg}
     if provenance:
         doc["dataset_provenance"] = provenance
+    if command in ("train", "eval"):
+        doc["env"] = _env()
     _write_json(out_dir / "manifest.json", doc)
 
 
@@ -351,8 +376,6 @@ def _run_holdout_split(split, hold_cfg, seed):
 
 def _eval_holdout(cfg: dict, alphas: tuple, out_dir: Path) -> int:
     hold, seed = cfg["holdout"], cfg["seed"]
-    for name in hold["scorers"]:  # before any load or training
-        scores._knn_k(name)
     train = _load_dataset(hold["train_dataset"])
     test = _load_dataset(hold["test_dataset"])
 
@@ -513,7 +536,7 @@ _COMMANDS = {
         _flag("--steps", "train.total_steps", help="override train.total_steps"), _flag("--arch", "arch"),
     ]),
     "score": ("score a dataset with a trained model", {
-        "model": Req(str), "dataset": Req(_DATASET), "scorers": Req([str]),
+        "model": Req(str), "dataset": Req(_DATASET), "scorers": _SCORERS,
         "knn_reference": Nullable(_DATASET), "mark_novel": Nullable((0, 1)), **_RUN,
     }, [
         _flag("--model", "model"),
@@ -530,7 +553,7 @@ _COMMANDS = {
         "alphas": [Where(float, lambda a: 0 < a < 1, "a number in (0, 1)")],
         "holdout": Nullable({
             "train_dataset": Req(_DATASET), "test_dataset": Req(_DATASET), **_MODEL,
-            "holdout_classes": Nullable([int]), "scorers": Req([str]),
+            "holdout_classes": Nullable([int]), "scorers": _SCORERS,
             "workers": _COUNT,  # no effect: splits run one after another
         }),
         **_RUN,

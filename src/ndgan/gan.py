@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import blas
 from . import layers as nn
 from .data import Dataset, subsample_labeled, write_table
 from .errors import (
@@ -23,7 +24,7 @@ from .errors import (
     TrainingDiverged,
     ValidationError,
 )
-from .rng import RngStreams, derive_seed
+from .rng import NoiseAhead, RngStreams, derive_seed
 
 PROB_CLAMP = 1e-7  # floor/ceiling for probabilities inside logs and ratios
 Z_PRIORS = ("standard-normal", "uniform")
@@ -421,8 +422,14 @@ def train_gan(
     # checks report it as a structured error, so numpy stays quiet meanwhile.
     # Each network's effective weights are computed once per update of it and
     # reused by every pass until the next one; the cache is dropped on the way out.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # BLAS runs one thread, so the bits do not depend on the machine's thread
+    # count; a second CPU, if there is one, draws the layer noise ahead.
+    with np.errstate(over="ignore", invalid="ignore"), blas.one_thread() as pinned:
+        noise = streams.noise
         try:
+            noisy = any(spec.noise_std > 0 for spec in model.disc_specs + model.gen_specs)
+            if pinned and noisy and blas.cpu_count() >= 2:
+                noise = NoiseAhead(streams.noise)
             nn.cache_weights(model.disc_params)
             nn.cache_weights(model.gen_params)
             for step in range(1, config.total_steps + 1):
@@ -438,7 +445,7 @@ def train_gan(
                     else:
                         fake = sample_generator(model, config.batch_size, streams.sampling)
                     d_val = _descend(model.disc_params, d_state, model, step,
-                                     discriminator_loss, lx, ly, unl, fake, noise_rng=streams.noise)
+                                     discriminator_loss, lx, ly, unl, fake, noise_rng=noise)
                     nn.cache_weights(model.disc_params)
 
                 g_val = None
@@ -449,7 +456,7 @@ def train_gan(
                         args = (generator_loss_feature_matching, real, z)
                     else:
                         args = (generator_loss_standard, z)
-                    g_val = _descend(model.gen_params, g_state, model, step, *args, noise_rng=streams.noise)
+                    g_val = _descend(model.gen_params, g_state, model, step, *args, noise_rng=noise)
                     nn.cache_weights(model.gen_params)
 
                 fm = None
@@ -462,6 +469,8 @@ def train_gan(
                 log.rows.append(LogRow(step, d_val, g_val, fm))
         finally:
             nn.drop_weights(model.disc_params + model.gen_params)
+            if noise is not streams.noise:
+                noise.close()
 
     model.frozen = True
     return model, log

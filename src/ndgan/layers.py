@@ -124,7 +124,7 @@ def mlp_forward(
     specs: list[LayerSpec],
     x: np.ndarray,
     mode: str = "eval",
-    noise_rng: np.random.Generator | None = None,
+    noise_rng=None,
     keep: int | None = None,
     cache: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -132,6 +132,9 @@ def mlp_forward(
 
     The kept output is the actual value fed to the next layer, i.e. it
     includes the train-mode Gaussian noise when the layer specifies one.
+    ``noise_rng`` is any object with ``normal(loc, scale, size)``, such as a
+    ``numpy.random.Generator`` or an ``rng.NoiseAhead``; each array it returns
+    is used once, in ``h + noise``, before the next call.
     When ``cache`` is a list, each layer appends ``[input, weights, row norms
     or None, pre-activation, activation]`` to it for :func:`mlp_backward`;
     otherwise no layer's input outlives the layer.

@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ndgan import cli, gan, scores
+from ndgan import blas, cli, gan, scores
 from ndgan import layers as nn
 from ndgan import data as dio
 from ndgan.errors import FormatError
@@ -106,10 +106,22 @@ def test_train_writes_model_log_and_manifest(pipeline):
 
 def test_train_rerun_from_manifest_is_bit_identical(pipeline, tmp_path):
     root, data_dir, model_dir = pipeline
+    assert "env" in json.loads((model_dir / "manifest.json").read_text())  # which the rerun ignores
     rerun = tmp_path / "rerun"
     assert run("train", "--config", str(model_dir / "manifest.json"), "--out-dir", str(rerun)) == 0
     assert sha256(rerun / "model.ndgan") == sha256(model_dir / "model.ndgan")
     assert sha256(rerun / "train_log.csv") == sha256(model_dir / "train_log.csv")
+
+
+def test_train_and_eval_manifests_record_the_environment(pipeline, tmp_path):
+    _, data_dir, model_dir = pipeline
+    assert run("eval", "--config", str(_holdout_config(tmp_path, data_dir)), "--out-dir", str(tmp_path / "eval")) == 0
+    for manifest in (model_dir / "manifest.json", tmp_path / "eval" / "manifest.json"):
+        env = json.loads(manifest.read_text())["env"]
+        assert set(env) == {"python", "numpy", "blas", "blas_version", "training_blas_threads", "nproc"}
+        assert env["numpy"] == np.__version__ and env["nproc"] >= 1
+        assert env["training_blas_threads"] == (1 if blas.openblas() else "not pinned")
+    assert "env" not in json.loads((data_dir / "manifest.json").read_text())  # synth trains nothing
 
 
 def test_train_missing_labels_with_labeled_fraction_fails_fast(pipeline, tmp_path):
@@ -298,6 +310,19 @@ def test_score_of_duplicated_row_is_identical(pipeline, tmp_path):
     with open(out / "scores.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["nd_gan_ratio"] == rows[1]["nd_gan_ratio"]
+
+
+def test_an_unknown_scorer_exits_2_at_its_path_before_any_file_is_touched(pipeline, tmp_path, monkeypatch, capsys):
+    _, data_dir, model_dir = pipeline
+    monkeypatch.setattr(gan, "load_model", lambda *args: pytest.fail("model loaded before the check"))
+    out = tmp_path / "out"
+    assert run(
+        "score", "--model", str(model_dir / "model.ndgan"), "--data", str(data_dir / "novel.csv"),
+        "--scorers", "nd-gan-ratio,bogus", "--seed", "1", "--out-dir", str(out),
+    ) == 2
+    err = capsys.readouterr().err
+    assert "schema violation at $.scorers[1]:" in err and "'bogus'" in err and "knn-<k>" in err
+    assert not out.exists()
 
 
 def test_score_knn_without_reference_is_a_validation_error(pipeline, tmp_path):
@@ -552,6 +577,9 @@ def _probe_configs(pipeline, tmp_path):
     ("score", "mark_novel", 7, "$.mark_novel"),
     ("score", "mark_novel", "1", "$.mark_novel"),
     ("score", "scorers", "entropy", "$.scorers"),
+    ("score", "scorers", ["entropy", "knn-x"], "$.scorers[1]"),
+    ("holdout", "holdout.scorers", ["nd-gan-ratio", "knn-0"], "$.holdout.scorers[1]"),
+    ("holdout", "holdout.scorers", ["bogus"], "$.holdout.scorers[0]"),
     ("flat", "scores", "x.csv", "$.scores"),
     ("oracle", "grid_points", -4, "$.grid_points"),
     ("oracle", "grid_points", 0, "$.grid_points"),

@@ -23,10 +23,11 @@ def _unwrap(field):
 
 
 def _valid(node):
-    """A value that schema ``node`` accepts; 1 and 0.5 pass every ``Where`` of the tables."""
+    """A value that schema ``node`` accepts; 1, 0.5 and "entropy" (a scorer name) pass
+    every ``Where`` of the tables."""
     node = _unwrap(node)
     if isinstance(node, Where):
-        return _valid(node.node)
+        return "entropy" if node.node is str else _valid(node.node)
     if isinstance(node, tuple):
         return node[0]
     if isinstance(node, list):
@@ -47,7 +48,7 @@ _NUMBER = st.one_of(st.integers(), st.floats())
 def _wrong(node):
     """Values of the wrong JSON type for ``node``, or outside a ``Where``."""
     if isinstance(node, Where):
-        inner = {int: st.integers(), float: st.floats()}[node.node]
+        inner = {int: st.integers(), float: st.floats(), str: _TEXT}[node.node]
         return st.one_of(_wrong(node.node), inner.filter(lambda v: not node.test(v)))
     if isinstance(node, tuple):
         return st.one_of(_TEXT, _NUMBER, st.booleans()).filter(lambda v: not _fits(v, node))

@@ -1,0 +1,208 @@
+"""Training's BLAS pin and the noise thread: the bits they must keep, and the
+threads and thread counts they must give back."""
+
+import hashlib
+import json
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ndgan import blas, gan
+from ndgan import data as dio
+from ndgan import layers as nn
+from ndgan.errors import DomainError, TrainingDiverged
+from ndgan.rng import NoiseAhead
+from ndgan.scores import UniformBaselineGenerator
+from tests.conftest import run_python
+
+needs_openblas = pytest.mark.skipif(blas.openblas() is None, reason="numpy's BLAS is not OpenBLAS")
+
+_SHAPES = st.one_of(st.tuples(st.integers(0, 40)), st.tuples(st.integers(0, 9), st.integers(1, 9)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(size=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+       requests=st.lists(st.tuples(_SHAPES, st.sampled_from([0.1, 1.0, 2.5, 1e-3])), max_size=12))
+def test_noise_ahead_gives_generator_normal_bit_for_bit(size, seed, requests):
+    small = type("Small", (NoiseAhead,), {"SIZE": size})  # requests span and exceed buffers
+    ahead, reference = small(np.random.default_rng(seed)), np.random.default_rng(seed)
+    try:
+        for shape, scale in requests:
+            got, want = ahead.normal(0.0, scale, shape), reference.normal(0.0, scale, shape)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    finally:
+        ahead.close()
+    assert not ahead._thread.is_alive()
+
+
+def test_noise_threads_under_fast_switching_keep_every_stream_exact():
+    small = type("Small", (NoiseAhead,), {"SIZE": 5})  # a refill every few requests
+    results = {}
+
+    def consume(seed):
+        ahead, reference = small(np.random.default_rng(seed)), np.random.default_rng(seed)
+        try:
+            results[seed] = all(ahead.normal(0.0, 0.5, (i % 7, 2)).tobytes()
+                                == reference.normal(0.0, 0.5, (i % 7, 2)).tobytes() for i in range(2000))
+        finally:
+            ahead.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        consumers = [threading.Thread(target=consume, args=(seed,)) for seed in range(4)]  # 8 threads
+        for t in consumers:
+            t.start()
+        for t in consumers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in consumers)
+    assert results == {seed: True for seed in range(4)}
+
+
+def test_an_error_in_the_noise_thread_reaches_every_later_call():
+    class Broken:  # fills one buffer, then fails
+        fills = 0
+
+        def standard_normal(self, out):
+            self.fills += 1
+            if self.fills > 1:
+                raise ValueError("no draws")
+            out[:] = 1.0
+
+    ahead, raised = type("Small", (NoiseAhead,), {"SIZE": 4})(Broken()), []
+
+    def consume():
+        assert ahead.normal(0.0, 2.0, (3,)).tolist() == [2.0, 2.0, 2.0]
+        for _ in range(2):  # the first spans into the failed buffer
+            try:
+                ahead.normal(0.0, 1.0, (3,))
+            except RuntimeError as exc:
+                raised.append(exc.__cause__)
+
+    consumer = threading.Thread(target=consume)
+    consumer.start()
+    consumer.join(timeout=10)
+    assert not consumer.is_alive()
+    ahead.close()
+    assert not ahead._thread.is_alive()
+    assert [type(e) for e in raised] == [ValueError, ValueError]
+
+
+def _started(monkeypatch) -> list:
+    """The NoiseAhead objects that train_gan makes from now on."""
+    made = []
+
+    class Spy(NoiseAhead):
+        def __init__(self, gen):
+            super().__init__(gen)
+            made.append(self)
+
+    monkeypatch.setattr(gan, "NoiseAhead", Spy)
+    return made
+
+
+_RING = dio.gen_ring_mixture(200, 4, 2.0, 0.2, seed=1)[0]
+_IMAGES = dio.Dataset(np.random.default_rng(2).uniform(size=(96, 36)), np.arange(96) % 3, K=3)
+
+
+@needs_openblas
+@pytest.mark.parametrize("arch, data, train, fake", [
+    ("2d", _RING, {"labeled_fraction": 0.5}, False),
+    ("2d", _RING, {"generator_loss": "standard", "d_steps_per_g": 2}, False),
+    ("2d", _RING, {"labeled_fraction": 0.5}, True),
+    ("mnist", _IMAGES, {"labeled_fraction": 0.5}, False),
+    ("mnist", _IMAGES, {"generator_loss": "standard", "d_steps_per_g": 2}, False),
+    ("mnist", _IMAGES, {}, True),
+], ids=["2d-fm", "2d-standard-d2", "2d-uniform", "mnist-fm", "mnist-standard-d2", "mnist-uniform"])
+def test_the_noise_thread_keeps_the_trained_bits(tmp_path, monkeypatch, arch, data, train, fake):
+    made = _started(monkeypatch)
+    fake_source = UniformBaselineGenerator([[-3.0, 3.0]] * data.dim).sample if fake else None
+    config = gan.TrainConfig(total_steps=40 if arch == "2d" else 4, batch_size=32, seed=4, log_every=2, **train)
+    files = []
+    for cpus in (1, 2):  # one CPU: the stream itself; two: the thread
+        monkeypatch.setattr(blas, "cpu_count", lambda cpus=cpus: cpus)
+        model, log = gan.train_gan(gan.build_gan(data.dim, data.K, arch, seed=4), data, config, fake_source)
+        gan.save_model(tmp_path / "model.ndgan", model)
+        log.to_csv(tmp_path / "log.csv")
+        files.append(((tmp_path / "model.ndgan").read_bytes(), (tmp_path / "log.csv").read_bytes()))
+    assert len(made) == 1
+    assert files[0] == files[1]
+
+
+def _poison_gradients(monkeypatch):
+    """Adam then meets an infinite gradient at the first discriminator step."""
+    backward = nn.mlp_backward
+
+    def poisoned(*args, **kwargs):
+        dx, grads = backward(*args, **kwargs)
+        if grads:
+            grads[0]["b"][0] = np.inf
+        return dx, grads
+
+    monkeypatch.setattr(nn, "mlp_backward", poisoned)
+
+
+def _poisoned_batches(n, rng):
+    return np.full((n, 2), np.nan)  # a non-finite d-loss at step 1
+
+
+@needs_openblas
+@pytest.mark.parametrize("error", [TrainingDiverged, DomainError])
+def test_a_failed_run_stops_the_noise_thread_and_restores_blas(monkeypatch, error):
+    made = _started(monkeypatch)
+    monkeypatch.setattr(blas, "cpu_count", lambda: 2)
+    get = blas.openblas()[0]
+    before = get()
+    fake_source = _poisoned_batches if error is TrainingDiverged else None
+    if error is DomainError:
+        _poison_gradients(monkeypatch)
+    alive = threading.active_count()
+    with pytest.raises(error):
+        gan.train_gan(gan.build_gan(2, 4, "2d", seed=3), _RING, gan.TrainConfig(total_steps=5, batch_size=8),
+                      fake_source)
+    assert len(made) == 1 and not made[0]._thread.is_alive()
+    assert threading.active_count() == alive
+    assert get() == before
+
+
+@needs_openblas
+def test_one_thread_pins_and_restores():
+    get, _ = blas.openblas()
+    before = get()
+    with blas.one_thread() as pinned:
+        assert pinned and get() == 1
+    assert get() == before
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@needs_openblas
+@pytest.mark.parametrize("arch", ["2d", "mnist"])
+def test_trained_files_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypatch, arch):
+    if arch == "2d":
+        data, steps = _RING, 60
+    else:  # 14x14 images: the layers are wide enough for OpenBLAS to split products across threads
+        data = dio.Dataset(np.random.default_rng(8).uniform(size=(256, 196)), np.arange(256) % 4, K=4)
+        steps = 3
+    dio.write_csv_dataset(tmp_path / "train.csv", data)
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({
+        "dataset": {"path": str(tmp_path / "train.csv"), "label_column": "label"}, "arch": arch, "seed": 21,
+        "train": {"total_steps": steps, "batch_size": 64, "labeled_fraction": 0.5, "log_every": 1},
+    }))
+    digests = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        out = tmp_path / f"threads{threads}"
+        proc = run_python(["-m", "ndgan.cli", "train", "--config", str(config), "--out-dir", str(out)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        digests.append([_sha256(out / name) for name in ("model.ndgan", "train_log.csv")])
+    assert digests[0] == digests[1]

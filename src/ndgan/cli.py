@@ -379,12 +379,7 @@ def _eval_holdout(cfg: dict, alphas: tuple, out_dir: Path) -> int:
     train = _load_dataset(hold["train_dataset"])
     test = _load_dataset(hold["test_dataset"])
 
-    splits = metrics.make_holdout_splits(train, test, seed)
-    wanted = hold.get("holdout_classes")
-    if wanted is not None:
-        splits = [s for s in splits if s.holdout_class in set(wanted)]
-        if not splits:
-            raise ValidationError(f"no holdout splits match classes {wanted}")
+    splits = metrics.make_holdout_splits(train, test, seed, hold.get("holdout_classes"))
 
     # one split after another; its model dies once its sets are scored
     rows, curves = [], {}

@@ -351,24 +351,26 @@ class TrainLog:
 
 
 def _gradients(model: GanModel, step: int, loss_fn, *args, noise_rng=None, mode: str = "train"):
-    """(loss value, per-layer gradients of the network that ``loss_fn(model, *args)`` trains).
+    """(loss value, gradient stack of the network that ``loss_fn(model, *args)`` trains).
 
     The loss value is checked to be finite before any backward. The loss's
     gradient at the network output goes back through the discriminator's
     pass. A generator loss, the one kind whose pass fills the generator
     cache, holds the discriminator constant and trains the generator: the
-    gradient goes on through the generator's pass.
+    gradient goes on through the generator's pass. The stack is laid out
+    like the trained network's parameters (``layers.flat_stack``).
     """
     gen_cache, disc_cache = [], []
     value, grad = loss_fn(model, *args, noise_rng, mode, (gen_cache, disc_cache))
     trains_disc = not gen_cache
     if not np.isfinite(value):
         raise TrainingDiverged(step, "d-loss" if trains_disc else "g-loss", value)
+    grads = nn.flat_stack(model.disc_params if trains_disc else model.gen_params)
     k = len(disc_cache)  # a feature-matching pass stops at the feature layer
-    grad, grads = nn.mlp_backward(model.disc_specs[:k], model.disc_params[:k], disc_cache, grad,
-                                  trained=trains_disc, need_dx=not trains_disc)
+    grad = nn.mlp_backward(model.disc_specs[:k], model.disc_params[:k], disc_cache, grad,
+                           out=grads if trains_disc else None, need_dx=not trains_disc)
     if not trains_disc:
-        grads = nn.mlp_backward(model.gen_specs, model.gen_params, gen_cache, grad, need_dx=False)[1]
+        nn.mlp_backward(model.gen_specs, model.gen_params, gen_cache, grad, out=grads, need_dx=False)
     return value, grads
 
 

@@ -5,7 +5,6 @@ Gaussian noise, the Adam optimizer, and bit-exact model serialization.
 from __future__ import annotations
 
 import math
-import operator
 import struct
 from dataclasses import dataclass, field
 
@@ -62,24 +61,19 @@ def _carve(shapes) -> list[np.ndarray]:
     return views
 
 
-def init_mlp(specs: list[LayerSpec], rng: np.random.Generator) -> list[LayerParams]:
-    """He-style init: v ~ N(0, 2/in_dim), gains 1, biases 0.
+def flat_stack(params: list[LayerParams]) -> list[LayerParams]:
+    """Zeros laid out like ``params``: each array a view of one new flat buffer, in ``named()`` order."""
+    views = iter(_carve([a.shape for p in params for _, a in p.named()]))
+    return [LayerParams(v=next(views), g=None if p.g is None else next(views), b=next(views)) for p in params]
 
-    Every array is a view of one flat buffer, in ``named()`` order, which
-    Adam updates in one blocked pass.
-    """
-    shapes = []
-    for spec in specs:
-        shapes += [(spec.out_dim, spec.in_dim)] + [(spec.out_dim,)] * (2 if spec.weight_norm else 1)
-    views = iter(_carve(shapes))
+
+def init_mlp(specs: list[LayerSpec], rng: np.random.Generator) -> list[LayerParams]:
+    """He-style init: v ~ N(0, 2/in_dim), gains 1, biases 0, each a separate array."""
     params = []
     for spec in specs:
-        v = next(views)
-        v[...] = rng.normal(0.0, np.sqrt(2.0 / spec.in_dim), size=v.shape)
-        g = next(views) if spec.weight_norm else None
-        if g is not None:
-            g[...] = 1.0
-        params.append(LayerParams(v=v, g=g, b=next(views)))
+        v = rng.normal(0.0, np.sqrt(2.0 / spec.in_dim), size=(spec.out_dim, spec.in_dim))
+        g = np.ones(spec.out_dim) if spec.weight_norm else None
+        params.append(LayerParams(v=v, g=g, b=np.zeros(spec.out_dim)))
     return params
 
 
@@ -174,35 +168,34 @@ def mlp_backward(
     params: list[LayerParams],
     cache: list,
     grad: np.ndarray,
-    trained: bool = True,
+    out: list[LayerParams] | None = None,
     need_dx: bool = True,
-) -> tuple[np.ndarray | None, list[dict[str, np.ndarray]] | None]:
+) -> np.ndarray | None:
     """Backpropagate ``grad``, the gradient at the output of the pass that filled ``cache``.
 
     Returns the gradient at the pass's input (None when ``need_dx`` is
-    false) and, when ``trained``, one ``{name: gradient}`` dict per layer;
-    with ``trained`` false the stack is a constant and only the input
-    gradient is formed. The noise is a constant, so its gradient is the
-    identity. Each layer forms ``dW = grad.T @ x`` once and applies the
-    weight-norm chain rule (Salimans & Kingma 2016) to it.
+    false). Each layer's parameter gradients are written into its entry of
+    ``out``, a stack laid out like ``params`` (see :func:`flat_stack`); with
+    ``out`` None the stack is a constant and only the input gradient is
+    formed. The noise is a constant, so its gradient is the identity. Each
+    layer forms ``dW = grad.T @ x`` once and applies the weight-norm chain
+    rule (Salimans & Kingma 2016) to it.
     """
-    grads = []
     for i in range(len(cache) - 1, -1, -1):
         x, w, norm, pre, y = cache[i]
         v, g = params[i].v, params[i].g
         grad = ad.activation_grad(specs[i].activation, grad, pre, y)
         dx = grad @ w if need_dx or i > 0 else None
-        if trained:
-            dw = grad.T @ x
-            db = grad.sum(axis=0)
-            if g is None:
-                grads.append({"v": dw, "b": db})
-            else:
+        if out is not None:
+            o = out[i]
+            dw = np.matmul(grad.T, x, out=o.v)
+            grad.sum(axis=0, out=o.b)
+            if g is not None:
                 gv = (dw * v).sum(axis=1)
-                d_v = (g / norm)[:, None] * dw - (g * gv / norm**3)[:, None] * v
-                grads.append({"v": d_v, "g": gv / norm, "b": db})
+                np.subtract((g / norm)[:, None] * dw, (g * gv / norm**3)[:, None] * v, out=o.v)
+                np.divide(gv, norm, out=o.g)
         grad = dx
-    return grad, grads[::-1] if trained else None
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +211,7 @@ ADAM_BLOCK = 32768
 @dataclass
 class AdamState:
     """Adam's settings and moments. ``m`` and ``v`` are laid out like the
-    network's flat parameter buffer, whose arrays ``slots`` lists."""
+    network's flat parameter buffer, which ``init_adam`` makes."""
 
     lr: float = 3e-4
     beta1: float = 0.5
@@ -227,99 +220,52 @@ class AdamState:
     step_count: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    slots: list[tuple[int, str, int, int, np.ndarray]] = field(default_factory=list, repr=False)
-
-
-def _pack(params: list[LayerParams]) -> list[tuple[int, str, int, int, np.ndarray]]:
-    """(layer, name, start, stop, array) of each tensor of the stack in its flat buffer.
-
-    ``init_mlp`` lays a stack out this way; any other stack (hand-built, or
-    with an array replaced) is first copied into a new buffer, and its
-    arrays rebound to views of it.
-    """
-    arrays = [(i, name, a) for i, p in enumerate(params) for name, a in p.named()]
-    starts = np.cumsum([0] + [a.size for _, _, a in arrays]).tolist()
-    flat = arrays[0][2].base
-    packed = flat is not None and flat.ndim == 1 and flat.size == starts[-1] and flat.dtype == np.float64
-    if packed:
-        addr = flat.__array_interface__["data"][0]
-        packed = all(
-            a.base is flat and a.flags.c_contiguous and a.__array_interface__["data"][0] == addr + 8 * start
-            for (_, _, a), start in zip(arrays, starts)
-        )
-    if not packed:
-        views = _carve([a.shape for _, _, a in arrays])
-        for view, (i, name, a) in zip(views, arrays):
-            view[...] = a
-            setattr(params[i], name, view)
-        arrays = [(i, name, view) for view, (i, name, _) in zip(views, arrays)]
-    return [(i, name, start, stop, a) for (i, name, a), start, stop in zip(arrays, starts, starts[1:])]
 
 
 def init_adam(params: list[LayerParams], lr=3e-4, beta1=0.5, beta2=0.999, eps=1e-8) -> AdamState:
-    slots = _pack(params)
-    size = slots[-1][3]
-    return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, m=np.zeros(size), v=np.zeros(size), slots=slots)
-
-
-def _blocks(slots, size: int):
-    """(lo, hi, [(slot index, start, stop)]) for each ADAM_BLOCK-sized block of the flat buffer."""
-    first = 0
-    for lo in range(0, size, ADAM_BLOCK):
-        hi = min(lo + ADAM_BLOCK, size)
-        while slots[first][3] <= lo:
-            first += 1
-        pieces, k = [], first
-        while k < len(slots) and slots[k][2] < hi:
-            pieces.append((k, max(lo, slots[k][2]), min(hi, slots[k][3])))
-            k += 1
-        yield lo, hi, pieces
+    """Zero moments for ``params``, whose arrays are first copied into one new
+    flat buffer (:func:`flat_stack`) and rebound to views of it."""
+    for p, packed in zip(params, flat_stack(params)):
+        for name, a in packed.named():
+            a[...] = getattr(p, name)
+            setattr(p, name, a)
+    size = params[0].v.base.size
+    return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(
     params: list[LayerParams],
-    grads: list[dict[str, np.ndarray]],
+    grads: list[LayerParams],
     state: AdamState,
 ) -> tuple[list[LayerParams], AdamState]:
-    """Standard bias-corrected Adam update, in place; missing grads mean zero.
+    """Standard bias-corrected Adam update, in place.
 
-    One pass over the network's flat buffer in blocks of ADAM_BLOCK elements,
-    with the per-tensor update's operations in the same order, so every bit
-    matches an update of one tensor at a time.
+    ``params`` is a stack that ``init_adam`` packed, and ``grads`` one laid
+    out like it (as ``mlp_backward`` writes it). One pass over the flat
+    buffers in blocks of ADAM_BLOCK elements, with the per-tensor update's
+    operations in the same order, so every bit matches an update of one
+    tensor at a time. A non-finite gradient raises before anything changes.
     """
+    flat, grad = params[0].v.base, grads[0].v.base
+    if flat is None or grad is None or not flat.size == grad.size == state.m.size:
+        raise ShapeMismatch("adam-step", np.shape(flat), np.shape(grad), state.m.shape,
+                            detail="parameters vs gradients vs Adam moments")
+    if not np.isfinite(grad).all():
+        at = int(np.argmin(np.isfinite(grad)))  # the first non-finite element
+        for i, p in enumerate(params):
+            for name, a in p.named():
+                at -= a.size
+                if at < 0:
+                    raise DomainError("adam-step", f"non-finite gradient for layer {i} param {name!r}")
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    arrays = [a for p in params for _, a in p.named()]
-    if len(arrays) != len(state.slots) or not all(map(operator.is_, arrays, (s[4] for s in state.slots))):
-        slots = _pack(params)  # an array was replaced since init_adam
-        if [s[2:4] for s in slots] != [s[2:4] for s in state.slots]:
-            raise ShapeMismatch("adam-step", (slots[-1][3],), state.m.shape, detail="parameters vs Adam moments")
-        state.slots = slots
-    slots = state.slots
-    flat = slots[0][4].base
-    flat_grads = []
-    for i, name, _, _, _ in slots:
-        grad = grads[i].get(name)
-        flat_grads.append(None if grad is None else grad.reshape(-1))
     n = min(ADAM_BLOCK, flat.size)
-    g_buf, s_buf, d_buf = np.empty(n), np.empty(n), np.empty(n)
-    for lo, hi, pieces in _blocks(slots, flat.size):
-        s, d = s_buf[: hi - lo], d_buf[: hi - lo]
-        k, a, b = pieces[0]
-        if len(pieces) == 1 and flat_grads[k] is not None:  # inside one tensor: no gather
-            g = flat_grads[k][a - slots[k][2] : b - slots[k][2]]
-        else:
-            g = g_buf[: hi - lo]
-            for k, a, b in pieces:
-                start, grad = slots[k][2], flat_grads[k]
-                g[a - lo : b - lo] = 0.0 if grad is None else grad[a - start : b - start]
-        if not np.isfinite(g).all():
-            for k, a, b in pieces:
-                if not np.isfinite(g[a - lo : b - lo]).all():
-                    i, name = slots[k][:2]
-                    raise DomainError("adam-step", f"non-finite gradient for layer {i} param {name!r}")
+    s_buf, d_buf = np.empty(n), np.empty(n)
+    for lo in range(0, flat.size, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, flat.size)
+        g, s, d = grad[lo:hi], s_buf[: hi - lo], d_buf[: hi - lo]
         m, v = state.m[lo:hi], state.v[lo:hi]
         m *= state.beta1
         m += np.multiply(g, 1.0 - state.beta1, out=s)

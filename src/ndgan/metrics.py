@@ -118,9 +118,11 @@ def _remap(data: Dataset, keep_mask: np.ndarray, label_map: dict, split_tag: str
     )
 
 
-def make_holdout_splits(train: Dataset, test: Dataset, seed: int) -> list[HoldoutSplit]:
-    """One split per class: train on the other K-1 classes, treat the held-out
-    class as novel, balanced against the nominal evaluation pool.
+def make_holdout_splits(train: Dataset, test: Dataset, seed: int, classes=None) -> list[HoldoutSplit]:
+    """One split per class of ``classes`` (default: every class), in ascending
+    order: train on the other K-1 classes, treat the held-out class as novel,
+    balanced against the nominal evaluation pool. Each split's draws depend
+    only on the seed and its class.
 
     Balancing draws novel examples from the holdout class's test pool first
     and tops up from its train pool (seeded shuffle). If even both pools
@@ -136,9 +138,13 @@ def make_holdout_splits(train: Dataset, test: Dataset, seed: int) -> list[Holdou
     for c in range(K):
         if not np.any(train.labels == c) or not np.any(test.labels == c):
             raise ValidationError(f"class {c} is absent from train or test data")
+    wanted = range(K) if classes is None else sorted(set(classes))
+    unknown = [c for c in wanted if not 0 <= c < K]
+    if unknown or not wanted:
+        raise ValidationError(f"holdout classes must be some of 0..{K - 1}, got {wanted}")
 
     splits = []
-    for holdout in range(K):
+    for holdout in wanted:
         rng = np.random.default_rng(derive_seed(seed, f"holdout-{holdout}"))
         label_map = {int(c): i for i, c in enumerate(c for c in range(K) if c != holdout)}
 
@@ -252,20 +258,17 @@ def write_roc_csv(path, curve: RocCurve):
 def run_benchmark(split_scorers, alphas=(0.05, 0.10)) -> BenchmarkResult:
     """Evaluate trained scorers per split, with one TPR column per target FPR in ``alphas``.
 
-    ``split_scorers`` is a sequence of (split, scorer) pairs where ``split``
-    is a HoldoutSplit (or anything with eval_nominal/eval_novel Datasets and
-    a fingerprint) and ``scorer.score(x)`` maps name -> scores of a batch
-    (see ``scores.Scorer``), so each evaluation set is scored once. A scorer
-    carrying a train fingerprint is checked against its split.
+    ``split_scorers`` is a sequence of (split, scorer) pairs: a HoldoutSplit,
+    and a ``scores.Scorer``, whose ``score(x)`` maps name -> scores of a
+    batch, so each evaluation set is scored once. A scorer whose
+    ``train_fingerprint`` is set is checked against its split's fingerprint.
     """
     rows: list[BenchmarkRow] = []
     curves = {}
     for split, scorer in split_scorers:
-        split_name = str(getattr(split, "holdout_class", getattr(split, "name", "eval")))
-        trained_on = getattr(scorer, "train_fingerprint", None)
-        split_fp = getattr(split, "fingerprint", None)
-        if trained_on is not None and split_fp is not None and trained_on != split_fp:
-            raise FingerprintMismatch(trained_on, split_fp)
+        split_name = str(split.holdout_class)
+        if scorer.train_fingerprint is not None and scorer.train_fingerprint != split.fingerprint:
+            raise FingerprintMismatch(scorer.train_fingerprint, split.fingerprint)
         nominal = scorer.score(split.eval_nominal.features)
         novel = scorer.score(split.eval_novel.features)
         for name, nom in nominal.items():

@@ -90,8 +90,8 @@ def check_layer_gradient(activation: str, weight_norm: bool, seed: int):
     def scalar():
         return float((nn.mlp_forward([params], [spec], x)[0] * weights).sum())
 
-    dx, (grads,) = nn.mlp_backward([spec], [params], cache, weights)
+    (grads,) = nn.flat_stack([params])
+    dx = nn.mlp_backward([spec], [params], cache, weights, out=[grads])
     assert_grad_close(dx, finite_difference_grad(scalar, x))
-    assert set(grads) == {name for name, _ in params.named()}
     for name, array in params.named():
-        assert_grad_close(grads[name], finite_difference_grad(scalar, array))
+        assert_grad_close(getattr(grads, name), finite_difference_grad(scalar, array))

@@ -63,7 +63,7 @@ def _check_network_gradients(seed: int):
     _, grads = gan._gradients(model, 0, gan.discriminator_loss, real, labels, real, fake, mode="eval")
     for li, p in enumerate(model.disc_params):
         for name, a in p.named():
-            assert_grad_close(grads[li][name], finite_difference_grad(d_loss_fixed_fake, a))
+            assert_grad_close(getattr(grads[li], name), finite_difference_grad(d_loss_fixed_fake, a))
 
     for loss, args in ((gan.generator_loss_feature_matching, (real, z)), (gan.generator_loss_standard, (z,))):
 
@@ -73,7 +73,7 @@ def _check_network_gradients(seed: int):
         _, grads = gan._gradients(model, 0, loss, *args, mode="eval")
         for li, p in enumerate(model.gen_params):
             for name, a in p.named():
-                assert_grad_close(grads[li][name], finite_difference_grad(g_loss_value, a))
+                assert_grad_close(getattr(grads[li], name), finite_difference_grad(g_loss_value, a))
 
 
 def test_c1_gradients_match_finite_differences_everywhere():

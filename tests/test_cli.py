@@ -538,6 +538,19 @@ def test_eval_holdout_bad_config_fails_before_training(pipeline, tmp_path, monke
     assert trained == []
 
 
+def test_eval_holdout_unknown_class_exits_2_before_training(pipeline, tmp_path, monkeypatch, capsys):
+    root, data_dir, _ = pipeline
+    trained = []
+    monkeypatch.setattr(gan, "train_gan", lambda *args, **kwargs: trained.append(args))
+    path = _holdout_config(tmp_path, data_dir)
+    doc = json.loads(path.read_text())
+    doc["holdout"]["holdout_classes"] = [0, 42]
+    path.write_text(json.dumps(doc))
+    assert run("eval", "--config", str(path), "--out-dir", str(tmp_path / "out")) == 2
+    assert "42" in capsys.readouterr().err
+    assert trained == []
+
+
 def _probe_configs(pipeline, tmp_path):
     """A working config of each kind, on the pipeline's files."""
     _, data_dir, model_dir = pipeline

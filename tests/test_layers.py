@@ -64,7 +64,7 @@ def test_noise_is_seed_deterministic_and_constant_in_backward():
 
     cache = []
     nn.mlp_forward([params], [spec], x, "train", np.random.default_rng(9), cache=cache)
-    dx, _ = nn.mlp_backward([spec], [params], cache, np.ones((3, 2)))
+    dx = nn.mlp_backward([spec], [params], cache, np.ones((3, 2)))
     np.testing.assert_array_equal(dx, np.ones((3, 2)))
 
 
@@ -140,15 +140,17 @@ def test_full_mlp_gradient_matches_finite_differences(rng):
 
     cache = []
     nn.mlp_forward(params, specs, x, cache=cache)
-    dx, grads = nn.mlp_backward(specs, params, cache, weights)
+    grads = nn.flat_stack(params)
+    dx = nn.mlp_backward(specs, params, cache, weights, out=grads)
     assert_grad_close(dx, finite_difference_grad(value, x))
     for li, p in enumerate(params):
         for name, a in p.named():
-            assert_grad_close(grads[li][name], finite_difference_grad(value, a))
-    # a constant stack forms the same input gradient and none for its parameters
-    const_dx, none = nn.mlp_backward(specs, params, cache, weights, trained=False)
-    assert none is None and const_dx.tobytes() == dx.tobytes()
-    assert nn.mlp_backward(specs, params, cache, weights, need_dx=False)[0] is None
+            assert_grad_close(getattr(grads[li], name), finite_difference_grad(value, a))
+    # a constant stack forms the same input gradient; without it, the same parameter gradients
+    assert nn.mlp_backward(specs, params, cache, weights).tobytes() == dx.tobytes()
+    again = nn.flat_stack(params)
+    assert nn.mlp_backward(specs, params, cache, weights, out=again, need_dx=False) is None
+    assert again[0].v.base.tobytes() == grads[0].v.base.tobytes()
 
 
 def test_dimension_chain_break_names_layer():
@@ -168,10 +170,19 @@ def _scalar_param(value=0.0):
     return [nn.LayerParams(v=np.array([[value]]), g=None, b=np.zeros(1))]
 
 
+def _stack(params, *layers):
+    """A gradient stack laid out like ``params``: zeros, with layer i's arrays set from ``layers[i]``."""
+    grads = nn.flat_stack(params)
+    for layer, values in zip(grads, layers):
+        for name, value in values.items():
+            getattr(layer, name)[...] = value
+    return grads
+
+
 def test_adam_zero_gradient_is_a_fixed_point():
     params = _scalar_param(1.5)
     state = nn.init_adam(params, lr=0.1)
-    nn.adam_step(params, [{"v": np.zeros((1, 1)), "b": np.zeros(1)}], state)
+    nn.adam_step(params, _stack(params), state)
     assert params[0].v[0, 0] == 1.5
     assert state.step_count == 1
 
@@ -179,7 +190,7 @@ def test_adam_zero_gradient_is_a_fixed_point():
 def test_adam_first_step_is_bias_corrected_unit_step():
     params = _scalar_param(0.0)
     state = nn.init_adam(params, lr=0.1)
-    nn.adam_step(params, [{"v": np.ones((1, 1)), "b": np.zeros(1)}], state)
+    nn.adam_step(params, _stack(params, {"v": 1.0}), state)
     # mhat = vhat = 1 at t=1, so the step is lr/(1 + eps) regardless of betas
     assert params[0].v[0, 0] == pytest.approx(-0.1, abs=1e-6)
 
@@ -193,7 +204,7 @@ def test_adam_converges_on_scalar_quadratic_and_matches_recurrence():
     w, m, v = 0.0, 0.0, 0.0
     for t in range(1, 201):
         grad = 2.0 * (params[0].v[0, 0] - 3.0)
-        nn.adam_step(params, [{"v": np.array([[grad]]), "b": np.zeros(1)}], state)
+        nn.adam_step(params, _stack(params, {"v": grad}), state)
 
         g = 2.0 * (w - 3.0)
         m = b1 * m + (1 - b1) * g
@@ -207,7 +218,7 @@ def test_adam_rejects_non_finite_gradient_naming_the_parameter():
     params = _scalar_param()
     state = nn.init_adam(params)
     with pytest.raises(DomainError) as err:
-        nn.adam_step(params, [{"v": np.array([[np.nan]]), "b": np.zeros(1)}], state)
+        nn.adam_step(params, _stack(params, {"v": np.nan}), state)
     assert "layer 0" in str(err.value) and "'v'" in str(err.value)
 
 
@@ -215,7 +226,7 @@ def _per_tensor_adam(arrays, grads, m, v, t, lr, b1, b2, eps):
     """The update one tensor at a time, as adam_step computed it before the flat buffer."""
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     for key, w in arrays.items():
-        grad = grads.get(key, np.zeros_like(w))
+        grad = grads[key]
         m[key] *= b1
         m[key] += (1.0 - b1) * grad
         v[key] *= b2
@@ -232,12 +243,11 @@ def test_blocked_flat_adam_equals_per_tensor_update_bit_for_bit(data, block, ste
     dims = data.draw(st.lists(st.integers(lo, hi), min_size=2, max_size=4), label="dims")
     wn = data.draw(st.lists(st.booleans(), min_size=len(dims) - 1, max_size=len(dims) - 1), label="weight_norm")
     specs = [nn.LayerSpec(a, b, weight_norm=w) for a, b, w in zip(dims, dims[1:], wn)]
-    keys = [(i, name) for i, spec in enumerate(specs) for name in ("v", "g", "b") if name != "g" or spec.weight_norm]
-    missing = data.draw(st.sets(st.sampled_from(keys), max_size=2), label="missing")
     rng = np.random.default_rng(seed)
     params = nn.init_mlp(specs, rng)
-    if not from_init:  # separate arrays: init_adam copies them into a buffer
-        params = [nn.LayerParams(*(None if a is None else a.copy() for a in (p.v, p.g, p.b))) for p in params]
+    if not from_init:  # strided views of other arrays: init_adam copies them into its buffer
+        params = [nn.LayerParams(*(None if a is None else np.stack([a, -a], axis=-1)[..., 0] for a in (p.v, p.g, p.b)))
+                  for p in params]
     arrays = {(i, name): a.copy() for i, p in enumerate(params) for name, a in p.named()}
     m = {key: np.zeros_like(w) for key, w in arrays.items()}
     v = {key: np.zeros_like(w) for key, w in arrays.items()}
@@ -245,10 +255,9 @@ def test_blocked_flat_adam_equals_per_tensor_update_bit_for_bit(data, block, ste
     with mock.patch.object(nn, "ADAM_BLOCK", block):
         state = nn.init_adam(params, lr, b1, b2, eps)
         for t in range(1, steps + 1):
-            grads = {key: rng.normal(size=w.shape) * 10.0 ** rng.uniform(-4, 2)
-                     for key, w in arrays.items() if key not in missing}
-            nn.adam_step(params, [{name: g for (j, name), g in grads.items() if j == i} for i in range(len(specs))],
-                         state)
+            grads = {key: rng.normal(size=w.shape) * 10.0 ** rng.uniform(-4, 2) for key, w in arrays.items()}
+            layers = [{name: g for (j, name), g in grads.items() if j == i} for i in range(len(specs))]
+            nn.adam_step(params, _stack(params, *layers), state)
             _per_tensor_adam(arrays, grads, m, v, t, lr, b1, b2, eps)
     for i, p in enumerate(params):
         for name, a in p.named():
@@ -260,8 +269,9 @@ def test_blocked_flat_adam_equals_per_tensor_update_bit_for_bit(data, block, ste
 def test_adam_names_the_non_finite_tensor_inside_a_shared_block():
     specs = [nn.LayerSpec(2, 2, weight_norm=True), nn.LayerSpec(2, 1)]
     params = nn.init_mlp(specs, np.random.default_rng(0))
-    grads = [{name: np.ones_like(a) for name, a in p.named()} for p in params]
-    grads[1]["b"][0] = np.inf
+    grads = nn.flat_stack(params)
+    grads[0].v.base[...] = 1.0
+    grads[1].b[0] = np.inf
     with mock.patch.object(nn, "ADAM_BLOCK", 16):  # all five tensors share one block
         state = nn.init_adam(params)
         with pytest.raises(DomainError) as err:
@@ -269,21 +279,49 @@ def test_adam_names_the_non_finite_tensor_inside_a_shared_block():
     assert "layer 1" in str(err.value) and "'b'" in str(err.value)
 
 
-def test_init_mlp_lays_the_stack_out_in_one_buffer_that_adam_updates():
+def test_adam_changes_nothing_when_a_later_block_holds_a_non_finite_gradient():
+    specs = [nn.LayerSpec(3, 4, weight_norm=True), nn.LayerSpec(4, 2)]
+    params = nn.init_mlp(specs, np.random.default_rng(2))
+    grads = nn.flat_stack(params)
+    grads[0].v.base[...] = np.random.default_rng(3).normal(size=grads[0].v.base.size)
+    with mock.patch.object(nn, "ADAM_BLOCK", 4):  # eight blocks; the last holds layer 1's bias
+        state = nn.init_adam(params)
+        nn.adam_step(params, grads, state)  # moments away from zero
+        before = [params[0].v.base.tobytes(), state.m.tobytes(), state.v.tobytes(), state.step_count]
+        grads[1].b[-1] = np.nan
+        with pytest.raises(DomainError) as err:
+            nn.adam_step(params, grads, state)
+    assert "layer 1" in str(err.value) and "'b'" in str(err.value)
+    assert [params[0].v.base.tobytes(), state.m.tobytes(), state.v.tobytes(), state.step_count] == before
+
+
+def test_adam_rejects_stacks_of_another_size():
+    specs = [nn.LayerSpec(3, 4, weight_norm=True), nn.LayerSpec(4, 2)]
+    params = nn.init_mlp(specs, np.random.default_rng(4))
+    unpacked = nn.init_mlp(specs, np.random.default_rng(4))
+    state = nn.init_adam(params)
+    for bad_params, bad_grads in ((params, nn.flat_stack(params[:1])), (unpacked, nn.flat_stack(params)),
+                                  (params[1:], nn.flat_stack(params[1:]))):
+        with pytest.raises(ShapeMismatch) as err:
+            nn.adam_step(bad_params, bad_grads, state)
+        assert "adam-step" in str(err.value)
+    assert state.step_count == 0
+
+
+def test_init_adam_packs_the_stack_in_one_buffer_that_adam_updates_in_place():
     specs = [nn.LayerSpec(3, 4, weight_norm=True), nn.LayerSpec(4, 2)]
     params = nn.init_mlp(specs, np.random.default_rng(5))
-    flat = params[0].v.base
-    assert flat.shape == (12 + 4 + 4 + 8 + 2,)
-    assert all(a.base is flat for p in params for _, a in p.named())
+    values = [a.copy() for p in params for _, a in p.named()]
     state = nn.init_adam(params)
+    flat = params[0].v.base
+    assert flat.shape == state.m.shape == (12 + 4 + 4 + 8 + 2,)
+    assert all(a.base is flat for p in params for _, a in p.named())
+    assert flat.tobytes() == b"".join(a.tobytes() for a in values)  # the same values, in named() order
     before = [a for p in params for _, a in p.named()]
-    nn.adam_step(params, [{"v": np.ones((4, 3))}, {"b": np.ones(2)}], state)
-    assert all(a is b for a, b in zip((a for p in params for _, a in p.named()), before))  # no copy
-    params[1].b = params[1].b.copy()  # a replaced array is packed again, not left behind
-    old = params[1].b.copy()
-    nn.adam_step(params, [{}, {"b": np.ones(2)}], state)
-    assert params[1].b.base is state.slots[0][4].base
-    assert np.all(params[1].b < old)
+    nn.adam_step(params, _stack(params, {"v": 1.0}, {"b": 1.0}), state)
+    assert all(a is b for a, b in zip((a for p in params for _, a in p.named()), before))  # nothing rebound
+    assert np.all(params[0].v < values[0]) and np.all(params[1].b < values[-1])
+    assert np.array_equal(params[0].g, values[1])  # a zero gradient leaves the gain
 
 
 # ---------------------------------------------------------------------------

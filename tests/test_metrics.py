@@ -143,6 +143,22 @@ def test_holdout_split_balances_by_shrinking_nominal_when_pool_is_small():
     assert abs(s.eval_nominal.n - s.eval_novel.n) <= 1
 
 
+def test_holdout_splits_of_chosen_classes_equal_those_of_every_class():
+    train = _toy_multiclass(30, 4, 0, "train")
+    test = _toy_multiclass(10, 4, 1, "test")
+    every = metrics.make_holdout_splits(train, test, seed=5)
+    chosen = metrics.make_holdout_splits(train, test, seed=5, classes=[3, 1, 3])
+    assert [s.holdout_class for s in chosen] == [1, 3]  # deduplicated, ascending
+    for s in chosen:
+        t = every[s.holdout_class]
+        for name in ("train", "eval_nominal", "eval_novel"):
+            assert getattr(s, name).features.tobytes() == getattr(t, name).features.tobytes()
+        assert s.fingerprint == t.fingerprint
+    for bad in ([0, 4], [-1], []):
+        with pytest.raises(ValidationError, match="0..3"):
+            metrics.make_holdout_splits(train, test, seed=5, classes=bad)
+
+
 def test_holdout_requires_every_class_present():
     train = _toy_multiclass(20, 3, 0, "train")
     test = _toy_multiclass(10, 3, 1, "test")

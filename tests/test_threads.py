@@ -139,11 +139,11 @@ def _poison_gradients(monkeypatch):
     """Adam then meets an infinite gradient at the first discriminator step."""
     backward = nn.mlp_backward
 
-    def poisoned(*args, **kwargs):
-        dx, grads = backward(*args, **kwargs)
-        if grads:
-            grads[0]["b"][0] = np.inf
-        return dx, grads
+    def poisoned(*args, out=None, **kwargs):
+        dx = backward(*args, out=out, **kwargs)
+        if out is not None:
+            out[0].b[0] = np.inf
+        return dx
 
     monkeypatch.setattr(nn, "mlp_backward", poisoned)
 

@@ -23,11 +23,10 @@ of each file's bytes before hashing; two trees' outputs then compare by a diff:
     python3 scripts/output_hashes.py --src . --seed 7 --work-dir /tmp/b > b.txt
     diff a.txt b.txt
 
-The OpenBLAS thread setting the run had goes to stderr. Training pins BLAS
-to one thread, but scoring and the kNN search use the library's count, so
-two runs under different settings should give the same bytes only for the
-`2d` outputs (ring-pipeline and training-branches); holdout-mnist and
-score-bulk score at mnist width.
+The OpenBLAS thread setting the run had goes to stderr. Training, the
+discriminator pass of scoring and the kNN search all pin BLAS to one
+thread, so two runs under different settings (``OPENBLAS_NUM_THREADS=1``
+and ``=2``) should print the same line for every file, all 70 of a full-size run.
 
 Exits 1, with the stage's log on stderr, when a stage fails or its output
 check does.

@@ -112,14 +112,14 @@ def _env() -> dict:
         build = {}
     return {"python": platform.python_version(), "numpy": np.__version__, "blas": build.get("name"),
             "blas_version": build.get("version"), "nproc": blas.cpu_count(),
-            "training_blas_threads": 1 if blas.openblas() else "not pinned"}
+            "blas_threads": 1 if blas.openblas() else "not pinned"}
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: dict, provenance: str | None = None):
     doc = {"command": command, "ndgan_version": __version__, "seed": cfg["seed"], "config": cfg}
     if provenance:
         doc["dataset_provenance"] = provenance
-    if command in ("train", "eval"):
+    if command in ("train", "score", "eval"):
         doc["env"] = _env()
     _write_json(out_dir / "manifest.json", doc)
 
@@ -312,26 +312,31 @@ def _read_scores_csv(path: str, column: str):
         raise ValidationError(f"scores file not found: {path}")
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.reader(fh)
+            index = {name: i for i, name in enumerate(next(reader, []))}  # a repeated name: its last column
+            rows = [row for row in reader if row]  # blank rows are skipped, as csv.DictReader skips them
     except UnicodeDecodeError:
         raise FormatError(path, "not UTF-8 text") from None
     if not rows:
         raise FormatError(path, "empty scores file")
-    if column not in rows[0]:
-        raise ValidationError(f"{path}: no column {column!r}; have {sorted(rows[0])}")
-    if "is_novel" not in rows[0]:
+    if column not in index:
+        raise ValidationError(f"{path}: no column {column!r}; have {sorted(index)}")
+    if "is_novel" not in index:
         raise ValidationError(f"{path}: no is_novel ground-truth column")
+    at, novel_at = index[column], index["is_novel"]
     score_v, novel_v = [], []
     for i, row in enumerate(rows):
-        if row["is_novel"] == "":
+        row += [None] * (max(at, novel_at) + 1 - len(row))  # a short row's missing cells
+        if row[novel_at] == "":
             raise ValidationError(f"{path}: row {i} has blank ground truth")
-        for name, parse, values in ((column, float, score_v), ("is_novel", int, novel_v)):
-            try:
-                values.append(parse(row[name]))
-            except (TypeError, ValueError):  # a non-numeric cell, or None in a short row
-                raise FormatError(path, f"row {i}, column {name!r}: non-numeric cell {row[name]!r}") from None
+        try:
+            score_v.append(float(row[at]))
+            novel_v.append(int(row[novel_at]))
+        except (TypeError, ValueError):  # a non-numeric cell, or None in a short row
+            name, j = (column, at) if len(score_v) == i else ("is_novel", novel_at)
+            raise FormatError(path, f"row {i}, column {name!r}: non-numeric cell {row[j]!r}") from None
         if novel_v[-1] not in (0, 1):
-            raise FormatError(path, f"row {i}, column 'is_novel': ground truth must be 0 or 1, got {row['is_novel']!r}")
+            raise FormatError(path, f"row {i}, column 'is_novel': ground truth must be 0 or 1, got {row[novel_at]!r}")
     return np.asarray(score_v), np.asarray(novel_v, dtype=bool)
 
 

@@ -27,6 +27,7 @@ from .errors import (
 from .rng import NoiseAhead, RngStreams, derive_seed
 
 PROB_CLAMP = 1e-7  # floor/ceiling for probabilities inside logs and ratios
+FORWARD_BLOCK = 256  # most rows per block of an eval pass
 Z_PRIORS = ("standard-normal", "uniform")
 
 
@@ -129,8 +130,15 @@ def discriminator_logits(
     model: GanModel, x: np.ndarray, mode: str = "eval", noise_rng=None, cache: list | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(K+1 logits, feature-layer activations) of one discriminator pass; see
-    ``layers.mlp_forward`` for ``cache``."""
-    return nn.mlp_forward(model.disc_params, model.disc_specs, x, mode, noise_rng, model.feature_layer, cache)
+    ``layers.mlp_forward`` for ``cache``. An eval pass without one runs in row blocks (``blas.in_blocks``)."""
+    x = np.asarray(x, dtype=np.float64)
+    if mode != "eval" or cache is not None or x.ndim != 2:
+        return nn.mlp_forward(model.disc_params, model.disc_specs, x, mode, noise_rng, model.feature_layer, cache)
+    params = [nn.LayerParams(p.v, p.g, p.b) for p in model.disc_params]  # the model's own cache stays as it is
+    nn.cache_weights(params)  # once for every block
+    parts = blas.in_blocks(lambda start, stop: nn.mlp_forward(
+        params, model.disc_specs, x[start:stop], keep=model.feature_layer), len(x), FORWARD_BLOCK)
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(out) for out in zip(*parts))
 
 
 def forward(model: GanModel, x) -> tuple[np.ndarray, np.ndarray]:

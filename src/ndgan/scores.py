@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .densities import GridDensity
 from .errors import DomainError, ValidationError
 # discriminator_probs/_features stay bound here for bench's tracing test until the benchmark repair
@@ -49,45 +50,52 @@ def score_max_prob(probs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _knn_distances(queries: np.ndarray, reference: np.ndarray, k: int, exclude_self: bool, block: int = 256,
-                   ref_sq: np.ndarray | None = None):
+KNN_BLOCK = 128  # most query rows per block of the kNN search
+
+
+def knn_prepare(reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(reference.T * -2.0, the squared norms of its rows): what each search of ``reference`` reuses."""
+    return reference.T * -2.0, (reference * reference).sum(axis=1)
+
+
+def _knn_distances(queries: np.ndarray, reference: np.ndarray, k: int, exclude_self: bool, block: int = KNN_BLOCK,
+                   prepared: tuple | None = None):
     """Mean distance to the k nearest neighbors and the index of the k-th one.
 
-    Exact search, blocked to bound memory; neighbors rank by (distance, index),
-    as a stable sort ranks them. A partial select finds the k-th distance, and
-    only a row with a tie there is sorted in full. With ``exclude_self`` the
-    nearest hit is skipped (the queries are reference points themselves).
-    ``ref_sq``, the squared norms of the reference rows, is computed when not given.
+    Exact search in blocks of at most ``block`` query rows (``blas.in_blocks``); neighbors rank by
+    (distance, index), as a stable sort ranks them. A partial select finds the k nearest, and only
+    a row with a tie at the k-th distance is sorted in full. With ``exclude_self`` the nearest hit
+    is skipped (the queries are reference points themselves). ``prepared``: see ``score_knn``.
     """
-    kth_index = np.empty(len(queries), dtype=np.int64)
-    mean_dist = np.empty(len(queries))
-    if ref_sq is None:
-        ref_sq = (reference * reference).sum(axis=1)
+    mean_dist, kth_index = np.empty(len(queries)), np.empty(len(queries), dtype=np.int64)
+    ref_t2, ref_sq = knn_prepare(reference) if prepared is None else prepared
     take = k + 1 if exclude_self else k
-    for start in range(0, len(queries), block):
-        q = queries[start : start + block]
-        d2 = (q * q).sum(axis=1)[:, None] - 2.0 * (q @ reference.T) + ref_sq[None, :]
+
+    def search(start, stop):  # fills its rows of mean_dist and kth_index
+        q = queries[start:stop]
+        d2 = q @ ref_t2
+        d2 += (q * q).sum(axis=1)[:, None]
+        d2 += ref_sq
         np.maximum(d2, 0.0, out=d2)
-        hit = d2 <= np.partition(d2, take - 1, axis=1)[:, take - 1, None]
-        exact = hit.sum(axis=1) == take
-        order = np.empty((len(q), take), dtype=np.int64)
-        cols = np.nonzero(hit[exact])[1].reshape(-1, take)  # ascending index within each row
-        ranks = np.argsort(np.take_along_axis(d2[exact], cols, axis=1), axis=1, kind="stable")
-        order[exact] = np.take_along_axis(cols, ranks, axis=1)
+        cols = np.argpartition(d2, take - 1, axis=1)[:, :take]
+        exact = np.count_nonzero(d2 <= np.take_along_axis(d2, cols[:, -1:], axis=1), axis=1) == take
+        cols.sort(axis=1)  # ascending index, then a stable sort by distance
+        order = np.take_along_axis(cols, np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable"), 1)
         for r in np.flatnonzero(~exact):  # a tie at the k-th distance
             order[r] = np.argsort(d2[r], kind="stable")[:take]
         order = order[:, take - k :]
-        mean_dist[start : start + len(q)] = np.sqrt(np.take_along_axis(d2, order, axis=1)).mean(axis=1)
-        kth_index[start : start + len(q)] = order[:, k - 1]
+        mean_dist[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1)).mean(axis=1)
+        kth_index[start:stop] = order[:, k - 1]
+    blas.in_blocks(search, len(queries), block)
     return mean_dist, kth_index
 
 
-def score_knn(features_query, reference, k: int = 1) -> np.ndarray:
+def score_knn(features_query, reference, k: int = 1, prepared: tuple | None = None) -> np.ndarray:
     """Normalized kNN novelty score.
 
-    numerator: (mean, for k>1) distance from the query to its k nearest
-    reference points; denominator: the same quantity for NN_k(query), the
-    k-th nearest neighbor itself, searched with that anchor excluded.
+    numerator: (mean, for k>1) distance from the query to its k nearest reference points;
+    denominator: the same quantity for NN_k(query), the k-th nearest neighbor itself, searched
+    with that anchor excluded. ``prepared`` is ``knn_prepare(reference)``, computed when not given.
     """
     queries = np.atleast_2d(np.asarray(features_query, dtype=np.float64))
     reference = np.atleast_2d(np.asarray(reference, dtype=np.float64))
@@ -98,12 +106,12 @@ def score_knn(features_query, reference, k: int = 1) -> np.ndarray:
     if queries.shape[1] != reference.shape[1]:
         raise ValidationError(f"query width {queries.shape[1]} != reference width {reference.shape[1]}")
 
-    ref_sq = (reference * reference).sum(axis=1)
-    num, kth = _knn_distances(queries, reference, k, exclude_self=False, ref_sq=ref_sq)
+    prepared = knn_prepare(reference) if prepared is None else prepared
+    num, kth = _knn_distances(queries, reference, k, exclude_self=False, prepared=prepared)
 
     # Denominators depend only on the anchor point; compute each unique anchor once.
     uniq, inverse = np.unique(kth, return_inverse=True)
-    den_uniq, _ = _knn_distances(reference[uniq], reference, k, exclude_self=True, ref_sq=ref_sq)
+    den_uniq, _ = _knn_distances(reference[uniq], reference, k, exclude_self=True, prepared=prepared)
     den = den_uniq[inverse]
 
     scores = np.zeros(len(queries))
@@ -243,10 +251,11 @@ class Scorer:
         if knn and reference_x is None:
             raise ValidationError(f"scorer {knn[0]} needs a reference set (knn_reference)")
         self.reference = forward(model, reference_x)[1] if knn else None
+        self._prepared = knn_prepare(self.reference) if knn else None
 
     def derive(self, probs: np.ndarray, features: np.ndarray) -> dict[str, np.ndarray]:
         """Every named score from one pass's (probs, features)."""
-        return {name: SCORERS[name](probs) if k is None else score_knn(features, self.reference, k)
+        return {name: SCORERS[name](probs) if k is None else score_knn(features, self.reference, k, self._prepared)
                 for name, k in self._k.items()}
 
     def score(self, x) -> dict[str, np.ndarray]:

@@ -3,19 +3,23 @@
 The benchmark (``bench/``) traces the program by the names of its
 functions and reads some of their arguments, so a change in ``src/`` can
 break it without failing any other test. One short traced run of the
-smallest workload guards that interface; it asserts no timing.
+smallest workload, and one of score-bulk, whose traced functions run on two
+threads, guard that interface; they assert no timing.
 """
 
 import json
 from pathlib import Path
+
+import pytest
 
 from tests.conftest import run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_a_traced_benchmark_run_ends_in_a_correct_result():
-    proc = run_python([str(ROOT / "bench" / "run.py"), "--workload", "ring-pipeline", "--seed", "1",
+@pytest.mark.parametrize("workload", ["ring-pipeline", "score-bulk"])
+def test_a_traced_benchmark_run_ends_in_a_correct_result(workload):
+    proc = run_python([str(ROOT / "bench" / "run.py"), "--workload", workload, "--seed", "1",
                        "--seconds", "1", "--trace", "1"], ROOT)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])

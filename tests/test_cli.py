@@ -13,7 +13,7 @@ import pytest
 from ndgan import blas, cli, gan, scores
 from ndgan import layers as nn
 from ndgan import data as dio
-from ndgan.errors import FormatError
+from ndgan.errors import FormatError, ValidationError
 
 
 def run(*argv):
@@ -116,11 +116,15 @@ def test_train_rerun_from_manifest_is_bit_identical(pipeline, tmp_path):
 def test_train_and_eval_manifests_record_the_environment(pipeline, tmp_path):
     _, data_dir, model_dir = pipeline
     assert run("eval", "--config", str(_holdout_config(tmp_path, data_dir)), "--out-dir", str(tmp_path / "eval")) == 0
-    for manifest in (model_dir / "manifest.json", tmp_path / "eval" / "manifest.json"):
+    assert run("score", "--model", str(model_dir / "model.ndgan"), "--data", str(data_dir / "test.csv"),
+               "--label-column", "label", "--scorers", "nd-gan-ratio", "--seed", "1",
+               "--out-dir", str(tmp_path / "score")) == 0
+    for manifest in (model_dir / "manifest.json", tmp_path / "score" / "manifest.json",
+                     tmp_path / "eval" / "manifest.json"):
         env = json.loads(manifest.read_text())["env"]
-        assert set(env) == {"python", "numpy", "blas", "blas_version", "training_blas_threads", "nproc"}
+        assert set(env) == {"python", "numpy", "blas", "blas_version", "blas_threads", "nproc"}
         assert env["numpy"] == np.__version__ and env["nproc"] >= 1
-        assert env["training_blas_threads"] == (1 if blas.openblas() else "not pinned")
+        assert env["blas_threads"] == (1 if blas.openblas() else "not pinned")
     assert "env" not in json.loads((data_dir / "manifest.json").read_text())  # synth trains nothing
 
 
@@ -400,6 +404,60 @@ def test_eval_of_a_ground_truth_other_than_0_or_1_exits_2(pipeline, tmp_path, ca
     ) == 2
     err = capsys.readouterr().err
     assert f"{bad}: row 2" in err and message in err and "Traceback" not in err
+
+
+def _read_scores_csv_by_dict_rows(path, column):
+    """The reader as it was, one csv.DictReader dict per row: the oracle of its values and messages."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    if not rows:
+        raise FormatError(path, "empty scores file")
+    if column not in rows[0]:
+        raise ValidationError(f"{path}: no column {column!r}; have {sorted(rows[0])}")
+    if "is_novel" not in rows[0]:
+        raise ValidationError(f"{path}: no is_novel ground-truth column")
+    score_v, novel_v = [], []
+    for i, row in enumerate(rows):
+        if row["is_novel"] == "":
+            raise ValidationError(f"{path}: row {i} has blank ground truth")
+        for name, parse, values in ((column, float, score_v), ("is_novel", int, novel_v)):
+            try:
+                values.append(parse(row[name]))
+            except (TypeError, ValueError):
+                raise FormatError(path, f"row {i}, column {name!r}: non-numeric cell {row[name]!r}") from None
+        if novel_v[-1] not in (0, 1):
+            raise FormatError(path, f"row {i}, column 'is_novel': ground truth must be 0 or 1, got {row['is_novel']!r}")
+    return np.asarray(score_v), np.asarray(novel_v, dtype=bool)
+
+
+@pytest.mark.parametrize("text, column", [
+    ("s,is_novel\n0.5,0\n1e3,1\n-inf,0\nnan,1\n", "s"),
+    ("s,is_novel\n\n0.5,0\n\n\n2,1\n", "s"),  # blank rows are skipped and not counted
+    ("s,is_novel,s\n1,0,2\n3,1,4\n", "s"),  # a repeated name reads its last column
+    ("is_novel,s\n0,1\n1\n", "s"),  # a short row: its missing score cell
+    ("s,is_novel\n1,0\n2\n", "s"),  # a short row: its missing ground truth
+    ("s,is_novel\n1,0,9,9\n2,1\n", "s"),  # a long row
+    ("s,is_novel\n1,0\n2, 1\n", "s"),
+    ("s,is_novel\n1,0\nx,1\n", "s"),
+    ("s,is_novel\n1,0\n2,1.0\n", "s"),
+    ("s,is_novel\n1,0\n2,\n", "s"),
+    ("s,is_novel\n1,0\n2,2\n", "s"),
+    ("s,is_novel\n1,0\n", "is_novel"),
+    ("s,is_novel\n1,0\n", "t"),
+    ("s,t\n1,0\n", "s"),
+    ("s,is_novel\n", "s"),
+    ("", "s"),
+])
+def test_scores_reader_parses_and_fails_as_one_dict_per_row_did(tmp_path, text, column):
+    path = tmp_path / "scores.csv"
+    path.write_text(text, encoding="utf-8")
+    outcomes = []
+    for read in (cli._read_scores_csv, _read_scores_csv_by_dict_rows):
+        try:
+            outcomes.append([a.tobytes() for a in read(str(path), column)])
+        except (ValidationError, FormatError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_eval_single_class_ground_truth_is_rejected(pipeline, tmp_path):

@@ -1,5 +1,5 @@
-"""Training's BLAS pin and the noise thread: the bits they must keep, and the
-threads and thread counts they must give back."""
+"""The BLAS pin of training and scoring, the noise thread and the scoring lanes:
+the bits they must keep, and the threads and thread counts they must give back."""
 
 import hashlib
 import json
@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndgan import blas, gan
+from ndgan import blas, cli, gan, scores
 from ndgan import data as dio
 from ndgan import layers as nn
-from ndgan.errors import DomainError, TrainingDiverged
+from ndgan.errors import DomainError, TrainingDiverged, ValidationError
 from ndgan.rng import NoiseAhead
 from ndgan.scores import UniformBaselineGenerator
 from tests.conftest import run_python
@@ -180,6 +180,83 @@ def test_one_thread_pins_and_restores():
     assert get() == before
 
 
+_LANE_SCORERS = ["nd-gan-ratio", "fake-prob", "entropy", "max-prob", "knn-5"]
+
+
+def _lane_blocks(monkeypatch) -> list:
+    """One entry per block that a scoring lane thread is handed from now on."""
+    handed = []
+
+    class Counting(blas.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            handed.append(args)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(blas, "ThreadPoolExecutor", Counting)
+    return handed
+
+
+@needs_openblas
+@pytest.mark.parametrize("arch, dim", [("2d", 2), ("mnist", 196)])
+def test_scores_do_not_depend_on_the_lane_count(monkeypatch, arch, dim):
+    rng = np.random.default_rng(6)
+    model = gan.build_gan(dim, 4, arch, seed=6)
+    reference = rng.uniform(size=(300, dim))  # more rows than one block: its pass uses the lanes
+    handed = _lane_blocks(monkeypatch)
+    for block in (gan.FORWARD_BLOCK, scores.KNN_BLOCK):
+        for n in (0, 1, block - 1, block, block + 1, 3 * block + 5):
+            x = rng.uniform(size=(n, dim))
+            scored = []
+            for cpus in (1, 2):
+                monkeypatch.setattr(blas, "cpu_count", lambda cpus=cpus: cpus)
+                handed.clear()
+                got = scores.Scorer(model, _LANE_SCORERS, reference).score(x)
+                assert bool(handed) == (cpus == 2)
+                scored.append({name: values.tobytes() for name, values in got.items()})
+            assert scored[0] == scored[1], (block, n)
+
+
+def _fail_in_lanes(monkeypatch, owner, name, error):
+    """``owner.name`` raises ``error`` when a lane thread calls it."""
+    real = getattr(owner, name)
+
+    def failing(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, failing)
+
+
+@needs_openblas
+@pytest.mark.parametrize("where", ["forward", "knn"])
+@pytest.mark.parametrize("error, code", [(ValidationError("bad block"), 2), (DomainError("lane", "bad block"), 3)],
+                         ids=["validation", "domain"])
+def test_an_error_in_a_lane_reaches_the_caller_and_restores_threads_and_blas(tmp_path, monkeypatch, where, error,
+                                                                             code):
+    monkeypatch.setattr(blas, "cpu_count", lambda: 2)
+    model = gan.build_gan(2, 4, "2d", seed=3)
+    gan.save_model(tmp_path / "model.ndgan", model)
+    dio.write_csv_dataset(tmp_path / "data.csv", _RING)
+    if where == "forward":
+        _fail_in_lanes(monkeypatch, nn, "mlp_forward", error)
+    else:  # the forward passes have run; the kNN search's tie check fails
+        _fail_in_lanes(monkeypatch, scores.np, "count_nonzero", error)
+    get = blas.openblas()[0]
+    before, alive = get(), threading.active_count()
+    with pytest.raises(type(error)) as caught:
+        scorer = scores.Scorer(model, _LANE_SCORERS, _RING.features[:100])
+        scorer.score(_RING.features)
+    assert caught.value is error
+    assert threading.active_count() == alive and get() == before
+    assert cli.main(["score", "--model", str(tmp_path / "model.ndgan"), "--data", str(tmp_path / "data.csv"),
+                     "--label-column", "label", "--scorers", ",".join(_LANE_SCORERS),
+                     "--knn-reference", str(tmp_path / "data.csv"), "--seed", "1",
+                     "--out-dir", str(tmp_path / "out")]) == code
+    assert threading.active_count() == alive and get() == before
+    assert not (tmp_path / "out" / "scores.csv").exists()
+
+
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -204,5 +281,11 @@ def test_trained_files_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypa
         out = tmp_path / f"threads{threads}"
         proc = run_python(["-m", "ndgan.cli", "train", "--config", str(config), "--out-dir", str(out)], tmp_path)
         assert proc.returncode == 0, proc.stderr
-        digests.append([_sha256(out / name) for name in ("model.ndgan", "train_log.csv")])
+        proc = run_python(["-m", "ndgan.cli", "score", "--model", str(out / "model.ndgan"),
+                           "--data", str(tmp_path / "train.csv"), "--label-column", "label",
+                           "--scorers", "nd-gan-ratio,fake-prob,entropy,max-prob,knn-5",
+                           "--knn-reference", str(tmp_path / "train.csv"), "--seed", "21",
+                           "--out-dir", str(out / "scored")], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        digests.append([_sha256(out / name) for name in ("model.ndgan", "train_log.csv", "scored/scores.csv")])
     assert digests[0] == digests[1]

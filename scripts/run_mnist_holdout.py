@@ -55,7 +55,6 @@ def main() -> int:
                 "format": "idx",
                 "labels_path": str(mnist / "t10k-labels-idx1-ubyte"),
                 "downscale": {"side": 28, "target": 14},
-                "split_tag": "test",
             },
             "arch": "mnist",
             "train": {

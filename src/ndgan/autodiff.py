@@ -1,9 +1,6 @@
-"""Each activation's forward and derivative expressions, written once, weight
-normalization, and a minimal reverse-mode tape.
-
-``layers.mlp_forward`` and ``layers.mlp_backward`` use :func:`activate`,
-:func:`activation_grad` and :func:`weight_normalize`; the loss heads in
-``gan`` have closed-form gradients, so training records nothing on a tape.
+"""A minimal reverse-mode tape. No module of the package uses it: training
+runs the explicit passes of ``layers`` and the closed-form loss heads of
+``gan``. The benchmark's tracer binds :meth:`Tape.record`.
 
 A :class:`Tape` records the custom operations passed to :meth:`Tape.record`
 while it is active (it is a context manager); :func:`backward` replays the
@@ -17,7 +14,7 @@ import threading
 
 import numpy as np
 
-from .errors import DomainError, ShapeMismatch, TapeError
+from .errors import TapeError
 
 _state = threading.local()
 
@@ -106,57 +103,3 @@ def backward(tape: Tape, output) -> dict[int, np.ndarray]:
             grads[in_id] = in_grad if acc is None else acc + in_grad
     return grads
 
-
-# ---------------------------------------------------------------------------
-# activations and weight normalization
-# ---------------------------------------------------------------------------
-
-LEAKY_SLOPE = 0.2
-
-
-def activate(kind: str, h: np.ndarray) -> np.ndarray:
-    """The activation ``kind`` (a ``layers.ACTIVATIONS`` name) of the pre-activations ``h``."""
-    if kind == "relu":
-        return np.maximum(h, 0.0)
-    if kind == "leaky-relu":
-        return np.maximum(h, LEAKY_SLOPE * h)  # = where(h > 0, h, slope*h) for 0 < slope < 1
-    if kind == "tanh":
-        return np.tanh(h)
-    if kind == "sigmoid":
-        e = np.exp(-np.abs(h))  # split by sign: exp never overflows
-        return np.where(h >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    if kind == "softmax":
-        z = h - h.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=-1, keepdims=True)
-    return h  # linear
-
-
-def activation_grad(kind: str, g: np.ndarray, h: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The gradient at the pre-activations ``h`` from the gradient ``g`` at ``y = activate(kind, h)``."""
-    if kind == "relu":
-        return g * (h > 0)
-    if kind == "leaky-relu":
-        d = (h > 0) * (1.0 - LEAKY_SLOPE)  # 1 or the slope, as where(h > 0, 1, slope): 0.8 + 0.2 == 1
-        d += LEAKY_SLOPE
-        d *= g
-        return d
-    if kind == "tanh":
-        return g * (1.0 - y * y)
-    if kind == "sigmoid":
-        return g * y * (1.0 - y)
-    if kind == "softmax":
-        return y * (g - (g * y).sum(axis=-1, keepdims=True))
-    return g  # linear
-
-
-def weight_normalize(v: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalized weights ``W[i] = g[i] * v[i] / ||v[i]||_2`` (written to ``out`` when given)
-    and the row norms ``||v[i]||_2``."""
-    if v.ndim != 2 or g.shape != (v.shape[0],):
-        raise ShapeMismatch("linear", v.shape, g.shape, detail="gain needs one entry per row of v")
-    sq = (v * v).sum(axis=1)
-    if np.any(sq == 0):
-        raise DomainError("linear", "zero direction row has no unit direction")
-    norm = np.sqrt(sq)
-    return np.multiply((g / norm)[:, None], v, out=out), norm

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, blas, data as dio, densities, gan, metrics, scores
-from .errors import FormatError, NdganError, Nullable, Req, SchemaError, TrainingDiverged, ValidationError, Where, check
+from .errors import DomainError, FormatError, NdganError, Nullable, Req, SchemaError, TrainingDiverged, ValidationError, Where, check
 from .rng import RngStreams, derive_seed
 
 ENV_OUT_DIR = "NDGAN_OUT_DIR"
@@ -130,7 +130,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, provenance: str | No
 
 _DATASET = {
     "path": Req(str), "format": ("csv", "idx"),  # format default: idx when the file name says so
-    "label_column": Nullable(str), "labels_path": Nullable(str), "split_tag": Nullable(str),
+    "label_column": Nullable(str), "labels_path": Nullable(str),
     "downscale": Nullable({"side": Req(int), "target": Req(int)}),
 }
 
@@ -148,14 +148,10 @@ def _load_dataset(spec: dict) -> dio.Dataset:
             if not Path(labels_path).exists():
                 raise ValidationError(f"labels file not found: {labels_path}")
             labels = dio.read_idx_labels(labels_path)
-            dataset = dio.Dataset(
-                dataset.features, labels, int(labels.max()) + 1, dataset.split_tag, dataset.provenance
-            )
+            dataset = dio.Dataset(dataset.features, labels, int(labels.max()) + 1, dataset.provenance)
     down = spec.get("downscale")
     if down:
         dataset = dio.downscale_images(dataset, down["side"], down["target"])
-    if spec.get("split_tag"):
-        dataset = dio.Dataset(dataset.features, dataset.labels, dataset.K, spec["split_tag"], dataset.provenance)
     return dataset
 
 
@@ -207,7 +203,7 @@ def cmd_synth(cfg: dict, out_dir: Path) -> int:
     train, density = dio.gen_ring_mixture(cfg["n_train"], *ring, seed)
     sets = {"train": train}
     if cfg.get("n_test"):
-        sets["test"] = dio.gen_ring_mixture(cfg["n_test"], *ring, derive_seed(seed, "test"), split_tag="test")[0]
+        sets["test"] = dio.gen_ring_mixture(cfg["n_test"], *ring, derive_seed(seed, "test"))[0]
 
     novel_cfg, novel_density = cfg.get("novel"), None
     if novel_cfg:
@@ -218,8 +214,7 @@ def cmd_synth(cfg: dict, out_dir: Path) -> int:
             feats = novel_density.sample(novel_cfg["n"], rng)
         else:
             feats = _uniform(novel_cfg.get("bounds"), train.dim, "$.novel.bounds").sample(novel_cfg["n"], rng)
-        sets["novel"] = dio.Dataset(feats, None, K=0, split_tag="test",
-                                    provenance=f"novel:{novel_cfg['kind']}(seed={seed})")
+        sets["novel"] = dio.Dataset(feats, None, K=0, provenance=f"novel:{novel_cfg['kind']}(seed={seed})")
     # pi=0 (generator == data) when there is no Gaussian novel component
     pi = float(cfg.get("pi", 0.5)) if novel_density is not None else 0.0
     spec = densities.MixtureSpec(pi=pi, novel=novel_density or density, data=density)
@@ -450,21 +445,24 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
     n_mc = cfg.get("mc_samples", 20_000)
     rng = RngStreams(cfg["seed"]).sampling
 
-    grid = _grid_for_spec(spec, cfg.get("grid_points", 10_000))
-    ident = densities.verify_mixture_identity(spec, grid)
-    _log(f"mixture identity residual: {ident.max_residual:.3e} over {ident.n_checked} points")
+    try:
+        grid = _grid_for_spec(spec, cfg.get("grid_points", 10_000))
+        ident = densities.verify_mixture_identity(spec, grid)
+        _log(f"mixture identity residual: {ident.max_residual:.3e} over {ident.n_checked} points")
 
-    keep = np.setdiff1d(np.arange(len(grid)), ident.excluded)
-    dstar = densities.optimal_discriminator(spec.data, spec, grid[keep])
+        keep = np.setdiff1d(np.arange(len(grid)), ident.excluded)
+        dstar = densities.optimal_discriminator(spec.data, spec, grid[keep])
 
-    _atomic(out_dir / "dstar_grid.csv", lambda p: dio.write_table(
-        p, [f"x{j}" for j in range(spec.dim)] + ["d_star"], [*grid[keep].T, dstar]))
+        _atomic(out_dir / "dstar_grid.csv", lambda p: dio.write_table(
+            p, [f"x{j}" for j in range(spec.dim)] + ["d_star"], [*grid[keep].T, dstar]))
 
-    nominal = spec.data.sample(n_mc, rng)
-    novel = spec.novel.sample(n_mc, rng)
-    lr_nom = densities.likelihood_ratio_score(spec.data, spec.novel, nominal)
-    lr_nov = densities.likelihood_ratio_score(spec.data, spec.novel, novel)
-    auroc_mc = metrics.roc_from_arrays(lr_nom, lr_nov).auroc
+        nominal = spec.data.sample(n_mc, rng)
+        novel = spec.novel.sample(n_mc, rng)
+        lr_nom = densities.likelihood_ratio_score(spec.data, spec.novel, nominal)
+        lr_nov = densities.likelihood_ratio_score(spec.data, spec.novel, novel)
+        auroc_mc = metrics.roc_from_arrays(lr_nom, lr_nov).auroc
+    except DomainError as exc:  # the spec puts its mass where float64 densities underflow
+        raise ValidationError(f"{cfg['density']}: {exc}") from None
     closed = _closed_form_lr_auroc(spec)
 
     ok = ident.max_residual < tol

@@ -23,7 +23,6 @@ class Dataset:
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray | None  # (n,) int64 in 0..K-1, or None for unlabeled data
     K: int
-    split_tag: str = "train"
     provenance: str = ""
 
     def __post_init__(self):
@@ -42,8 +41,6 @@ class Dataset:
                 raise ValidationError(
                     f"labels must lie in 0..{self.K - 1}, got range [{self.labels.min()}, {self.labels.max()}]"
                 )
-        if self.split_tag not in ("train", "test"):
-            raise ValidationError(f"split_tag must be 'train' or 'test', got {self.split_tag!r}")
 
     @property
     def n(self) -> int:
@@ -55,7 +52,7 @@ class Dataset:
 
 
 def gen_ring_mixture(
-    n: int, component_count: int, radius: float, sigma: float, seed: int, split_tag: str = "train"
+    n: int, component_count: int, radius: float, sigma: float, seed: int
 ) -> tuple[Dataset, GaussianMixtureDensity]:
     """Equal-weight Gaussians at angles 2*pi*i/C on a circle of the given radius.
 
@@ -89,7 +86,6 @@ def gen_ring_mixture(
         features=feats[order],
         labels=labels[order],
         K=component_count,
-        split_tag=split_tag,
         provenance=f"ring(n={n},C={component_count},r={radius},sigma={sigma},seed={seed})",
     )
     return data, density
@@ -115,6 +111,8 @@ def read_idx(path) -> Dataset:
         if magic != IDX_MAGIC_IMAGES:
             raise FormatError(source, f"bad magic 0x{magic:08x}, expected 0x{IDX_MAGIC_IMAGES:08x}", offset=0)
         count = _read_u32be(fh, source, "item count")
+        if count == 0:
+            raise FormatError(source, "no images (item count 0)", offset=4)
         rows = _read_u32be(fh, source, "row count")
         cols = _read_u32be(fh, source, "column count")
         expected = count * rows * cols
@@ -126,7 +124,6 @@ def read_idx(path) -> Dataset:
         features=pixels.reshape(count, rows * cols),
         labels=None,
         K=0,
-        split_tag="train",
         provenance=f"idx:{source}",
     )
 
@@ -138,6 +135,8 @@ def read_idx_labels(path) -> np.ndarray:
         if magic != IDX_MAGIC_LABELS:
             raise FormatError(source, f"bad magic 0x{magic:08x}, expected 0x{IDX_MAGIC_LABELS:08x}", offset=0)
         count = _read_u32be(fh, source, "item count")
+        if count == 0:
+            raise FormatError(source, "no labels (item count 0)", offset=4)
         payload = fh.read()
     if len(payload) != count:
         raise FormatError(source, f"truncated payload: expected {count} bytes, got {len(payload)}", offset=8)
@@ -153,8 +152,8 @@ def _label_index(label_column, header, width: int) -> int | None:
     if label_column is None:
         return None
     if isinstance(label_column, str):
-        if header is None or label_column not in header:
-            raise ValidationError(f"label column {label_column!r} not found in header {header}")
+        if header is None or label_column not in header[:width]:  # a header may name more columns than a row has
+            raise ValidationError(f"label column {label_column!r} not among the {width} columns of header {header}")
         return header.index(label_column)
     label_idx = int(label_column)
     if not -width <= label_idx < width:
@@ -247,6 +246,8 @@ def read_csv_dataset(path, label_column: int | str | None = None) -> tuple[Datas
         return Dataset(values, None, K=0, provenance=f"csv:{source}"), None
 
     raw_labels = values[:, label_idx]
+    if not np.isfinite(raw_labels).all():  # NaN != NaN: it could name no class
+        raise FormatError(source, f"row {int(np.argmin(np.isfinite(raw_labels)))}: non-finite label")
     feats = np.delete(values, label_idx, axis=1)
     distinct = sorted(set(raw_labels.tolist()))
     mapping = {orig: i for i, orig in enumerate(distinct)}
@@ -295,10 +296,10 @@ def subsample_labeled(data: Dataset, per_class: int, seed: int) -> tuple[Dataset
     mask[chosen] = True
 
     labeled = Dataset(
-        data.features[mask], data.labels[mask], data.K, data.split_tag, f"{data.provenance}|labeled"
+        data.features[mask], data.labels[mask], data.K, f"{data.provenance}|labeled"
     )
     remainder = Dataset(
-        data.features[~mask], None, data.K, data.split_tag, f"{data.provenance}|unlabeled"
+        data.features[~mask], None, data.K, f"{data.provenance}|unlabeled"
     )
     return labeled, remainder
 
@@ -335,6 +336,5 @@ def downscale_images(data: Dataset, side: int, target_side: int) -> Dataset:
         features=small.reshape(data.n, target_side * target_side),
         labels=None if data.labels is None else data.labels.copy(),
         K=data.K,
-        split_tag=data.split_tag,
         provenance=f"{data.provenance}|downscaled{side}->{target_side}",
     )

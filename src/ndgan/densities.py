@@ -44,10 +44,14 @@ class GaussianMixtureDensity:
             raise ValidationError(
                 f"inconsistent mixture shapes: weights {w.shape}, means {m.shape}, variances {v.shape}"
             )
-        if abs(w.sum() - 1.0) > 1e-12 or np.any(w < 0):
+        if m.shape[1] == 0:
+            raise ValidationError("components need at least one dimension, got 0")
+        if not abs(w.sum() - 1.0) <= 1e-12 or np.any(w < 0):  # a NaN fails the first test
             raise ValidationError(f"weights must be a simplex vector (sum={w.sum()!r})")
-        if np.any(v <= 0):
+        if not np.all(v > 0):
             raise ValidationError("variances must be strictly positive")
+        if not (np.isfinite(m).all() and np.isfinite(v).all()):
+            raise ValidationError("means and variances must be finite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "variances", v)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from . import blas
 from . import layers as nn
 from .data import Dataset, subsample_labeled, write_table
@@ -28,7 +27,6 @@ from .rng import NoiseAhead, RngStreams, derive_seed
 
 PROB_CLAMP = 1e-7  # floor/ceiling for probabilities inside logs and ratios
 FORWARD_BLOCK = 256  # most rows per block of an eval pass
-Z_PRIORS = ("standard-normal", "uniform")
 
 
 @dataclass
@@ -39,8 +37,7 @@ class GanModel:
     disc_params: list[nn.LayerParams]
     K: int
     feature_layer: int  # index into the discriminator's hidden outputs
-    z_dim: int
-    z_prior: str = "standard-normal"
+    z_dim: int  # z is drawn from a standard normal
     frozen: bool = False
 
     def __post_init__(self):
@@ -57,8 +54,6 @@ class GanModel:
             raise ValidationError("generator output width must match discriminator input width")
         if self.gen_specs[0].in_dim != self.z_dim:
             raise ValidationError("generator input width must match z_dim")
-        if self.z_prior not in Z_PRIORS:
-            raise ValidationError(f"z_prior must be one of {Z_PRIORS}, got {self.z_prior!r}")
 
     @property
     def data_dim(self) -> int:
@@ -127,13 +122,13 @@ def _check_data_dim(model: GanModel, x: np.ndarray):
 
 
 def discriminator_logits(
-    model: GanModel, x: np.ndarray, mode: str = "eval", noise_rng=None, cache: list | None = None
+    model: GanModel, x: np.ndarray, noise_rng=None, cache: list | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(K+1 logits, feature-layer activations) of one discriminator pass; see
-    ``layers.mlp_forward`` for ``cache``. An eval pass without one runs in row blocks (``blas.in_blocks``)."""
+    """(K+1 logits, feature-layer activations) of one discriminator pass; see ``layers.mlp_forward``
+    for ``noise_rng`` and ``cache``. A pass without either runs in row blocks (``blas.in_blocks``)."""
     x = np.asarray(x, dtype=np.float64)
-    if mode != "eval" or cache is not None or x.ndim != 2:
-        return nn.mlp_forward(model.disc_params, model.disc_specs, x, mode, noise_rng, model.feature_layer, cache)
+    if noise_rng is not None or cache is not None or x.ndim != 2:
+        return nn.mlp_forward(model.disc_params, model.disc_specs, x, noise_rng, model.feature_layer, cache)
     params = [nn.LayerParams(p.v, p.g, p.b) for p in model.disc_params]  # the model's own cache stays as it is
     nn.cache_weights(params)  # once for every block
     parts = blas.in_blocks(lambda start, stop: nn.mlp_forward(
@@ -142,12 +137,12 @@ def discriminator_logits(
 
 
 def forward(model: GanModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """One eval-mode discriminator pass: (rows of K+1 class probabilities, floored
+    """One noiseless discriminator pass: (rows of K+1 class probabilities, floored
     at PROB_CLAMP and renormalized; the activations of the feature layer)."""
     x = np.asarray(x, dtype=np.float64)
     _check_data_dim(model, x)
     logits, features = discriminator_logits(model, x)
-    p = np.clip(ad.activate("softmax", logits), PROB_CLAMP, 1.0)
+    p = np.clip(_softmax(logits)[2], PROB_CLAMP, 1.0)
     return p / p.sum(axis=1, keepdims=True), features
 
 
@@ -157,24 +152,21 @@ def discriminator_probs(model: GanModel, x) -> np.ndarray:
 
 
 def discriminator_features(model: GanModel, x) -> np.ndarray:
-    """Eval-mode feature-layer activations from a pass that stops at that layer."""
+    """Noiseless feature-layer activations from a pass that stops at that layer."""
     k = model.feature_layer + 1
     return nn.mlp_forward(model.disc_params[:k], model.disc_specs[:k], x)[0]
 
 
 def sample_z(model: GanModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    if model.z_prior == "standard-normal":
-        return rng.standard_normal((n, model.z_dim))
-    return rng.uniform(-1.0, 1.0, size=(n, model.z_dim))
+    return rng.standard_normal((n, model.z_dim))
 
 
-def generator_forward(model: GanModel, z: np.ndarray, mode: str = "eval", noise_rng=None,
-                      cache: list | None = None) -> np.ndarray:
-    return nn.mlp_forward(model.gen_params, model.gen_specs, z, mode, noise_rng, cache=cache)[0]
+def generator_forward(model: GanModel, z: np.ndarray, noise_rng=None, cache: list | None = None) -> np.ndarray:
+    return nn.mlp_forward(model.gen_params, model.gen_specs, z, noise_rng, cache=cache)[0]
 
 
 def sample_generator(model: GanModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. draws G(z) with z from the model's latent prior."""
+    """n i.i.d. draws G(z) with z from a standard normal."""
     return generator_forward(model, sample_z(model, n, rng))
 
 
@@ -183,13 +175,18 @@ def sample_generator(model: GanModel, n: int, rng: np.random.Generator) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-def _softmax_head(logits: np.ndarray, K: int):
-    """(log-softmax, softmax s, p_fake clamped into [PROB_CLAMP, 1 - PROB_CLAMP], and
-    whether p_fake lies in that window, where the clamp passes the gradient) of each row."""
+def _softmax(logits: np.ndarray):
+    """(logits less their row's max, the row's sum of exponentials, softmax) of each row."""
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     total = e.sum(axis=1, keepdims=True)
-    s = e / total
+    return z, total, e / total
+
+
+def _softmax_head(logits: np.ndarray, K: int):
+    """(log-softmax, softmax s, p_fake clamped into [PROB_CLAMP, 1 - PROB_CLAMP], and
+    whether p_fake lies in that window, where the clamp passes the gradient) of each row."""
+    z, total, s = _softmax(logits)
     p = s[:, K]
     inside = (p >= PROB_CLAMP) & (p <= 1.0 - PROB_CLAMP)
     return z - np.log(total), s, np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP), inside
@@ -237,7 +234,6 @@ def discriminator_loss(
     unlabeled_x: np.ndarray,
     fake_x: np.ndarray,
     noise_rng=None,
-    mode: str = "train",
     caches: tuple[list, list] | None = None,
 ) -> tuple[float, np.ndarray]:
     """The discriminator loss from one pass over the stacked [labeled; unlabeled; fake] batch,
@@ -249,7 +245,7 @@ def discriminator_loss(
     for part in parts:
         _check_data_dim(model, part)
     disc_cache = caches[1] if caches else None
-    logits = discriminator_logits(model, np.concatenate(parts), mode, noise_rng, disc_cache)[0]
+    logits = discriminator_logits(model, np.concatenate(parts), noise_rng, disc_cache)[0]
     return discriminator_loss_from_logits(logits, labels, len(parts[1]), model.K)
 
 
@@ -263,12 +259,12 @@ def generator_loss_standard_from_logits(fake_logits: np.ndarray, K: int) -> tupl
 
 
 def generator_loss_standard(
-    model: GanModel, z: np.ndarray, noise_rng=None, mode: str = "train", caches: tuple[list, list] | None = None
+    model: GanModel, z: np.ndarray, noise_rng=None, caches: tuple[list, list] | None = None
 ) -> tuple[float, np.ndarray]:
     """The loss, and its gradient at the discriminator's logits on G(z)."""
     gen_cache, disc_cache = caches or (None, None)
-    fake = generator_forward(model, z, mode, noise_rng, gen_cache)
-    logits = nn.mlp_forward(model.disc_params, model.disc_specs, fake, mode, noise_rng, cache=disc_cache)[0]
+    fake = generator_forward(model, z, noise_rng, gen_cache)
+    logits = nn.mlp_forward(model.disc_params, model.disc_specs, fake, noise_rng, cache=disc_cache)[0]
     return generator_loss_standard_from_logits(logits, model.K)
 
 
@@ -280,8 +276,7 @@ def feature_matching_from_features(features: np.ndarray, mean_real: np.ndarray) 
 
 
 def generator_loss_feature_matching(
-    model: GanModel, real_x: np.ndarray, z: np.ndarray, noise_rng=None, mode: str = "train",
-    caches: tuple[list, list] | None = None,
+    model: GanModel, real_x: np.ndarray, z: np.ndarray, noise_rng=None, caches: tuple[list, list] | None = None
 ) -> tuple[float, np.ndarray]:
     """Squared L2 distance between mean real and mean generated features, and its
     gradient at the generated features.
@@ -292,14 +287,14 @@ def generator_loss_feature_matching(
     gen_cache, disc_cache = caches or (None, None)
     k = model.feature_layer + 1
     params, specs = model.disc_params[:k], model.disc_specs[:k]
-    mean_real = nn.mlp_forward(params, specs, real_x, mode, noise_rng)[0].mean(axis=0)
-    fake = generator_forward(model, z, mode, noise_rng, gen_cache)
-    features = nn.mlp_forward(params, specs, fake, mode, noise_rng, cache=disc_cache)[0]
+    mean_real = nn.mlp_forward(params, specs, real_x, noise_rng)[0].mean(axis=0)
+    fake = generator_forward(model, z, noise_rng, gen_cache)
+    features = nn.mlp_forward(params, specs, fake, noise_rng, cache=disc_cache)[0]
     return feature_matching_from_features(features, mean_real)
 
 
 def feature_matching_distance(model: GanModel, real_x: np.ndarray, fake_x: np.ndarray) -> float:
-    """Eval-mode squared distance between the mean features of two concrete batches."""
+    """Noiseless squared distance between the mean features of two concrete batches."""
     d = discriminator_features(model, real_x).mean(axis=0) - discriminator_features(model, fake_x).mean(axis=0)
     return float((d * d).sum())
 
@@ -358,7 +353,7 @@ class TrainLog:
         write_table(path, columns, [[getattr(r, c) for r in self.rows] for c in columns])
 
 
-def _gradients(model: GanModel, step: int, loss_fn, *args, noise_rng=None, mode: str = "train"):
+def _gradients(model: GanModel, step: int, loss_fn, *args, noise_rng=None):
     """(loss value, gradient stack of the network that ``loss_fn(model, *args)`` trains).
 
     The loss value is checked to be finite before any backward. The loss's
@@ -369,7 +364,7 @@ def _gradients(model: GanModel, step: int, loss_fn, *args, noise_rng=None, mode:
     like the trained network's parameters (``layers.flat_stack``).
     """
     gen_cache, disc_cache = [], []
-    value, grad = loss_fn(model, *args, noise_rng, mode, (gen_cache, disc_cache))
+    value, grad = loss_fn(model, *args, noise_rng, (gen_cache, disc_cache))
     trains_disc = not gen_cache
     if not np.isfinite(value):
         raise TrainingDiverged(step, "d-loss" if trains_disc else "g-loss", value)
@@ -490,10 +485,6 @@ def train_gan(
 # model files (magic + version shared with layers)
 # ---------------------------------------------------------------------------
 
-_Z_PRIOR_CODES = {name: i for i, name in enumerate(Z_PRIORS)}
-_Z_PRIOR_NAMES = {i: name for name, i in _Z_PRIOR_CODES.items()}
-
-
 def save_model(path, model: GanModel):
     with open(path, "wb") as fh:
         nn._write_header(fh, nn._KIND_GAN)
@@ -503,7 +494,7 @@ def save_model(path, model: GanModel):
                 model.K,
                 model.z_dim,
                 model.feature_layer,
-                _Z_PRIOR_CODES[model.z_prior],
+                0,  # the z-prior byte: 0, a standard normal, is the one prior
                 1 if model.frozen else 0,
             )
         )
@@ -521,8 +512,9 @@ def load_model(path) -> GanModel:
         if len(raw) != struct.calcsize("<IIIBB"):
             raise FormatError(source, "truncated model header")
         K, z_dim, feature_layer, prior_code, frozen = struct.unpack("<IIIBB", raw)
-        if prior_code not in _Z_PRIOR_NAMES:
-            raise FormatError(source, f"unknown z-prior code {prior_code}")
+        if prior_code != 0:
+            raise FormatError(source, f"z-prior byte must be 0 (standard normal), got {prior_code}",
+                              offset=fh.tell() - 2)
         if frozen not in (0, 1):
             raise FormatError(source, f"frozen flag must be 0 or 1, got {frozen}", offset=fh.tell() - 1)
         gen_at = fh.tell()
@@ -544,6 +536,5 @@ def load_model(path) -> GanModel:
         K=K,
         feature_layer=feature_layer,
         z_dim=z_dim,
-        z_prior=_Z_PRIOR_NAMES[prior_code],
         frozen=bool(frozen),
     )

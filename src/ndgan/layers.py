@@ -1,5 +1,5 @@
-"""Fully connected building blocks: weight-normalized layers, per-layer
-Gaussian noise, the Adam optimizer, and bit-exact model serialization.
+"""Fully connected building blocks: the activations, weight-normalized layers,
+per-layer Gaussian noise, the Adam optimizer, and bit-exact model serialization.
 """
 
 from __future__ import annotations
@@ -10,10 +10,49 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import DomainError, FormatError, ShapeMismatch, ValidationError
 
-ACTIVATIONS = ("relu", "leaky-relu", "tanh", "sigmoid", "linear", "softmax")  # in model-file code order
+_ACT_CODES = {"relu": 0, "leaky-relu": 1, "sigmoid": 3, "linear": 4}  # model-file codes; 2 and 5 are retired
+ACTIVATIONS = tuple(_ACT_CODES)
+LEAKY_SLOPE = 0.2
+
+
+def activate(kind: str, h: np.ndarray) -> np.ndarray:
+    """The activation ``kind`` (an ``ACTIVATIONS`` name) of the pre-activations ``h``."""
+    if kind == "relu":
+        return np.maximum(h, 0.0)
+    if kind == "leaky-relu":
+        return np.maximum(h, LEAKY_SLOPE * h)  # = where(h > 0, h, slope*h) for 0 < slope < 1
+    if kind == "sigmoid":
+        e = np.exp(-np.abs(h))  # split by sign: exp never overflows
+        return np.where(h >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return h  # linear
+
+
+def activation_grad(kind: str, g: np.ndarray, h: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The gradient at the pre-activations ``h`` from the gradient ``g`` at ``y = activate(kind, h)``."""
+    if kind == "relu":
+        return g * (h > 0)
+    if kind == "leaky-relu":
+        d = (h > 0) * (1.0 - LEAKY_SLOPE)  # 1 or the slope, as where(h > 0, 1, slope): 0.8 + 0.2 == 1
+        d += LEAKY_SLOPE
+        d *= g
+        return d
+    if kind == "sigmoid":
+        return g * y * (1.0 - y)
+    return g  # linear
+
+
+def weight_normalize(v: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Row-normalized weights ``W[i] = g[i] * v[i] / ||v[i]||_2`` (written to ``out`` when given)
+    and the row norms ``||v[i]||_2``."""
+    if v.ndim != 2 or g.shape != (v.shape[0],):
+        raise ShapeMismatch("linear", v.shape, g.shape, detail="gain needs one entry per row of v")
+    sq = (v * v).sum(axis=1)
+    if np.any(sq == 0):
+        raise DomainError("linear", "zero direction row has no unit direction")
+    norm = np.sqrt(sq)
+    return np.multiply((g / norm)[:, None], v, out=out), norm
 
 
 @dataclass(frozen=True)
@@ -22,7 +61,7 @@ class LayerSpec:
     out_dim: int
     activation: str = "relu"
     weight_norm: bool = False
-    noise_std: float = 0.0  # applied to the layer output in train mode only
+    noise_std: float = 0.0  # applied to the layer output by a pass given a noise rng
 
     def __post_init__(self):
         if self.in_dim < 1 or self.out_dim < 1:
@@ -89,7 +128,7 @@ def cache_weights(params: list[LayerParams]):
     """
     for p in params:
         if p.g is not None:
-            p.wn = ad.weight_normalize(p.v, p.g, out=None if p.wn is None else p.wn[0])
+            p.wn = weight_normalize(p.v, p.g, out=None if p.wn is None else p.wn[0])
 
 
 def drop_weights(params: list[LayerParams]):
@@ -117,24 +156,22 @@ def mlp_forward(
     params: list[LayerParams],
     specs: list[LayerSpec],
     x: np.ndarray,
-    mode: str = "eval",
     noise_rng=None,
     keep: int | None = None,
     cache: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Run the stack; returns (final output, post-activation output of layer ``keep`` or None).
 
-    The kept output is the actual value fed to the next layer, i.e. it
-    includes the train-mode Gaussian noise when the layer specifies one.
-    ``noise_rng`` is any object with ``normal(loc, scale, size)``, such as a
-    ``numpy.random.Generator`` or an ``rng.NoiseAhead``; each array it returns
-    is used once, in ``h + noise``, before the next call.
+    A pass given a ``noise_rng`` adds each layer's Gaussian noise to its
+    output (a training pass); without one it is noiseless (an eval pass).
+    The kept output is the actual value fed to the next layer, noise
+    included. ``noise_rng`` is any object with ``normal(loc, scale, size)``,
+    such as a ``numpy.random.Generator`` or an ``rng.NoiseAhead``; each array
+    it returns is used once, in ``h + noise``, before the next call.
     When ``cache`` is a list, each layer appends ``[input, weights, row norms
     or None, pre-activation, activation]`` to it for :func:`mlp_backward`;
     otherwise no layer's input outlives the layer.
     """
-    if mode not in ("train", "eval"):
-        raise ValidationError(f"mode must be 'train' or 'eval', got {mode!r}")
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2:
         raise ShapeMismatch("mlp-forward", h.shape, detail="expects a batch (n, d)")
@@ -144,19 +181,17 @@ def mlp_forward(
     for i, (spec, p) in enumerate(zip(specs, params)):
         if p.v.ndim != 2 or h.shape[1] != p.v.shape[1] or p.b.shape != (p.v.shape[0],):
             raise ShapeMismatch("linear", h.shape, p.v.shape, p.b.shape)
-        w, norm = (p.v, None) if p.g is None else p.wn or ad.weight_normalize(p.v, p.g)
+        w, norm = (p.v, None) if p.g is None else p.wn or weight_normalize(p.v, p.g)
         if cache is not None:
             cache.append([h, w, norm])
         h = h @ w.T + p.b
         del w, norm  # without a cache, no array of a layer outlives it
         if cache is not None:
             cache[-1].append(h)
-        h = ad.activate(spec.activation, h)
+        h = activate(spec.activation, h)
         if cache is not None:
             cache[-1].append(h)
-        if mode == "train" and spec.noise_std > 0:
-            if noise_rng is None:
-                raise ValidationError(f"layer {i} has noise_std > 0 but no noise rng was supplied")
+        if noise_rng is not None and spec.noise_std > 0:
             h = h + noise_rng.normal(0.0, spec.noise_std, size=h.shape)  # a constant for backward
         if i == keep:
             kept = h
@@ -184,7 +219,7 @@ def mlp_backward(
     for i in range(len(cache) - 1, -1, -1):
         x, w, norm, pre, y = cache[i]
         v, g = params[i].v, params[i].g
-        grad = ad.activation_grad(specs[i].activation, grad, pre, y)
+        grad = activation_grad(specs[i].activation, grad, pre, y)
         dx = grad @ w if need_dx or i > 0 else None
         if out is not None:
             o = out[i]
@@ -288,7 +323,6 @@ def adam_step(
 MAGIC = b"NDGAN1"
 FORMAT_VERSION = 1
 _KIND_GAN = 2
-_ACT_CODES = {name: i for i, name in enumerate(ACTIVATIONS)}
 _ACT_NAMES = {i: name for name, i in _ACT_CODES.items()}
 
 
@@ -340,7 +374,10 @@ def read_mlp_block(fh, source: str) -> tuple[list[LayerSpec], list[LayerParams]]
             raise FormatError(source, f"truncated header for layer {i}")
         in_dim, out_dim, act, wn, noise_std = struct.unpack("<IIBBd", raw)
         if act not in _ACT_NAMES:
-            raise FormatError(source, f"unknown activation code {act} in layer {i}")
+            raise FormatError(source, f"unknown activation code {act} in layer {i}", offset=at + 8)
+        if specs and in_dim != specs[-1].out_dim:
+            raise FormatError(source, f"layer {i} takes {in_dim} inputs but layer {i - 1} gives {specs[-1].out_dim}",
+                              offset=at)
         if wn not in (0, 1):
             raise FormatError(source, f"weight-norm flag of layer {i} must be 0 or 1, got {wn}",
                               offset=at + struct.calcsize("<IIB"))

@@ -107,13 +107,12 @@ class HoldoutSplit:
             self.fingerprint = dataset_fingerprint(self.train)
 
 
-def _remap(data: Dataset, keep_mask: np.ndarray, label_map: dict, split_tag: str, provenance: str) -> Dataset:
+def _remap(data: Dataset, keep_mask: np.ndarray, label_map: dict, provenance: str) -> Dataset:
     labels = np.array([label_map[int(l)] for l in data.labels[keep_mask]], dtype=np.int64)
     return Dataset(
         features=data.features[keep_mask],
         labels=labels,
         K=len(label_map),
-        split_tag=split_tag,
         provenance=provenance,
     )
 
@@ -149,10 +148,10 @@ def make_holdout_splits(train: Dataset, test: Dataset, seed: int, classes=None) 
         label_map = {int(c): i for i, c in enumerate(c for c in range(K) if c != holdout)}
 
         split_train = _remap(
-            train, train.labels != holdout, label_map, "train", f"{train.provenance}|holdout={holdout}"
+            train, train.labels != holdout, label_map, f"{train.provenance}|holdout={holdout}"
         )
         eval_nominal = _remap(
-            test, test.labels != holdout, label_map, "test", f"{test.provenance}|holdout={holdout}"
+            test, test.labels != holdout, label_map, f"{test.provenance}|holdout={holdout}"
         )
 
         novel_pool = [test.features[test.labels == holdout]]
@@ -175,7 +174,6 @@ def make_holdout_splits(train: Dataset, test: Dataset, seed: int, classes=None) 
                 features=eval_nominal.features[idx],
                 labels=eval_nominal.labels[idx],
                 K=eval_nominal.K,
-                split_tag="test",
                 provenance=eval_nominal.provenance,
             )
 
@@ -183,7 +181,6 @@ def make_holdout_splits(train: Dataset, test: Dataset, seed: int, classes=None) 
             features=novel_feats,
             labels=None,
             K=K - 1,
-            split_tag="test",
             provenance=f"{test.provenance}|novel-class={holdout}",
         )
         splits.append(

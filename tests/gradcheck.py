@@ -1,14 +1,13 @@
 """Finite-difference gradient checks shared by the unit and acceptance suites.
 
-Two kinds of case: the closed-form loss heads in ``gan`` (and the softmax
-they build on), and single network layers through ``layers.mlp_backward``.
+Two kinds of case: the closed-form loss heads in ``gan``, and single network
+layers through ``layers.mlp_backward``.
 The oracle side never touches either gradient: it re-runs the forward
 computation with perturbed inputs and differences the scalar output.
 """
 
 import numpy as np
 
-from ndgan import autodiff as ad
 from ndgan import gan
 from ndgan import layers as nn
 from tests.conftest import assert_grad_close, finite_difference_grad
@@ -16,15 +15,10 @@ from tests.conftest import assert_grad_close, finite_difference_grad
 
 def head_case(name: str, rng: np.random.Generator):
     """(function of one array returning (value, gradient), that array) for one
-    closed-form loss head, or the softmax under a fixed random linear functional.
-    Logits in [-2, 2] keep every p_fake far inside the clamp window, where the
+    closed-form loss head. Logits in [-2, 2] keep every p_fake far inside the clamp window, where the
     loss is smooth."""
     m, k = (int(n) for n in rng.integers(1, 9, size=2))
     box = lambda *shape: rng.uniform(-2.0, 2.0, size=shape)
-    if name == "softmax":
-        w = rng.uniform(0.5, 1.5, size=(m, k))
-        return lambda a: ((ad.activate("softmax", a) * w).sum(),
-                          ad.activation_grad("softmax", w, a, ad.activate("softmax", a))), box(m, k)
     if name == "discriminator-head":
         n_lab, n_unl = int(rng.integers(0, 9)), int(rng.integers(1, 9))
         labels = rng.integers(0, k, size=n_lab) if n_lab else None
@@ -37,22 +31,17 @@ def head_case(name: str, rng: np.random.Generator):
     raise KeyError(name)
 
 
-CHECKED_HEADS = ["softmax", "discriminator-head", "generator-head", "feature-matching-head"]
+CHECKED_HEADS = ["discriminator-head", "generator-head", "feature-matching-head"]
 
-# name -> (activation, weight norm): one layer per activation, with a weight-normalized
-# gain and without. A case is named after its activation, softmax's with "-activation"
-# to keep it apart from the case of the softmax function alone.
-CHECKED_LAYERS = {
-    ("softmax-activation" if act == "softmax" else act) + suffix: (act, not suffix)
-    for act in nn.ACTIVATIONS for suffix in ("", "-no-gain")
-}
+# name -> (activation, weight norm): one layer per activation, named after it, with a
+# weight-normalized gain and without.
+CHECKED_LAYERS = {act + suffix: (act, not suffix) for act in nn.ACTIVATIONS for suffix in ("", "-no-gain")}
 
 CHECKED = CHECKED_HEADS + list(CHECKED_LAYERS)
 
 
 def check_gradient(name: str, seed: int):
-    """Compare the gradient of one loss head, the softmax or one layer against central
-    finite differences."""
+    """Compare the gradient of one loss head or one layer against central finite differences."""
     if name in CHECKED_LAYERS:
         check_layer_gradient(*CHECKED_LAYERS[name], seed)
     else:
@@ -60,8 +49,7 @@ def check_gradient(name: str, seed: int):
 
 
 def check_head_gradient(name: str, seed: int):
-    """Compare one loss head's (or the softmax's) gradient at its input against central
-    finite differences."""
+    """Compare one loss head's gradient at its input against central finite differences."""
     head, array = head_case(name, np.random.default_rng(seed))
     assert_grad_close(head(array)[1], finite_difference_grad(lambda: head(array)[0], array))
 

@@ -34,15 +34,15 @@ N_SEEDS = 50
 def _check_network_gradients(seed: int):
     """Full generator + discriminator stacks (widths <= 16) vs finite differences.
 
-    Hidden activations are tanh here: central differences are only a valid
+    Hidden activations are sigmoid here: central differences are only a valid
     derivative oracle away from kinks, and a random network puts some relu
     pre-activation inside the step window for a fair share of seeds. The
     kinked activations get their 50-seed coverage in the per-layer checks,
     which place pre-activations away from the kink by construction.
     """
     rng = np.random.default_rng(seed)
-    gen_specs = gan._stack([8, 16], 4, 3, "tanh", "linear", True, 0.0)
-    disc_specs = gan._stack([16, 8], 3, 3, "tanh", "linear", True, 0.0)
+    gen_specs = gan._stack([8, 16], 4, 3, "sigmoid", "linear", True, 0.0)
+    disc_specs = gan._stack([16, 8], 3, 3, "sigmoid", "linear", True, 0.0)
     model = gan.GanModel(
         gen_specs=gen_specs,
         gen_params=nn.init_mlp(gen_specs, rng),
@@ -58,9 +58,9 @@ def _check_network_gradients(seed: int):
     fake = gan.sample_generator(model, 2, np.random.default_rng(seed))
 
     def d_loss_fixed_fake():
-        return gan.discriminator_loss(model, real, labels, real, fake, mode="eval")[0]
+        return gan.discriminator_loss(model, real, labels, real, fake)[0]
 
-    _, grads = gan._gradients(model, 0, gan.discriminator_loss, real, labels, real, fake, mode="eval")
+    _, grads = gan._gradients(model, 0, gan.discriminator_loss, real, labels, real, fake)
     for li, p in enumerate(model.disc_params):
         for name, a in p.named():
             assert_grad_close(getattr(grads[li], name), finite_difference_grad(d_loss_fixed_fake, a))
@@ -68,9 +68,9 @@ def _check_network_gradients(seed: int):
     for loss, args in ((gan.generator_loss_feature_matching, (real, z)), (gan.generator_loss_standard, (z,))):
 
         def g_loss_value():
-            return loss(model, *args, mode="eval")[0]
+            return loss(model, *args)[0]
 
-        _, grads = gan._gradients(model, 0, loss, *args, mode="eval")
+        _, grads = gan._gradients(model, 0, loss, *args)
         for li, p in enumerate(model.gen_params):
             for name, a in p.named():
                 assert_grad_close(getattr(grads[li], name), finite_difference_grad(g_loss_value, a))
@@ -204,7 +204,7 @@ def test_c6_feature_matching_gan_detects_origin_cluster():
     )
     model, _ = gan.train_gan(model, train, config)
 
-    test, _ = dio.gen_ring_mixture(1000, 8, 2.0, 0.2, seed=8, split_tag="test")
+    test, _ = dio.gen_ring_mixture(1000, 8, 2.0, 0.2, seed=8)
     novel = np.random.default_rng(9).normal(0.0, 0.25, size=(1000, 2))
     scorer = scores.Scorer(model, ["nd-gan-ratio"])
     auroc = metrics.roc_from_arrays(
@@ -239,8 +239,8 @@ def _load_mnist(mnist_dir: Path):
     train_labels = dio.read_idx_labels(paths["train_labels"])
     test = dio.read_idx(paths["test_images"])
     test_labels = dio.read_idx_labels(paths["test_labels"])
-    train = dio.Dataset(train.features, train_labels, 10, "train", train.provenance)
-    test = dio.Dataset(test.features, test_labels, 10, "test", test.provenance)
+    train = dio.Dataset(train.features, train_labels, 10, train.provenance)
+    test = dio.Dataset(test.features, test_labels, 10, test.provenance)
     return dio.downscale_images(train, 28, 14), dio.downscale_images(test, 28, 14)
 
 

@@ -61,3 +61,26 @@ def test_the_guard_sees_references_of_every_kind():
     assert any(p.name == "scores.py" for p, _ in refs["forward"])  # from-import alias
     assert any(p.name == "cli.py" for p, _ in refs["cmd_score"])  # bare name in its own module
     assert any(p.parent.name == "bench" for p, _ in refs["score_knn"])  # bench module, attribute
+
+
+def _imports_autodiff(tree) -> int:
+    """How many import statements in ``tree`` name the ``autodiff`` module."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{a.name}" for a in node.names]
+        else:
+            continue
+        count += any("autodiff" in name.split(".") for name in names)
+    return count
+
+
+def test_no_module_but_autodiff_imports_autodiff():
+    """The tape serves only the benchmark, so deleting it touches no other module."""
+    probe = "from . import autodiff as ad\nfrom .autodiff import Tape\nimport ndgan.autodiff\nfrom . import layers"
+    assert _imports_autodiff(ast.parse(probe)) == 3
+    importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "autodiff.py" and _imports_autodiff(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not importers, f"modules that import autodiff: {importers}"

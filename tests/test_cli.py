@@ -478,7 +478,7 @@ def test_eval_holdout_mode_produces_table(pipeline, tmp_path):
     cfg = {
         "holdout": {
             "train_dataset": {"path": str(data_dir / "train.csv"), "label_column": "label"},
-            "test_dataset": {"path": str(data_dir / "test.csv"), "label_column": "label", "split_tag": "test"},
+            "test_dataset": {"path": str(data_dir / "test.csv"), "label_column": "label"},
             "arch": "2d",
             "train": {"total_steps": 150, "batch_size": 32, "labeled_fraction": 0.5, "log_every": 100},
             "holdout_classes": [0, 2],
@@ -507,7 +507,7 @@ def test_eval_holdout_mode_produces_table(pipeline, tmp_path):
 def _holdout_config(tmp_path, data_dir, **over):
     hold = {
         "train_dataset": {"path": str(data_dir / "train.csv"), "label_column": "label"},
-        "test_dataset": {"path": str(data_dir / "test.csv"), "label_column": "label", "split_tag": "test"},
+        "test_dataset": {"path": str(data_dir / "test.csv"), "label_column": "label"},
         "arch": "2d", "train": {"total_steps": 30, "batch_size": 32, "labeled_fraction": 0.5},
         "holdout_classes": [1], "scorers": ["nd-gan-ratio"],
     }
@@ -587,7 +587,7 @@ def test_eval_holdout_bad_config_fails_before_training(pipeline, tmp_path, monke
     monkeypatch.setattr(cli, "_load_dataset", lambda *args: pytest.fail("dataset loaded before the check"))
     hold = {
         "train_dataset": {"path": str(data_dir / "train.csv"), "label_column": "label"},
-        "test_dataset": {"path": str(data_dir / "test.csv"), "label_column": "label", "split_tag": "test"},
+        "test_dataset": {"path": str(data_dir / "test.csv"), "label_column": "label"},
         "arch": "2d", "train": {"total_steps": 200}, "holdout_classes": [0], "scorers": ["entropy"],
     }
     path = tmp_path / "holdout.json"
@@ -656,6 +656,7 @@ def _probe_configs(pipeline, tmp_path):
     ("oracle", "grid_points", 0, "$.grid_points"),
     ("oracle", "mc_samples", -5, "$.mc_samples"),
     ("oracle", "mc_samples", 0, "$.mc_samples"),
+    ("train", "dataset.split_tag", "test", "$.dataset.split_tag"),  # removed in 0.6.0: an unknown field
 ])
 def test_a_malformed_config_exits_2_at_its_path_before_any_work(pipeline, tmp_path, monkeypatch, capsys,
                                                                  base, key, value, where):

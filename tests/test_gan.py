@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndgan import autodiff as ad
 from ndgan import data as dio
@@ -55,6 +57,22 @@ def test_uniform_logits_give_uniform_probs_and_d_09():
     probs, _ = gan.forward(model, np.zeros((3, 2)))
     np.testing.assert_allclose(probs, 0.1, atol=1e-12)
     np.testing.assert_allclose(1.0 - probs[:, model.K], 0.9, atol=1e-12)  # D(x), the total real mass
+
+
+def test_softmax_uniform_by_symmetry():
+    np.testing.assert_allclose(gan._softmax(np.zeros((1, 3)))[2][0], [1 / 3] * 3, rtol=0, atol=1e-15)
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_softmax_rows_are_distributions(n, k, seed):
+    x = np.random.default_rng(seed).uniform(-30, 30, size=(n, k))
+    y = gan._softmax(x)[2]
+    assert np.all(y >= 0)
+    np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-12)
+    log_s, s, _, _ = gan._softmax_head(x, k - 1)
+    assert s.tobytes() == y.tobytes()
+    np.testing.assert_allclose(log_s, np.log(y), atol=1e-9)
 
 
 def test_probability_rows_sum_to_one(rng):
@@ -147,10 +165,10 @@ def test_stacked_discriminator_loss_equals_three_separate_passes(rng):
         return stacked_logits(*(gan.discriminator_logits(model, x)[0] for x in batches))
 
     separate = gan.discriminator_loss_from_logits(logits(lab, unl, fake), labels, 4, 2)[0]
-    stacked = gan.discriminator_loss(model, lab, labels, unl, fake, mode="eval")[0]
+    stacked = gan.discriminator_loss(model, lab, labels, unl, fake)[0]
     assert stacked == pytest.approx(separate, rel=1e-12)
     separate = gan.discriminator_loss_from_logits(logits(unl, fake), None, 4, 2)[0]
-    stacked = gan.discriminator_loss(model, None, None, unl, fake, mode="eval")[0]
+    stacked = gan.discriminator_loss(model, None, None, unl, fake)[0]
     assert stacked == pytest.approx(separate, rel=1e-12)
 
 
@@ -200,8 +218,8 @@ def test_feature_matching_loss_invariant_under_batch_shuffles(rng):
     model = tiny_model(seed=5)
     real = rng.normal(size=(8, 2))
     z = rng.normal(size=(8, 3))
-    base = gan.generator_loss_feature_matching(model, real, z, mode="eval")[0]
-    shuffled = gan.generator_loss_feature_matching(model, real[::-1], z, mode="eval")[0]
+    base = gan.generator_loss_feature_matching(model, real, z)[0]
+    shuffled = gan.generator_loss_feature_matching(model, real[::-1], z)[0]
     assert shuffled == pytest.approx(base, abs=1e-12)
 
 
@@ -209,12 +227,12 @@ def test_feature_matching_gradient_reaches_only_the_generator(rng):
     model = tiny_model(seed=6)
     real = rng.normal(size=(5, 2))
     z = rng.normal(size=(5, 3))
-    _, gen_grads = gan._gradients(model, 0, gan.generator_loss_feature_matching, real, z, mode="eval")
+    _, gen_grads = gan._gradients(model, 0, gan.generator_loss_feature_matching, real, z)
     assert len(gen_grads) == len(model.gen_params)
     assert any(np.any(g != 0) for layer in gen_grads for _, g in layer.named())
 
     def value():
-        return gan.generator_loss_feature_matching(model, real, z, mode="eval")[0]
+        return gan.generator_loss_feature_matching(model, real, z)[0]
 
     for li, p in enumerate(model.gen_params):
         for name, a in p.named():
@@ -263,16 +281,6 @@ def test_sample_generator_empty_and_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_uniform_z_prior_samples_inside_unit_box():
-    model = tiny_model(seed=12)
-    model.z_prior = "uniform"
-    z = gan.sample_z(model, 200, np.random.default_rng(0))
-    assert z.min() >= -1.0 and z.max() <= 1.0
-    model.z_prior = "standard-normal"
-    z = gan.sample_z(model, 200, np.random.default_rng(0))
-    assert z.max() > 1.0  # normal draws escape the unit box
-
-
 def test_zero_weight_generator_emits_its_bias():
     model = tiny_model(seed=8, weight_norm=False)
     for p in model.gen_params:
@@ -305,7 +313,7 @@ def test_train_step_normalizes_each_layer_once_per_adam_update(monkeypatch, gene
     data, _ = dio.gen_ring_mixture(100, 4, 2.0, 0.2, seed=4)
     model = gan.build_gan(2, 4, arch="2d", seed=4)
     events = []
-    real_normalize, real_adam = ad.weight_normalize, nn.adam_step
+    real_normalize, real_adam = nn.weight_normalize, nn.adam_step
 
     def normalize(v, g, out=None):
         events.append("wn")
@@ -315,7 +323,7 @@ def test_train_step_normalizes_each_layer_once_per_adam_update(monkeypatch, gene
         events.append("disc" if params is model.disc_params else "gen")
         return real_adam(params, grads, state)
 
-    monkeypatch.setattr(ad, "weight_normalize", normalize)
+    monkeypatch.setattr(nn, "weight_normalize", normalize)
     monkeypatch.setattr(nn, "adam_step", adam)
     cfg = gan.TrainConfig(total_steps=4, batch_size=8, seed=4, labeled_fraction=0.5, log_every=100,
                           generator_loss=generator_loss, d_steps_per_g=d_steps)
@@ -437,7 +445,7 @@ def test_model_save_load_round_trip(tmp_path):
     path = tmp_path / "model.ndgan"
     gan.save_model(path, model)
     again = gan.load_model(path)
-    assert again.frozen and again.K == 4 and again.z_prior == model.z_prior
+    assert again.frozen and again.K == 4 and again.z_dim == model.z_dim
     assert again.feature_layer == model.feature_layer
     x = np.random.default_rng(0).normal(size=(6, 2))
     assert np.array_equal(gan.forward(model, x)[0], gan.forward(again, x)[0])

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndgan import autodiff as ad
 from ndgan import gan
 from ndgan import layers as nn
-from ndgan.errors import DomainError, ShapeMismatch, ValidationError
+from ndgan.errors import DomainError, ShapeMismatch
 from tests.conftest import assert_grad_close, finite_difference_grad
 
 
@@ -44,13 +43,13 @@ def test_zero_weight_sigmoid_unit_outputs_half():
 
 def test_eval_mode_is_deterministic_train_mode_is_noisy():
     rng = np.random.default_rng(1)
-    specs = [nn.LayerSpec(3, 4, "tanh", weight_norm=True, noise_std=0.2), nn.LayerSpec(4, 2)]
+    specs = [nn.LayerSpec(3, 4, "sigmoid", weight_norm=True, noise_std=0.2), nn.LayerSpec(4, 2)]
     params = nn.init_mlp(specs, rng)
     x = rng.normal(size=(5, 3))
-    a, _ = nn.mlp_forward(params, specs, x, "eval")
-    b, _ = nn.mlp_forward(params, specs, x, "eval")
+    a, _ = nn.mlp_forward(params, specs, x)  # no noise rng: an eval pass
+    b, _ = nn.mlp_forward(params, specs, x)
     assert np.array_equal(a, b)
-    c, _ = nn.mlp_forward(params, specs, x, "train", np.random.default_rng(7))
+    c, _ = nn.mlp_forward(params, specs, x, np.random.default_rng(7))
     assert not np.array_equal(a, c)
 
 
@@ -58,26 +57,19 @@ def test_noise_is_seed_deterministic_and_constant_in_backward():
     spec, params = _plain_layer(2, 2, noise_std=0.5)
     params.v[:] = np.eye(2)
     x = np.zeros((3, 2))
-    draws = [nn.mlp_forward([params], [spec], x, "train", np.random.default_rng(9))[0] for _ in range(2)]
+    draws = [nn.mlp_forward([params], [spec], x, np.random.default_rng(9))[0] for _ in range(2)]
     assert np.array_equal(draws[0], draws[1])
     assert draws[0].std() > 0
 
     cache = []
-    nn.mlp_forward([params], [spec], x, "train", np.random.default_rng(9), cache=cache)
+    nn.mlp_forward([params], [spec], x, np.random.default_rng(9), cache=cache)
     dx = nn.mlp_backward([spec], [params], cache, np.ones((3, 2)))
     np.testing.assert_array_equal(dx, np.ones((3, 2)))
 
 
-def test_train_mode_with_noise_requires_rng():
-    specs = [nn.LayerSpec(2, 2, "relu", noise_std=0.1), nn.LayerSpec(2, 1)]
-    params = nn.init_mlp(specs, np.random.default_rng(0))
-    with pytest.raises(ValidationError):
-        nn.mlp_forward(params, specs, np.ones((1, 2)), "train")
-
-
 def test_weight_norm_row_scaling_leaves_output_bit_unchanged():
     rng = np.random.default_rng(2)
-    specs = [nn.LayerSpec(4, 3, "tanh", weight_norm=True)]
+    specs = [nn.LayerSpec(4, 3, "sigmoid", weight_norm=True)]
     params = nn.init_mlp(specs, rng)
     x = rng.normal(size=(6, 4))
     base, _ = nn.mlp_forward(params, specs, x)
@@ -94,15 +86,40 @@ def test_weight_norm_row_scaling_leaves_output_bit_unchanged():
 
 def test_weight_norm_effective_rows_have_gain_norm():
     rng = np.random.default_rng(3)
-    specs = [nn.LayerSpec(3, 4, "tanh", weight_norm=True)]
+    specs = [nn.LayerSpec(3, 4, "sigmoid", weight_norm=True)]
     params = nn.init_mlp(specs, rng)
     params[0].g[:] = rng.uniform(0.5, 2.0, size=4)
-    w, _ = ad.weight_normalize(params[0].v, params[0].g)
+    w, _ = nn.weight_normalize(params[0].v, params[0].g)
     np.testing.assert_allclose(np.linalg.norm(w, axis=1), np.abs(params[0].g), rtol=1e-12)
     # a plain layer with the effective weights computes the same values bit for bit
     const = nn.LayerParams(v=w, g=None, b=params[0].b)
     x = rng.normal(size=(5, 3))
     assert np.array_equal(nn.mlp_forward(params, specs, x)[0], nn.mlp_forward([const], specs, x)[0])
+
+
+@pytest.mark.parametrize("slope", [0.2, 0.01, 0.5, 0.999])
+def test_leaky_relu_max_form_is_bitwise_the_where_form(slope, monkeypatch):
+    monkeypatch.setattr(nn, "LEAKY_SLOPE", slope)
+    tiny, big = np.nextafter(0.0, 1.0), np.finfo(np.float64).max
+    normal_min = np.finfo(np.float64).tiny
+    edges = np.array([0.0, -0.0, tiny, -tiny, 7 * tiny, -7 * tiny, normal_min, -normal_min,
+                      1.0, -1.0, big, -big, np.inf, -np.inf])
+    rng = np.random.default_rng(5)
+    randoms = rng.normal(size=(96, 512)) * 10.0 ** rng.uniform(-320, 300, size=(96, 512))
+    for x in (edges, randoms, rng.normal(size=(3000, 64))):
+        got = nn.activate("leaky-relu", x)
+        assert got.tobytes() == np.where(x > 0, x, slope * x).tobytes()
+
+
+def test_leaky_relu_gradient_is_bitwise_the_where_form():
+    rng = np.random.default_rng(8)
+    h = rng.normal(size=(192, 64))
+    h.flat[:4] = [0.0, -0.0, np.nan, -np.nan]
+    h.flat[4:10] = rng.choice([0.0, -0.0, np.nan], size=6)
+    for g in (rng.normal(size=h.shape), rng.normal(size=h.shape) * 10.0 ** rng.uniform(-300, 300, size=h.shape)):
+        g.flat[:3] = [0.0, -0.0, np.nan]
+        got = nn.activation_grad("leaky-relu", g, h, nn.activate("leaky-relu", h))
+        assert got.tobytes() == (g * np.where(h > 0, 1.0, nn.LEAKY_SLOPE)).tobytes()
 
 
 def test_linear_rejects_bad_shapes_and_zero_direction_rows():
@@ -127,7 +144,7 @@ def test_linear_rejects_bad_shapes_and_zero_direction_rows():
 def test_full_mlp_gradient_matches_finite_differences(rng):
     specs = [
         nn.LayerSpec(3, 6, "leaky-relu", weight_norm=True),
-        nn.LayerSpec(6, 5, "tanh", weight_norm=True),
+        nn.LayerSpec(6, 5, "sigmoid", weight_norm=True),
         nn.LayerSpec(5, 2, "linear", weight_norm=False),
     ]
     params = nn.init_mlp(specs, rng)

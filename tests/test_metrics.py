@@ -111,11 +111,11 @@ def test_threshold_rejects_unachievable_alpha():
 # ---------------------------------------------------------------------------
 
 
-def _toy_multiclass(n_per_class, K, seed, split_tag):
+def _toy_multiclass(n_per_class, K, seed, name):
     rng = np.random.default_rng(seed)
     feats = np.concatenate([rng.normal(3 * c, 1.0, size=(n_per_class, 3)) for c in range(K)])
     labels = np.repeat(np.arange(K), n_per_class)
-    return Dataset(feats, labels, K, split_tag, f"toy-{split_tag}")
+    return Dataset(feats, labels, K, f"toy-{name}")
 
 
 def test_holdout_splits_follow_the_balancing_protocol():

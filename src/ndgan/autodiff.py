@@ -93,10 +93,10 @@ def backward(tape: Tape, output) -> dict[int, np.ndarray]:
     grads: dict[int, np.ndarray] = {out_id: np.ones_like(output.data)}
     for nid in range(out_id, -1, -1):
         node = tape.nodes[nid]
-        g = grads.get(nid)
-        if g is None or node.backward is None:
+        grad = grads.get(nid)
+        if grad is None or node.backward is None:
             continue
-        for in_id, in_grad in zip(node.input_ids, node.backward(g)):
+        for in_id, in_grad in zip(node.input_ids, node.backward(grad)):
             if in_grad is None:
                 continue
             acc = grads.get(in_id)

@@ -95,7 +95,7 @@ _COUNT = Where(int, lambda n: n >= 1, "an integer >= 1")
 
 def _is_scorer(name: str) -> bool:
     try:
-        scores._knn_k(name)
+        scores.knn_k(name)
     except ValidationError:
         return False
     return True
@@ -135,7 +135,8 @@ _DATASET = {
 }
 
 
-def _load_dataset(spec: dict) -> dio.Dataset:
+def _load_dataset(spec: dict, model_width: int | None = None) -> dio.Dataset:
+    """The dataset ``spec`` names; with ``model_width`` given, it must have that many feature columns."""
     path = spec["path"]
     if not Path(path).exists():
         raise ValidationError(f"dataset file not found: {path}")
@@ -152,6 +153,8 @@ def _load_dataset(spec: dict) -> dio.Dataset:
     down = spec.get("downscale")
     if down:
         dataset = dio.downscale_images(dataset, down["side"], down["target"])
+    if model_width is not None and dataset.dim != model_width:
+        raise ValidationError(f"{path}: {dataset.dim} feature columns, but the model takes {model_width}")
     return dataset
 
 
@@ -249,8 +252,6 @@ def _build_gan(cfg: dict, data_dim: int, K: int, arch: str, seed: int) -> gan.Ga
 def cmd_train(cfg: dict, out_dir: Path) -> int:
     dataset = _load_dataset(cfg["dataset"])
     config = gan.TrainConfig(seed=cfg["seed"], **cfg["train"])
-    if config.labeled_fraction is not None and dataset.labels is None:
-        raise ValidationError("labeled_fraction > 0 requires a labeled dataset")
 
     K = dataset.K if dataset.labels is not None else 1
     model = _build_gan(cfg, dataset.dim, K, "2d", cfg["seed"])
@@ -275,11 +276,11 @@ def cmd_score(cfg: dict, out_dir: Path) -> int:
     if not Path(cfg["model"]).exists():
         raise ValidationError(f"model file not found: {cfg['model']}")
     model = gan.load_model(cfg["model"])
-    dataset = _load_dataset(cfg["dataset"])
+    dataset = _load_dataset(cfg["dataset"], model.data_dim)
 
     knn_reference = None
     if cfg.get("knn_reference"):
-        knn_reference = _load_dataset(cfg["knn_reference"]).features
+        knn_reference = _load_dataset(cfg["knn_reference"], model.data_dim).features
     scorer = scores.Scorer(model, cfg["scorers"], knn_reference)
 
     x = dataset.features
@@ -421,6 +422,9 @@ def _grid_for_spec(spec: densities.MixtureSpec, n_points: int) -> np.ndarray:
     hi = np.maximum(hi, (spec.novel.means + 5 * np.sqrt(spec.novel.variances)).max(axis=0))
     d = spec.dim
     per_axis = max(2, int(round(n_points ** (1.0 / d))))
+    if per_axis**d > 2 * n_points:  # at least 2 points per axis: 2^d grows past any grid_points
+        raise SchemaError("$.grid_points", f"a {d}-dimensional spec needs a grid of {per_axis}^{d} = "
+                                           f"{per_axis**d} points, more than twice grid_points={n_points}")
     axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)

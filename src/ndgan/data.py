@@ -266,11 +266,11 @@ def write_table(path, header, columns):
         w.writerows(zip(*columns))
 
 
-def write_csv_dataset(path, data: Dataset, label_header: str = "label"):
+def write_csv_dataset(path, data: Dataset):
     header = [f"x{j}" for j in range(data.dim)]
     columns = list(data.features.T)
     if data.labels is not None:
-        header.append(label_header)
+        header.append("label")
         columns.append(data.labels)
     write_table(path, header, columns)
 
@@ -280,8 +280,8 @@ def write_csv_dataset(path, data: Dataset, label_header: str = "label"):
 # ---------------------------------------------------------------------------
 
 
-def subsample_labeled(data: Dataset, per_class: int, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded per-class choice without replacement; the remainder drops labels."""
+def subsample_labeled(data: Dataset, per_class: int, seed: int) -> Dataset:
+    """Seeded per-class choice without replacement, in the rows' order."""
     if data.labels is None:
         raise ValidationError("subsample_labeled needs a labeled dataset")
     rng = np.random.default_rng(seed)
@@ -292,16 +292,7 @@ def subsample_labeled(data: Dataset, per_class: int, seed: int) -> tuple[Dataset
             raise ValidationError(f"class {c} has only {idx.size} examples, need {per_class}")
         chosen.append(rng.permutation(idx)[:per_class])
     chosen = np.sort(np.concatenate(chosen))
-    mask = np.zeros(data.n, dtype=bool)
-    mask[chosen] = True
-
-    labeled = Dataset(
-        data.features[mask], data.labels[mask], data.K, f"{data.provenance}|labeled"
-    )
-    remainder = Dataset(
-        data.features[~mask], None, data.K, f"{data.provenance}|unlabeled"
-    )
-    return labeled, remainder
+    return Dataset(data.features[chosen], data.labels[chosen], data.K, f"{data.provenance}|labeled")
 
 
 def downscale_images(data: Dataset, side: int, target_side: int) -> Dataset:

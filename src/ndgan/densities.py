@@ -175,11 +175,8 @@ class GridDensity:
         return np.where(inside, flat, -1)
 
     @classmethod
-    def from_density(cls, density, bounds, resolution) -> "GridDensity":
-        bounds = np.asarray(bounds, dtype=np.float64).reshape(-1, 2)
-        resolution = tuple(int(r) for r in np.atleast_1d(resolution)) if np.ndim(resolution) else (int(resolution),) * bounds.shape[0]
-        if len(resolution) == 1 and bounds.shape[0] > 1:
-            resolution = resolution * bounds.shape[0]
+    def from_density(cls, density, bounds, resolution: tuple) -> "GridDensity":
+        """The density's values at the cell centers of a grid of ``resolution`` cells per axis, normalized."""
         grid = cls(bounds=bounds, resolution=resolution, values=np.zeros(resolution))
         grid.values = density.pdf(grid.centers()).reshape(resolution)
         return grid.normalize()
@@ -217,8 +214,6 @@ def optimal_discriminator(p_data, p_g, x) -> np.ndarray:
 @dataclass
 class IdentityReport:
     max_residual: float
-    residual_discriminator_form: float
-    residual_mixture_form: float
     n_checked: int
     excluded: np.ndarray  # indices where p_data underflowed
 
@@ -254,8 +249,6 @@ def verify_mixture_identity(spec: MixtureSpec, x) -> IdentityReport:
     r_mix = float(np.max(np.abs(lhs_mix - rhs) / np.maximum(1.0, np.abs(rhs))))
     return IdentityReport(
         max_residual=max(r_disc, r_mix),
-        residual_discriminator_form=r_disc,
-        residual_mixture_form=r_mix,
         n_checked=int(keep.sum()),
         excluded=excluded,
     )

@@ -60,7 +60,7 @@ class GanModel:
         return self.disc_specs[0].in_dim
 
 
-def _stack(widths, in_dim, out_dim, hidden_act, out_act, weight_norm, noise_std):
+def _stack(widths, in_dim, out_dim, hidden_act, out_act, noise_std):
     dims = [in_dim] + list(widths) + [out_dim]
     specs = []
     for i in range(len(dims) - 1):
@@ -70,7 +70,6 @@ def _stack(widths, in_dim, out_dim, hidden_act, out_act, weight_norm, noise_std)
                 in_dim=dims[i],
                 out_dim=dims[i + 1],
                 activation=out_act if last else hidden_act,
-                weight_norm=weight_norm,
                 noise_std=0.0 if last else noise_std,
             )
         )
@@ -98,8 +97,8 @@ def build_gan(
         raise ValidationError(f"unknown architecture {arch!r}; have '2d', 'mnist'")
 
     rng = RngStreams(seed).init
-    gen_specs = _stack(gen_widths, z_dim, data_dim, "relu", gen_out_act, True, 0.0)
-    disc_specs = _stack(disc_widths, data_dim, K + 1, "leaky-relu", "linear", True, disc_noise_std)
+    gen_specs = _stack(gen_widths, z_dim, data_dim, "relu", gen_out_act, 0.0)
+    disc_specs = _stack(disc_widths, data_dim, K + 1, "leaky-relu", "linear", disc_noise_std)
     return GanModel(
         gen_specs=gen_specs,
         gen_params=nn.init_mlp(gen_specs, rng),
@@ -415,7 +414,7 @@ def train_gan(
         else:
             counts = np.bincount(data.labels, minlength=data.K)
             per_class = max(1, int(round(config.labeled_fraction * counts.min())))
-            labeled, _ = subsample_labeled(data, per_class, derive_seed(config.seed, "labeled-subset"))
+            labeled = subsample_labeled(data, per_class, derive_seed(config.seed, "labeled-subset"))
             labeled_x, labeled_y = labeled.features, labeled.labels
     all_x = data.features  # every real example feeds the unsupervised term
 
@@ -482,12 +481,19 @@ def train_gan(
 
 
 # ---------------------------------------------------------------------------
-# model files (magic + version shared with layers)
+# model files: a file header, a model header, then the generator's and the
+# discriminator's layer blocks (``layers.write_mlp_block``)
 # ---------------------------------------------------------------------------
+
+MAGIC = b"NDGAN1"
+FORMAT_VERSION = 1
+_KIND_GAN = 2  # the file header's kind byte; a GAN is the one kind
+
 
 def save_model(path, model: GanModel):
     with open(path, "wb") as fh:
-        nn._write_header(fh, nn._KIND_GAN)
+        fh.write(MAGIC)
+        fh.write(struct.pack("<IB", FORMAT_VERSION, _KIND_GAN))
         fh.write(
             struct.pack(
                 "<IIIBB",
@@ -505,8 +511,16 @@ def save_model(path, model: GanModel):
 def load_model(path) -> GanModel:
     source = str(path)
     with open(path, "rb") as fh:
-        kind = nn._read_header(fh, source)
-        if kind != nn._KIND_GAN:
+        magic = fh.read(len(MAGIC))
+        if magic != MAGIC:
+            raise FormatError(source, f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
+        raw = fh.read(struct.calcsize("<IB"))
+        if len(raw) != struct.calcsize("<IB"):
+            raise FormatError(source, "truncated file header", offset=len(MAGIC))
+        version, kind = struct.unpack("<IB", raw)
+        if version != FORMAT_VERSION:
+            raise FormatError(source, f"unsupported format version {version}")
+        if kind != _KIND_GAN:
             raise FormatError(source, f"not a GAN model file (kind={kind})")
         raw = fh.read(struct.calcsize("<IIIBB"))
         if len(raw) != struct.calcsize("<IIIBB"):

@@ -1,5 +1,6 @@
 """Fully connected building blocks: the activations, weight-normalized layers,
-per-layer Gaussian noise, the Adam optimizer, and bit-exact model serialization.
+per-layer Gaussian noise, the Adam optimizer, and the bit-exact layer blocks
+of a model file (its header belongs to ``gan``).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def activation_grad(kind: str, g: np.ndarray, h: np.ndarray, y: np.ndarray) -> n
     return g  # linear
 
 
-def weight_normalize(v: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def effective_weights(v: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Row-normalized weights ``W[i] = g[i] * v[i] / ||v[i]||_2`` (written to ``out`` when given)
     and the row norms ``||v[i]||_2``."""
     if v.ndim != 2 or g.shape != (v.shape[0],):
@@ -57,11 +58,14 @@ def weight_normalize(v: np.ndarray, g: np.ndarray, out: np.ndarray | None = None
 
 @dataclass(frozen=True)
 class LayerSpec:
+    """A weight-normalized layer (Salimans & Kingma 2016): ``activation(x @ W.T + b)``
+    with ``W = effective_weights(v, g)``, plus Gaussian noise of ``noise_std`` on the
+    output of a pass given a noise rng."""
+
     in_dim: int
     out_dim: int
     activation: str = "relu"
-    weight_norm: bool = False
-    noise_std: float = 0.0  # applied to the layer output by a pass given a noise rng
+    noise_std: float = field(default=0.0, kw_only=True)
 
     def __post_init__(self):
         if self.in_dim < 1 or self.out_dim < 1:
@@ -74,18 +78,17 @@ class LayerSpec:
 
 @dataclass
 class LayerParams:
-    """One layer's parameters: direction rows v (out x in), optional gain g, bias b."""
+    """One layer's parameters: direction rows v (out x in), gain g, bias b."""
 
     v: np.ndarray
-    g: np.ndarray | None
+    g: np.ndarray
     b: np.ndarray
-    # ``weight_normalize(v, g)`` while v and g stay unchanged; see cache_weights
+    # ``effective_weights(v, g)`` while v and g stay unchanged; see cache_weights
     wn: tuple[np.ndarray, np.ndarray] | None = None
 
     def named(self):
         yield "v", self.v
-        if self.g is not None:
-            yield "g", self.g
+        yield "g", self.g
         yield "b", self.b
 
 
@@ -103,7 +106,7 @@ def _carve(shapes) -> list[np.ndarray]:
 def flat_stack(params: list[LayerParams]) -> list[LayerParams]:
     """Zeros laid out like ``params``: each array a view of one new flat buffer, in ``named()`` order."""
     views = iter(_carve([a.shape for p in params for _, a in p.named()]))
-    return [LayerParams(v=next(views), g=None if p.g is None else next(views), b=next(views)) for p in params]
+    return [LayerParams(v=next(views), g=next(views), b=next(views)) for _ in params]
 
 
 def init_mlp(specs: list[LayerSpec], rng: np.random.Generator) -> list[LayerParams]:
@@ -111,13 +114,12 @@ def init_mlp(specs: list[LayerSpec], rng: np.random.Generator) -> list[LayerPara
     params = []
     for spec in specs:
         v = rng.normal(0.0, np.sqrt(2.0 / spec.in_dim), size=(spec.out_dim, spec.in_dim))
-        g = np.ones(spec.out_dim) if spec.weight_norm else None
-        params.append(LayerParams(v=v, g=g, b=np.zeros(spec.out_dim)))
+        params.append(LayerParams(v=v, g=np.ones(spec.out_dim), b=np.zeros(spec.out_dim)))
     return params
 
 
 def cache_weights(params: list[LayerParams]):
-    """Store each weight-normalized layer's effective weights and row norms on it.
+    """Store each layer's effective weights and row norms on it.
 
     ``mlp_forward`` then reuses them instead of normalizing again. The cache
     is only right while v and g stay unchanged: refresh it after every update
@@ -127,8 +129,7 @@ def cache_weights(params: list[LayerParams]):
     may be used after it.
     """
     for p in params:
-        if p.g is not None:
-            p.wn = weight_normalize(p.v, p.g, out=None if p.wn is None else p.wn[0])
+        p.wn = effective_weights(p.v, p.g, out=None if p.wn is None else p.wn[0])
 
 
 def drop_weights(params: list[LayerParams]):
@@ -168,8 +169,8 @@ def mlp_forward(
     included. ``noise_rng`` is any object with ``normal(loc, scale, size)``,
     such as a ``numpy.random.Generator`` or an ``rng.NoiseAhead``; each array
     it returns is used once, in ``h + noise``, before the next call.
-    When ``cache`` is a list, each layer appends ``[input, weights, row norms
-    or None, pre-activation, activation]`` to it for :func:`mlp_backward`;
+    When ``cache`` is a list, each layer appends ``[input, weights, row norms,
+    pre-activation, activation]`` to it for :func:`mlp_backward`;
     otherwise no layer's input outlives the layer.
     """
     h = np.asarray(x, dtype=np.float64)
@@ -181,7 +182,7 @@ def mlp_forward(
     for i, (spec, p) in enumerate(zip(specs, params)):
         if p.v.ndim != 2 or h.shape[1] != p.v.shape[1] or p.b.shape != (p.v.shape[0],):
             raise ShapeMismatch("linear", h.shape, p.v.shape, p.b.shape)
-        w, norm = (p.v, None) if p.g is None else p.wn or weight_normalize(p.v, p.g)
+        w, norm = p.wn or effective_weights(p.v, p.g)
         if cache is not None:
             cache.append([h, w, norm])
         h = h @ w.T + p.b
@@ -225,10 +226,9 @@ def mlp_backward(
             o = out[i]
             dw = np.matmul(grad.T, x, out=o.v)
             grad.sum(axis=0, out=o.b)
-            if g is not None:
-                gv = (dw * v).sum(axis=1)
-                np.subtract((g / norm)[:, None] * dw, (g * gv / norm**3)[:, None] * v, out=o.v)
-                np.divide(gv, norm, out=o.g)
+            gv = (dw * v).sum(axis=1)
+            np.subtract((g / norm)[:, None] * dw, (g * gv / norm**3)[:, None] * v, out=o.v)
+            np.divide(gv, norm, out=o.g)
         grad = dx
     return grad
 
@@ -248,16 +248,16 @@ class AdamState:
     """Adam's settings and moments. ``m`` and ``v`` are laid out like the
     network's flat parameter buffer, which ``init_adam`` makes."""
 
-    lr: float = 3e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
+    beta1: float
+    beta2: float
+    eps: float
+    m: np.ndarray
+    v: np.ndarray
     step_count: int = 0
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def init_adam(params: list[LayerParams], lr=3e-4, beta1=0.5, beta2=0.999, eps=1e-8) -> AdamState:
+def init_adam(params: list[LayerParams], lr: float, beta1: float, beta2: float, eps: float) -> AdamState:
     """Zero moments for ``params``, whose arrays are first copied into one new
     flat buffer (:func:`flat_stack`) and rebound to views of it."""
     for p, packed in zip(params, flat_stack(params)):
@@ -272,7 +272,7 @@ def adam_step(
     params: list[LayerParams],
     grads: list[LayerParams],
     state: AdamState,
-) -> tuple[list[LayerParams], AdamState]:
+) -> None:
     """Standard bias-corrected Adam update, in place.
 
     ``params`` is a stack that ``init_adam`` packed, and ``grads`` one laid
@@ -313,16 +313,12 @@ def adam_step(
         np.sqrt(d, out=d)
         d += state.eps
         flat[lo:hi] -= np.divide(s, d, out=s)
-    return params, state
 
 
 # ---------------------------------------------------------------------------
-# serialization: little-endian binary, bit-exact round trip
+# layer blocks of a model file: little-endian binary, bit-exact round trip
 # ---------------------------------------------------------------------------
 
-MAGIC = b"NDGAN1"
-FORMAT_VERSION = 1
-_KIND_GAN = 2
 _ACT_NAMES = {i: name for name, i in _ACT_CODES.items()}
 
 
@@ -341,22 +337,13 @@ def _read_array(fh, shape, source: str) -> np.ndarray:
 
 
 def write_mlp_block(fh, specs: list[LayerSpec], params: list[LayerParams]):
+    """A layer count, then per layer its header (dims, activation code, the
+    weight-norm byte 1 and noise_std) and its v, g and b."""
     fh.write(struct.pack("<I", len(specs)))
     for spec, p in zip(specs, params):
-        fh.write(
-            struct.pack(
-                "<IIBBd",
-                spec.in_dim,
-                spec.out_dim,
-                _ACT_CODES[spec.activation],
-                1 if spec.weight_norm else 0,
-                spec.noise_std,
-            )
-        )
-        _write_array(fh, p.v)
-        if spec.weight_norm:
-            _write_array(fh, p.g)
-        _write_array(fh, p.b)
+        fh.write(struct.pack("<IIBBd", spec.in_dim, spec.out_dim, _ACT_CODES[spec.activation], 1, spec.noise_std))
+        for a in (p.v, p.g, p.b):
+            _write_array(fh, a)
 
 
 def read_mlp_block(fh, source: str) -> tuple[list[LayerSpec], list[LayerParams]]:
@@ -378,15 +365,15 @@ def read_mlp_block(fh, source: str) -> tuple[list[LayerSpec], list[LayerParams]]
         if specs and in_dim != specs[-1].out_dim:
             raise FormatError(source, f"layer {i} takes {in_dim} inputs but layer {i - 1} gives {specs[-1].out_dim}",
                               offset=at)
-        if wn not in (0, 1):
-            raise FormatError(source, f"weight-norm flag of layer {i} must be 0 or 1, got {wn}",
+        if wn != 1:  # 0, a layer without a gain, is retired
+            raise FormatError(source, f"weight-norm byte of layer {i} must be 1, got {wn}",
                               offset=at + struct.calcsize("<IIB"))
         try:
-            spec = LayerSpec(in_dim, out_dim, _ACT_NAMES[act], bool(wn), noise_std)
+            spec = LayerSpec(in_dim, out_dim, _ACT_NAMES[act], noise_std=noise_std)
         except ValidationError as exc:
             raise FormatError(source, f"layer {i}: {exc}", offset=at) from None
         v = _read_array(fh, (out_dim, in_dim), source)
-        g = _read_array(fh, (out_dim,), source) if wn else None
+        g = _read_array(fh, (out_dim,), source)
         b = _read_array(fh, (out_dim,), source)
         layer = LayerParams(v=v, g=g, b=b)
         for name, a in layer.named():
@@ -395,21 +382,3 @@ def read_mlp_block(fh, source: str) -> tuple[list[LayerSpec], list[LayerParams]]
         specs.append(spec)
         params.append(layer)
     return specs, params
-
-
-def _write_header(fh, kind: int):
-    fh.write(MAGIC)
-    fh.write(struct.pack("<IB", FORMAT_VERSION, kind))
-
-
-def _read_header(fh, source: str) -> int:
-    magic = fh.read(len(MAGIC))
-    if magic != MAGIC:
-        raise FormatError(source, f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
-    raw = fh.read(struct.calcsize("<IB"))
-    if len(raw) != struct.calcsize("<IB"):
-        raise FormatError(source, "truncated file header", offset=len(MAGIC))
-    version, kind = struct.unpack("<IB", raw)
-    if version != FORMAT_VERSION:
-        raise FormatError(source, f"unsupported format version {version}")
-    return kind

@@ -99,7 +99,6 @@ class HoldoutSplit:
     train: Dataset  # K-1 classes, labels remapped to 0..K-2
     eval_nominal: Dataset
     eval_novel: Dataset
-    label_map: dict  # original label -> remapped label
     fingerprint: str = field(default="")
 
     def __post_init__(self):
@@ -133,6 +132,8 @@ def make_holdout_splits(train: Dataset, test: Dataset, seed: int, classes=None) 
             raise ValidationError(f"{name} dataset has no labels")
     if train.K != test.K:
         raise ValidationError(f"class count mismatch: train K={train.K}, test K={test.K}")
+    if train.dim != test.dim:
+        raise ValidationError(f"feature width mismatch: train has {train.dim} columns, test {test.dim}")
     K = train.K
     for c in range(K):
         if not np.any(train.labels == c) or not np.any(test.labels == c):
@@ -189,7 +190,6 @@ def make_holdout_splits(train: Dataset, test: Dataset, seed: int, classes=None) 
                 train=split_train,
                 eval_nominal=eval_nominal,
                 eval_novel=eval_novel,
-                label_map=label_map,
             )
         )
     return splits

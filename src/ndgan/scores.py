@@ -223,7 +223,7 @@ SCORERS = {
 }
 
 
-def _knn_k(name: str) -> int | None:
+def knn_k(name: str) -> int | None:
     """k of a ``knn-<k>`` scorer name; None for a registry name."""
     if name in SCORERS:
         return None
@@ -246,7 +246,7 @@ class Scorer:
         self.model = model
         self.kind = "+".join(names)  # names the scorer set in reports and traces
         self.train_fingerprint = train_fingerprint
-        self._k = {name: _knn_k(name) for name in names}
+        self._k = {name: knn_k(name) for name in names}
         knn = [name for name, k in self._k.items() if k is not None]
         if knn and reference_x is None:
             raise ValidationError(f"scorer {knn[0]} needs a reference set (knn_reference)")

@@ -33,17 +33,16 @@ def head_case(name: str, rng: np.random.Generator):
 
 CHECKED_HEADS = ["discriminator-head", "generator-head", "feature-matching-head"]
 
-# name -> (activation, weight norm): one layer per activation, named after it, with a
-# weight-normalized gain and without.
-CHECKED_LAYERS = {act + suffix: (act, not suffix) for act in nn.ACTIVATIONS for suffix in ("", "-no-gain")}
+# one weight-normalized layer per activation, named after it
+CHECKED_LAYERS = list(nn.ACTIVATIONS)
 
-CHECKED = CHECKED_HEADS + list(CHECKED_LAYERS)
+CHECKED = CHECKED_HEADS + CHECKED_LAYERS
 
 
 def check_gradient(name: str, seed: int):
     """Compare the gradient of one loss head or one layer against central finite differences."""
     if name in CHECKED_LAYERS:
-        check_layer_gradient(*CHECKED_LAYERS[name], seed)
+        check_layer_gradient(name, seed)
     else:
         check_head_gradient(name, seed)
 
@@ -54,15 +53,15 @@ def check_head_gradient(name: str, seed: int):
     assert_grad_close(head(array)[1], finite_difference_grad(lambda: head(array)[0], array))
 
 
-def check_layer_gradient(activation: str, weight_norm: bool, seed: int):
+def check_layer_gradient(activation: str, seed: int):
     """Compare ``mlp_backward``'s parameter and input gradients of one layer against
     central finite differences, under a fixed random linear functional of its output."""
     rng = np.random.default_rng(seed)
     m, k, n = rng.integers(1, 9, size=3)
-    spec = nn.LayerSpec(int(k), int(n), activation, weight_norm)
+    spec = nn.LayerSpec(int(k), int(n), activation)
     v = rng.uniform(-2.0, 2.0, size=(n, k))
     v[np.abs(v).sum(axis=1) < 0.5] += 1.0  # keep rows clearly nonzero
-    g = rng.uniform(0.5, 1.5, size=n) if weight_norm else None
+    g = rng.uniform(0.5, 1.5, size=n)
     params = nn.LayerParams(v=v, g=g, b=rng.uniform(-2.0, 2.0, size=n))
     x = rng.uniform(-2.0, 2.0, size=(m, k))
     kinked = activation in ("relu", "leaky-relu")

@@ -41,8 +41,8 @@ def _check_network_gradients(seed: int):
     which place pre-activations away from the kink by construction.
     """
     rng = np.random.default_rng(seed)
-    gen_specs = gan._stack([8, 16], 4, 3, "sigmoid", "linear", True, 0.0)
-    disc_specs = gan._stack([16, 8], 3, 3, "sigmoid", "linear", True, 0.0)
+    gen_specs = gan._stack([8, 16], 4, 3, "sigmoid", "linear", 0.0)
+    disc_specs = gan._stack([16, 8], 3, 3, "sigmoid", "linear", 0.0)
     model = gan.GanModel(
         gen_specs=gen_specs,
         gen_params=nn.init_mlp(gen_specs, rng),

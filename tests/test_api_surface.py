@@ -84,3 +84,38 @@ def test_no_module_but_autodiff_imports_autodiff():
     importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
                  if path.name != "autodiff.py" and _imports_autodiff(ast.parse(path.read_text(encoding="utf-8")))]
     assert not importers, f"modules that import autodiff: {importers}"
+
+
+def _private_reads(tree) -> list[str]:
+    """``module._name`` for each read of another package module's private name in
+    ``tree``, whether through an attribute of an imported module or a from-import."""
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    def in_package(node):
+        return node.level > 0 or (node.module or "").split(".")[0] == "ndgan"
+
+    modules, reads = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and in_package(node):
+            for alias in node.names:
+                if private(alias.name):
+                    reads.append(f"{node.module or '.'}.{alias.name}")
+                modules.add(alias.asname or alias.name)  # perhaps a module: `from . import layers as nn`
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name.split(".")[0] == "ndgan")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr) and ast.unparse(node.value) in modules:
+            reads.append(f"{ast.unparse(node.value)}.{node.attr}")
+    return reads
+
+
+def test_no_module_reads_another_modules_private_names():
+    """A private name is its module's own business: a format or a helper that another
+    module needs is public, or it moves to the module that uses it."""
+    probe = ("from . import layers as nn\nfrom .scores import _knn_k\nfrom .rng import RngStreams\n"
+             "import numpy as np\nnn._KIND_GAN\nnn.flat_stack\nnp._core\nself._k\nfrom . import __version__")
+    assert _private_reads(ast.parse(probe)) == ["scores._knn_k", "nn._KIND_GAN"]
+    reads = {path.name: found for path in sorted(PACKAGE.glob("*.py"))
+             if (found := _private_reads(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert not reads, f"modules that read another module's private names: {reads}"

@@ -70,7 +70,7 @@ def test_gradients_accumulate_on_fanout():
 def test_forward_is_bit_identical_with_and_without_tape():
     """Keeping a pass's intermediates for its backward changes none of its bits."""
     rng = np.random.default_rng(3)
-    specs = [nn.LayerSpec(4, 5, "leaky-relu", True, 0.1), nn.LayerSpec(5, 3, "linear", True)]
+    specs = [nn.LayerSpec(4, 5, "leaky-relu", noise_std=0.1), nn.LayerSpec(5, 3, "linear")]
     params = nn.init_mlp(specs, rng)
     x = rng.normal(size=(6, 4))
     bare = nn.mlp_forward(params, specs, x, np.random.default_rng(1))[0]
@@ -90,7 +90,7 @@ def test_clip_gradient_is_zero_outside_the_window():
 
 def test_linear_shape_error_names_op_and_shapes():
     with pytest.raises(ShapeMismatch) as err:
-        nn.weight_normalize(np.ones((2, 3)), np.ones(3))  # a gain per row of v
+        nn.effective_weights(np.ones((2, 3)), np.ones(3))  # a gain per row of v
     msg = str(err.value)
     assert "linear" in msg and "(2, 3)" in msg
 

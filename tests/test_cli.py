@@ -764,6 +764,51 @@ def test_an_unreadable_density_spec_exits_2(pipeline, tmp_path, monkeypatch, cap
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("wide_flag", ["--data", "--knn-reference"])
+def test_score_of_data_of_another_width_than_the_model_exits_2(pipeline, tmp_path, capsys, wide_flag):
+    root, data_dir, model_dir = pipeline
+    wide = tmp_path / "wide.csv"
+    wide.write_text("x0,x1,x2\n0.1,0.2,0.3\n0.4,0.5,0.6\n")
+    paths = {"--data": data_dir / "novel.csv", "--knn-reference": data_dir / "train.csv", wide_flag: wide}
+    assert run(
+        "score", "--model", str(model_dir / "model.ndgan"), "--data", str(paths["--data"]),
+        "--knn-reference", str(paths["--knn-reference"]), "--label-column", "label",
+        "--scorers", "nd-gan-ratio,knn-1", "--seed", "1", "--out-dir", str(tmp_path / "out"),
+    ) == 2
+    err = capsys.readouterr().err
+    assert f"{wide}: 3 feature columns, but the model takes 2" in err and "Traceback" not in err
+
+
+def test_eval_holdout_with_test_data_of_another_width_exits_2_before_training(pipeline, tmp_path, monkeypatch,
+                                                                              capsys):
+    root, data_dir, _ = pipeline
+    monkeypatch.setattr(gan, "train_gan", lambda *args, **kwargs: pytest.fail("trained before the check"))
+    wide = tmp_path / "wide.csv"
+    wide.write_text("x0,x1,x2,label\n" + "".join(f"0.1,0.2,0.3,{c}\n" for c in range(4)))
+    path = _holdout_config(tmp_path, data_dir)
+    doc = json.loads(path.read_text())
+    doc["holdout"]["test_dataset"]["path"] = str(wide)
+    path.write_text(json.dumps(doc))
+    assert run("eval", "--config", str(path), "--out-dir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "feature width mismatch: train has 2 columns, test 3" in err and "Traceback" not in err
+
+
+def test_oracle_rejects_a_spec_whose_grid_outgrows_grid_points(tmp_path, capsys):
+    """At least two points per axis: a 30-dimensional grid would hold 2^30 points."""
+    d = 30
+    spec = {"version": 1, "pi": 0.5,
+            "data": {"weights": [1.0], "means": [[0.0] * d], "variances": [[1.0] * d]},
+            "novel": {"weights": [1.0], "means": [[2.0] * d], "variances": [[1.0] * d]}}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert run("oracle", "--density", str(path), "--seed", "1", "--out-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "$.grid_points" in err and "a 30-dimensional spec needs a grid of 2^30 = 1073741824 points" in err
+    assert "grid_points=10000" in err and list(out.iterdir()) == []
+
+
 def test_missing_out_dir_is_a_validation_error(tmp_path):
     cfg = synth_config(tmp_path)
     import os

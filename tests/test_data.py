@@ -251,18 +251,18 @@ def test_csv_fast_path_matches_cell_parser_on_random_text(tmp_path, monkeypatch,
 
 def test_subsample_labeled_is_balanced_and_deterministic():
     data, _ = dio.gen_ring_mixture(800, 8, 2.0, 0.2, seed=5)
-    labeled, rest = dio.subsample_labeled(data, 25, seed=6)
+    labeled = dio.subsample_labeled(data, 25, seed=6)
     assert labeled.n == 8 * 25
     assert np.all(np.bincount(labeled.labels) == 25)
-    assert rest.labels is None and rest.n == 800 - 200
-    again, _ = dio.subsample_labeled(data, 25, seed=6)
+    again = dio.subsample_labeled(data, 25, seed=6)
     assert np.array_equal(labeled.features, again.features)
 
 
 def test_subsample_whole_class_leaves_empty_remainder():
     data, _ = dio.gen_ring_mixture(80, 4, 2.0, 0.2, seed=7)
-    labeled, rest = dio.subsample_labeled(data, 20, seed=0)
-    assert labeled.n == 80 and rest.n == 0
+    labeled = dio.subsample_labeled(data, 20, seed=0)
+    assert labeled.n == 80  # every row is taken, in the rows' order
+    assert np.array_equal(labeled.features, data.features) and np.array_equal(labeled.labels, data.labels)
 
 
 def test_subsample_insufficient_class_names_the_class():

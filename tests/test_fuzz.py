@@ -153,7 +153,7 @@ def test_mutated_csv_exits_0_or_2(files, capsys):
 
 
 def test_mutated_model_files_exit_0_or_2(files, capsys):
-    head = len(nn.MAGIC) + 5 + 14 + 4 + 18  # the file and model headers, and the first layer's header
+    head = len(gan.MAGIC) + 5 + 14 + 4 + 18  # the file and model headers, and the first layer's header
     codes = _fuzz(files, "model.ndgan", lambda p: _score(files, p), head, 4)
     assert 2 in codes and "Traceback" not in capsys.readouterr().err
 
@@ -183,15 +183,17 @@ def _model_with(files, at: int, value: int):
     return path
 
 
-_ACT = len(nn.MAGIC) + 5 + 14 + 4 + 8  # the activation byte of the generator's first layer
-_PRIOR = len(nn.MAGIC) + 5 + 12  # the z-prior byte
+_ACT = len(gan.MAGIC) + 5 + 14 + 4 + 8  # the activation byte of the generator's first layer
+_PRIOR = len(gan.MAGIC) + 5 + 12  # the z-prior byte
+_WN = _ACT + 1  # the weight-norm byte of the generator's first layer
 
 
 @pytest.mark.parametrize("at, value, message", [
     (_ACT, 2, "unknown activation code 2 in layer 0"),  # tanh, retired in 0.6.0
     (_ACT, 5, "unknown activation code 5 in layer 0"),  # softmax, retired in 0.6.0
     (_PRIOR, 1, "z-prior byte must be 0"),  # the uniform prior, retired in 0.6.0
-], ids=["tanh-code", "softmax-code", "uniform-prior"])
+    (_WN, 0, "weight-norm byte of layer 0 must be 1, got 0"),  # a layer without a gain, retired in 0.7.0
+], ids=["tanh-code", "softmax-code", "uniform-prior", "no-gain-layer"])
 def test_retired_model_encodings_exit_2(files, capsys, at, value, message):
     assert _score(files, _model_with(files, at, value)) == 2
     assert f"at byte {at}: {message}" in capsys.readouterr().err
@@ -199,7 +201,7 @@ def test_retired_model_encodings_exit_2(files, capsys, at, value, message):
 
 def test_a_model_with_a_broken_layer_chain_exits_2(files, capsys):
     model = gan.load_model(files / "model.ndgan")
-    model.disc_specs[1] = nn.LayerSpec(32, 64, "leaky-relu", True, 0.1)
+    model.disc_specs[1] = nn.LayerSpec(32, 64, "leaky-relu", noise_std=0.1)
     model.disc_params[1] = nn.init_mlp(model.disc_specs[1:2], np.random.default_rng(0))[0]
     gan.save_model(files / "broken-chain.ndgan", model)  # every array has the size its header gives
     at = (files / "broken-chain.ndgan").read_bytes().index(struct.pack("<II", 32, 64))  # layer 1's header

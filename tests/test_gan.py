@@ -15,10 +15,10 @@ from tests.conftest import assert_grad_close, finite_difference_grad
 
 
 def tiny_model(K=2, data_dim=2, z_dim=3, gen_widths=(4,), disc_widths=(5, 4), seed=0,
-               noise_std=0.0, weight_norm=True):
+               noise_std=0.0):
     """Small hand-buildable model (no noise by default, for exact assertions)."""
-    gen_specs = gan._stack(list(gen_widths), z_dim, data_dim, "relu", "linear", weight_norm, 0.0)
-    disc_specs = gan._stack(list(disc_widths), data_dim, K + 1, "leaky-relu", "linear", weight_norm, noise_std)
+    gen_specs = gan._stack(list(gen_widths), z_dim, data_dim, "relu", "linear", 0.0)
+    disc_specs = gan._stack(list(disc_widths), data_dim, K + 1, "leaky-relu", "linear", noise_std)
     rng = np.random.default_rng(seed)
     return gan.GanModel(
         gen_specs=gen_specs,
@@ -34,9 +34,9 @@ def tiny_model(K=2, data_dim=2, z_dim=3, gen_widths=(4,), disc_widths=(5, 4), se
 def bias_model(bias_logits, data_dim=2):
     """Discriminator whose logits are a constant bias vector for any input."""
     K = len(bias_logits) - 1
-    model = tiny_model(K=K, data_dim=data_dim, weight_norm=False)
+    model = tiny_model(K=K, data_dim=data_dim)
     for p in model.disc_params:
-        p.v[:] = 0.0
+        p.g[:] = 0.0  # gain 0: zero weights
         p.b[:] = 0.0
     model.disc_params[-1].b[:] = np.asarray(bias_logits, dtype=np.float64)
     return model
@@ -201,8 +201,8 @@ def test_generator_loss_is_clamped_when_d_saturates():
 
 def test_feature_stats_distance_hand_values():
     # identity feature layer: the mean features of a batch are its mean rows
-    model = tiny_model(disc_widths=(2,), weight_norm=False)
-    model.disc_params[0].v[:] = np.eye(2)
+    model = tiny_model(disc_widths=(2,))
+    model.disc_params[0].v[:] = np.eye(2)  # unit rows: at gain 1 the weights are v
     model.disc_params[0].b[:] = 0.0
     assert gan.feature_matching_distance(model, np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]])) == 0.0
     assert gan.feature_matching_distance(model, np.array([[1.0, 2.0]]), np.array([[1.0, 0.0]])) == 4.0
@@ -282,9 +282,9 @@ def test_sample_generator_empty_and_deterministic():
 
 
 def test_zero_weight_generator_emits_its_bias():
-    model = tiny_model(seed=8, weight_norm=False)
+    model = tiny_model(seed=8)
     for p in model.gen_params:
-        p.v[:] = 0.0
+        p.g[:] = 0.0  # gain 0: zero weights
         p.b[:] = 0.0
     model.gen_params[-1].b[:] = [0.25, -0.5]
     out = gan.sample_generator(model, 4, np.random.default_rng(0))
@@ -313,7 +313,7 @@ def test_train_step_normalizes_each_layer_once_per_adam_update(monkeypatch, gene
     data, _ = dio.gen_ring_mixture(100, 4, 2.0, 0.2, seed=4)
     model = gan.build_gan(2, 4, arch="2d", seed=4)
     events = []
-    real_normalize, real_adam = nn.weight_normalize, nn.adam_step
+    real_normalize, real_adam = nn.effective_weights, nn.adam_step
 
     def normalize(v, g, out=None):
         events.append("wn")
@@ -323,7 +323,7 @@ def test_train_step_normalizes_each_layer_once_per_adam_update(monkeypatch, gene
         events.append("disc" if params is model.disc_params else "gen")
         return real_adam(params, grads, state)
 
-    monkeypatch.setattr(nn, "weight_normalize", normalize)
+    monkeypatch.setattr(nn, "effective_weights", normalize)
     monkeypatch.setattr(nn, "adam_step", adam)
     cfg = gan.TrainConfig(total_steps=4, batch_size=8, seed=4, labeled_fraction=0.5, log_every=100,
                           generator_loss=generator_loss, d_steps_per_g=d_steps)
@@ -339,7 +339,7 @@ def test_train_step_normalizes_each_layer_once_per_adam_update(monkeypatch, gene
 
 def _copied(params):
     """The same stack in new arrays, with no cached weights."""
-    return [nn.LayerParams(*(None if a is None else a.copy() for a in (p.v, p.g, p.b))) for p in params]
+    return [nn.LayerParams(*(a.copy() for a in (p.v, p.g, p.b))) for p in params]
 
 
 def test_editing_weights_after_training_changes_forward_like_fresh_arrays():

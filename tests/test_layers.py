@@ -11,15 +11,23 @@ from ndgan.errors import DomainError, ShapeMismatch
 from tests.conftest import assert_grad_close, finite_difference_grad
 
 
-def _plain_layer(in_dim, out_dim, activation="linear", noise_std=0.0):
-    spec = nn.LayerSpec(in_dim, out_dim, activation, weight_norm=False, noise_std=noise_std)
-    params = nn.LayerParams(v=np.zeros((out_dim, in_dim)), g=None, b=np.zeros(out_dim))
-    return spec, params
+def _layer(v, activation="linear", noise_std=0.0, gain=None):
+    """One layer whose effective weights are ``v`` itself, bit for bit (each gain is
+    its row's norm, so g / norm is 1), or zero with ``gain=0``."""
+    v = np.asarray(v, dtype=np.float64)
+    g = np.sqrt((v * v).sum(axis=1)) if gain is None else np.full(len(v), float(gain))
+    spec = nn.LayerSpec(v.shape[1], v.shape[0], activation, noise_std=noise_std)
+    return spec, nn.LayerParams(v=v, g=g, b=np.zeros(len(v)))
+
+
+def _init_adam(params, lr=3e-4):
+    """Adam with TrainConfig's default betas and eps."""
+    c = gan.TrainConfig(total_steps=1, lr=lr)
+    return nn.init_adam(params, c.lr, c.beta1, c.beta2, c.eps)
 
 
 def test_identity_linear_layer_is_identity():
-    spec, params = _plain_layer(2, 2)
-    params.v[:] = np.eye(2)
+    spec, params = _layer(np.eye(2))
     out, kept = nn.mlp_forward([params], [spec], np.array([[1.0, 2.0]]))
     assert out.tolist() == [[1.0, 2.0]]
     assert kept is None  # no layer asked for
@@ -29,21 +37,20 @@ def test_identity_linear_layer_is_identity():
 
 def test_linear_layer_hand_example():
     # x @ v.T + b with v = [[1, 1]]: the product [[1, 2], [3, 4]] @ [[1], [1]]
-    spec, params = _plain_layer(2, 1)
-    params.v[:] = 1.0
+    spec, params = _layer([[1.0, 1.0]])
     out, _ = nn.mlp_forward([params], [spec], [[1.0, 2.0], [3.0, 4.0]])
     assert out.tolist() == [[3.0], [7.0]]
 
 
 def test_zero_weight_sigmoid_unit_outputs_half():
-    spec, params = _plain_layer(3, 1, "sigmoid")
+    spec, params = _layer(np.ones((1, 3)), "sigmoid", gain=0.0)  # gain 0: zero weights
     out, _ = nn.mlp_forward([params], [spec], np.array([[5.0, -2.0, 0.3]]))
     assert out.tolist() == [[0.5]]
 
 
 def test_eval_mode_is_deterministic_train_mode_is_noisy():
     rng = np.random.default_rng(1)
-    specs = [nn.LayerSpec(3, 4, "sigmoid", weight_norm=True, noise_std=0.2), nn.LayerSpec(4, 2)]
+    specs = [nn.LayerSpec(3, 4, "sigmoid", noise_std=0.2), nn.LayerSpec(4, 2)]
     params = nn.init_mlp(specs, rng)
     x = rng.normal(size=(5, 3))
     a, _ = nn.mlp_forward(params, specs, x)  # no noise rng: an eval pass
@@ -54,8 +61,7 @@ def test_eval_mode_is_deterministic_train_mode_is_noisy():
 
 
 def test_noise_is_seed_deterministic_and_constant_in_backward():
-    spec, params = _plain_layer(2, 2, noise_std=0.5)
-    params.v[:] = np.eye(2)
+    spec, params = _layer(np.eye(2), noise_std=0.5)
     x = np.zeros((3, 2))
     draws = [nn.mlp_forward([params], [spec], x, np.random.default_rng(9))[0] for _ in range(2)]
     assert np.array_equal(draws[0], draws[1])
@@ -69,7 +75,7 @@ def test_noise_is_seed_deterministic_and_constant_in_backward():
 
 def test_weight_norm_row_scaling_leaves_output_bit_unchanged():
     rng = np.random.default_rng(2)
-    specs = [nn.LayerSpec(4, 3, "sigmoid", weight_norm=True)]
+    specs = [nn.LayerSpec(4, 3, "sigmoid")]
     params = nn.init_mlp(specs, rng)
     x = rng.normal(size=(6, 4))
     base, _ = nn.mlp_forward(params, specs, x)
@@ -86,15 +92,14 @@ def test_weight_norm_row_scaling_leaves_output_bit_unchanged():
 
 def test_weight_norm_effective_rows_have_gain_norm():
     rng = np.random.default_rng(3)
-    specs = [nn.LayerSpec(3, 4, "sigmoid", weight_norm=True)]
+    specs = [nn.LayerSpec(3, 4, "sigmoid")]
     params = nn.init_mlp(specs, rng)
     params[0].g[:] = rng.uniform(0.5, 2.0, size=4)
-    w, _ = nn.weight_normalize(params[0].v, params[0].g)
+    w, _ = nn.effective_weights(params[0].v, params[0].g)
     np.testing.assert_allclose(np.linalg.norm(w, axis=1), np.abs(params[0].g), rtol=1e-12)
-    # a plain layer with the effective weights computes the same values bit for bit
-    const = nn.LayerParams(v=w, g=None, b=params[0].b)
+    # the layer is its activation of x @ w.T + b, bit for bit
     x = rng.normal(size=(5, 3))
-    assert np.array_equal(nn.mlp_forward(params, specs, x)[0], nn.mlp_forward([const], specs, x)[0])
+    assert np.array_equal(nn.mlp_forward(params, specs, x)[0], nn.activate("sigmoid", x @ w.T + params[0].b))
 
 
 @pytest.mark.parametrize("slope", [0.2, 0.01, 0.5, 0.999])
@@ -126,7 +131,7 @@ def test_linear_rejects_bad_shapes_and_zero_direction_rows():
     x, v, g, b = np.ones((2, 3)), np.ones((4, 3)), np.ones(4), np.zeros(4)
 
     def layer(x, g):  # params hand-built against a spec that matches the input
-        spec = nn.LayerSpec(x.shape[1], 4, "linear", weight_norm=g is not None)
+        spec = nn.LayerSpec(x.shape[1], 4, "linear")
         return nn.mlp_forward([nn.LayerParams(v, g, b)], [spec], x)
 
     with pytest.raises(ShapeMismatch) as err:
@@ -138,14 +143,13 @@ def test_linear_rejects_bad_shapes_and_zero_direction_rows():
     with pytest.raises(DomainError) as err:
         layer(x, g)
     assert "linear" in str(err.value)
-    layer(x, None)  # without a gain a zero row is fine
 
 
 def test_full_mlp_gradient_matches_finite_differences(rng):
     specs = [
-        nn.LayerSpec(3, 6, "leaky-relu", weight_norm=True),
-        nn.LayerSpec(6, 5, "sigmoid", weight_norm=True),
-        nn.LayerSpec(5, 2, "linear", weight_norm=False),
+        nn.LayerSpec(3, 6, "leaky-relu"),
+        nn.LayerSpec(6, 5, "sigmoid"),
+        nn.LayerSpec(5, 2, "linear"),
     ]
     params = nn.init_mlp(specs, rng)
     x = rng.normal(size=(4, 3))
@@ -184,7 +188,7 @@ def test_dimension_chain_break_names_layer():
 
 
 def _scalar_param(value=0.0):
-    return [nn.LayerParams(v=np.array([[value]]), g=None, b=np.zeros(1))]
+    return [nn.LayerParams(v=np.array([[value]]), g=np.ones(1), b=np.zeros(1))]
 
 
 def _stack(params, *layers):
@@ -198,7 +202,7 @@ def _stack(params, *layers):
 
 def test_adam_zero_gradient_is_a_fixed_point():
     params = _scalar_param(1.5)
-    state = nn.init_adam(params, lr=0.1)
+    state = _init_adam(params, lr=0.1)
     nn.adam_step(params, _stack(params), state)
     assert params[0].v[0, 0] == 1.5
     assert state.step_count == 1
@@ -206,7 +210,7 @@ def test_adam_zero_gradient_is_a_fixed_point():
 
 def test_adam_first_step_is_bias_corrected_unit_step():
     params = _scalar_param(0.0)
-    state = nn.init_adam(params, lr=0.1)
+    state = _init_adam(params, lr=0.1)
     nn.adam_step(params, _stack(params, {"v": 1.0}), state)
     # mhat = vhat = 1 at t=1, so the step is lr/(1 + eps) regardless of betas
     assert params[0].v[0, 0] == pytest.approx(-0.1, abs=1e-6)
@@ -233,7 +237,7 @@ def test_adam_converges_on_scalar_quadratic_and_matches_recurrence():
 
 def test_adam_rejects_non_finite_gradient_naming_the_parameter():
     params = _scalar_param()
-    state = nn.init_adam(params)
+    state = _init_adam(params)
     with pytest.raises(DomainError) as err:
         nn.adam_step(params, _stack(params, {"v": np.nan}), state)
     assert "layer 0" in str(err.value) and "'v'" in str(err.value)
@@ -258,13 +262,11 @@ def test_blocked_flat_adam_equals_per_tensor_update_bit_for_bit(data, block, ste
     # with the real block size, 160-200 wide layers put block edges inside and between tensors
     lo, hi = (1, 9) if block < 100 else (160, 200)
     dims = data.draw(st.lists(st.integers(lo, hi), min_size=2, max_size=4), label="dims")
-    wn = data.draw(st.lists(st.booleans(), min_size=len(dims) - 1, max_size=len(dims) - 1), label="weight_norm")
-    specs = [nn.LayerSpec(a, b, weight_norm=w) for a, b, w in zip(dims, dims[1:], wn)]
+    specs = [nn.LayerSpec(a, b) for a, b in zip(dims, dims[1:])]
     rng = np.random.default_rng(seed)
     params = nn.init_mlp(specs, rng)
     if not from_init:  # strided views of other arrays: init_adam copies them into its buffer
-        params = [nn.LayerParams(*(None if a is None else np.stack([a, -a], axis=-1)[..., 0] for a in (p.v, p.g, p.b)))
-                  for p in params]
+        params = [nn.LayerParams(*(np.stack([a, -a], axis=-1)[..., 0] for a in (p.v, p.g, p.b))) for p in params]
     arrays = {(i, name): a.copy() for i, p in enumerate(params) for name, a in p.named()}
     m = {key: np.zeros_like(w) for key, w in arrays.items()}
     v = {key: np.zeros_like(w) for key, w in arrays.items()}
@@ -284,25 +286,25 @@ def test_blocked_flat_adam_equals_per_tensor_update_bit_for_bit(data, block, ste
 
 
 def test_adam_names_the_non_finite_tensor_inside_a_shared_block():
-    specs = [nn.LayerSpec(2, 2, weight_norm=True), nn.LayerSpec(2, 1)]
+    specs = [nn.LayerSpec(2, 2), nn.LayerSpec(2, 1)]
     params = nn.init_mlp(specs, np.random.default_rng(0))
     grads = nn.flat_stack(params)
     grads[0].v.base[...] = 1.0
     grads[1].b[0] = np.inf
-    with mock.patch.object(nn, "ADAM_BLOCK", 16):  # all five tensors share one block
-        state = nn.init_adam(params)
+    with mock.patch.object(nn, "ADAM_BLOCK", 16):  # all six tensors share one block
+        state = _init_adam(params)
         with pytest.raises(DomainError) as err:
             nn.adam_step(params, grads, state)
     assert "layer 1" in str(err.value) and "'b'" in str(err.value)
 
 
 def test_adam_changes_nothing_when_a_later_block_holds_a_non_finite_gradient():
-    specs = [nn.LayerSpec(3, 4, weight_norm=True), nn.LayerSpec(4, 2)]
+    specs = [nn.LayerSpec(3, 4), nn.LayerSpec(4, 2)]
     params = nn.init_mlp(specs, np.random.default_rng(2))
     grads = nn.flat_stack(params)
     grads[0].v.base[...] = np.random.default_rng(3).normal(size=grads[0].v.base.size)
     with mock.patch.object(nn, "ADAM_BLOCK", 4):  # eight blocks; the last holds layer 1's bias
-        state = nn.init_adam(params)
+        state = _init_adam(params)
         nn.adam_step(params, grads, state)  # moments away from zero
         before = [params[0].v.base.tobytes(), state.m.tobytes(), state.v.tobytes(), state.step_count]
         grads[1].b[-1] = np.nan
@@ -313,10 +315,10 @@ def test_adam_changes_nothing_when_a_later_block_holds_a_non_finite_gradient():
 
 
 def test_adam_rejects_stacks_of_another_size():
-    specs = [nn.LayerSpec(3, 4, weight_norm=True), nn.LayerSpec(4, 2)]
+    specs = [nn.LayerSpec(3, 4), nn.LayerSpec(4, 2)]
     params = nn.init_mlp(specs, np.random.default_rng(4))
     unpacked = nn.init_mlp(specs, np.random.default_rng(4))
-    state = nn.init_adam(params)
+    state = _init_adam(params)
     for bad_params, bad_grads in ((params, nn.flat_stack(params[:1])), (unpacked, nn.flat_stack(params)),
                                   (params[1:], nn.flat_stack(params[1:]))):
         with pytest.raises(ShapeMismatch) as err:
@@ -326,12 +328,12 @@ def test_adam_rejects_stacks_of_another_size():
 
 
 def test_init_adam_packs_the_stack_in_one_buffer_that_adam_updates_in_place():
-    specs = [nn.LayerSpec(3, 4, weight_norm=True), nn.LayerSpec(4, 2)]
+    specs = [nn.LayerSpec(3, 4), nn.LayerSpec(4, 2)]
     params = nn.init_mlp(specs, np.random.default_rng(5))
     values = [a.copy() for p in params for _, a in p.named()]
-    state = nn.init_adam(params)
+    state = _init_adam(params)
     flat = params[0].v.base
-    assert flat.shape == state.m.shape == (12 + 4 + 4 + 8 + 2,)
+    assert flat.shape == state.m.shape == (12 + 4 + 4 + 8 + 2 + 2,)
     assert all(a.base is flat for p in params for _, a in p.named())
     assert flat.tobytes() == b"".join(a.tobytes() for a in values)  # the same values, in named() order
     before = [a for p in params for _, a in p.named()]
@@ -348,8 +350,8 @@ def test_init_adam_packs_the_stack_in_one_buffer_that_adam_updates_in_place():
 
 def test_mlp_serialization_round_trip_is_bit_exact(tmp_path, rng):
     specs = [
-        nn.LayerSpec(3, 7, "leaky-relu", weight_norm=True, noise_std=0.1),
-        nn.LayerSpec(7, 2, "linear", weight_norm=False),
+        nn.LayerSpec(3, 7, "leaky-relu", noise_std=0.1),
+        nn.LayerSpec(7, 2, "linear"),
     ]
     # a model file carries the stack as its discriminator
     gen_specs = [nn.LayerSpec(2, 3, "linear")]
@@ -361,11 +363,8 @@ def test_mlp_serialization_round_trip_is_bit_exact(tmp_path, rng):
     specs2, params2 = again.disc_specs, again.disc_params
     assert specs2 == specs
     for p, q in zip(params, params2):
-        assert np.array_equal(p.v, q.v)
-        assert (p.g is None) == (q.g is None)
-        if p.g is not None:
-            assert np.array_equal(p.g, q.g)
-        assert np.array_equal(p.b, q.b)
+        for name, a in p.named():
+            assert np.array_equal(a, getattr(q, name))
     # writing what was read reproduces the same bytes
     path2 = tmp_path / "net2.ndgan"
     gan.save_model(path2, again)

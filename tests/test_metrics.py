@@ -129,8 +129,9 @@ def test_holdout_splits_follow_the_balancing_protocol():
     assert s4.train.K == 9 and s4.train.n == 9 * 850
     # exclusion: remapped train labels cover 0..8 and the original class 4 is gone
     assert set(np.unique(s4.train.labels)) == set(range(9))
-    assert 4 not in s4.label_map
-    assert sorted(s4.label_map.values()) == list(range(9))
+    # classes above the held-out one move down by one
+    original = train.labels[train.labels != 4]
+    assert np.array_equal(s4.train.labels, original - (original > 4))
 
 
 def test_holdout_split_balances_by_shrinking_nominal_when_pool_is_small():

@@ -421,10 +421,12 @@ def _grid_for_spec(spec: densities.MixtureSpec, n_points: int) -> np.ndarray:
     lo = np.minimum(lo, (spec.novel.means - 5 * np.sqrt(spec.novel.variances)).min(axis=0))
     hi = np.maximum(hi, (spec.novel.means + 5 * np.sqrt(spec.novel.variances)).max(axis=0))
     d = spec.dim
-    per_axis = max(2, int(round(n_points ** (1.0 / d))))
-    if per_axis**d > 2 * n_points:  # at least 2 points per axis: 2^d grows past any grid_points
-        raise SchemaError("$.grid_points", f"a {d}-dimensional spec needs a grid of {per_axis}^{d} = "
-                                           f"{per_axis**d} points, more than twice grid_points={n_points}")
+    if 2**d > n_points:  # a grid has at least 2 points per axis
+        raise SchemaError("$.grid_points", f"a {d}-dimensional spec needs a grid of 2^{d} = {2**d} points, "
+                                           f"more than grid_points={n_points}")
+    per_axis = 1 << -(-n_points.bit_length() // d)  # >= the d-th root; Newton's steps down to its floor
+    while (step := ((d - 1) * per_axis + n_points // per_axis ** (d - 1)) // d) < per_axis:
+        per_axis = step
     axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)

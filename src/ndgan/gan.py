@@ -9,7 +9,7 @@ between real and generated batches.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,49 +31,34 @@ FORWARD_BLOCK = 256  # most rows per block of an eval pass
 
 @dataclass
 class GanModel:
-    gen_specs: list[nn.LayerSpec]
-    gen_params: list[nn.LayerParams]
-    disc_specs: list[nn.LayerSpec]
-    disc_params: list[nn.LayerParams]
-    K: int
-    feature_layer: int  # index into the discriminator's hidden outputs
-    z_dim: int  # z is drawn from a standard normal
+    """A generator from z, drawn from a standard normal, and a discriminator whose last
+    layer gives the K+1 logits and whose last hidden layer is the feature layer."""
+
+    gen: list[nn.Layer]
+    disc: list[nn.Layer]
     frozen: bool = False
 
     def __post_init__(self):
-        if self.disc_specs[-1].out_dim != self.K + 1:
-            raise ValidationError(
-                f"discriminator must end in K+1={self.K + 1} logits, got {self.disc_specs[-1].out_dim}"
-            )
-        n_hidden = len(self.disc_specs) - 1
-        if not 0 <= self.feature_layer < n_hidden:
-            raise ValidationError(
-                f"feature_layer {self.feature_layer} does not index a hidden layer (0..{n_hidden - 1})"
-            )
-        if self.gen_specs[-1].out_dim != self.disc_specs[0].in_dim:
+        if len(self.disc) < 2:
+            raise ValidationError("the discriminator needs a hidden layer, its feature layer")
+        if self.gen[-1].out_dim != self.data_dim:
             raise ValidationError("generator output width must match discriminator input width")
-        if self.gen_specs[0].in_dim != self.z_dim:
-            raise ValidationError("generator input width must match z_dim")
+
+    @property
+    def K(self) -> int:
+        return self.disc[-1].out_dim - 1
+
+    @property
+    def z_dim(self) -> int:
+        return self.gen[0].in_dim
+
+    @property
+    def feature_layer(self) -> int:
+        return len(self.disc) - 2
 
     @property
     def data_dim(self) -> int:
-        return self.disc_specs[0].in_dim
-
-
-def _stack(widths, in_dim, out_dim, hidden_act, out_act, noise_std):
-    dims = [in_dim] + list(widths) + [out_dim]
-    specs = []
-    for i in range(len(dims) - 1):
-        last = i == len(dims) - 2
-        specs.append(
-            nn.LayerSpec(
-                in_dim=dims[i],
-                out_dim=dims[i + 1],
-                activation=out_act if last else hidden_act,
-                noise_std=0.0 if last else noise_std,
-            )
-        )
-    return specs
+        return self.disc[0].in_dim
 
 
 def build_gan(
@@ -97,17 +82,9 @@ def build_gan(
         raise ValidationError(f"unknown architecture {arch!r}; have '2d', 'mnist'")
 
     rng = RngStreams(seed).init
-    gen_specs = _stack(gen_widths, z_dim, data_dim, "relu", gen_out_act, 0.0)
-    disc_specs = _stack(disc_widths, data_dim, K + 1, "leaky-relu", "linear", disc_noise_std)
-    return GanModel(
-        gen_specs=gen_specs,
-        gen_params=nn.init_mlp(gen_specs, rng),
-        disc_specs=disc_specs,
-        disc_params=nn.init_mlp(disc_specs, rng),
-        K=K,
-        feature_layer=len(disc_widths) - 1,
-        z_dim=z_dim,
-    )
+    gen = nn.init_mlp([z_dim, *gen_widths, data_dim], "relu", gen_out_act, rng)
+    disc = nn.init_mlp([data_dim, *disc_widths, K + 1], "leaky-relu", "linear", rng, noise_std=disc_noise_std)
+    return GanModel(gen, disc)
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +104,11 @@ def discriminator_logits(
     for ``noise_rng`` and ``cache``. A pass without either runs in row blocks (``blas.in_blocks``)."""
     x = np.asarray(x, dtype=np.float64)
     if noise_rng is not None or cache is not None or x.ndim != 2:
-        return nn.mlp_forward(model.disc_params, model.disc_specs, x, noise_rng, model.feature_layer, cache)
-    params = [nn.LayerParams(p.v, p.g, p.b) for p in model.disc_params]  # the model's own cache stays as it is
-    nn.cache_weights(params)  # once for every block
+        return nn.mlp_forward(model.disc, x, noise_rng, model.feature_layer, cache)
+    disc = [replace(layer) for layer in model.disc]  # without the model's weight cache, which stays as it is
+    nn.cache_weights(disc)  # once for every block
     parts = blas.in_blocks(lambda start, stop: nn.mlp_forward(
-        params, model.disc_specs, x[start:stop], keep=model.feature_layer), len(x), FORWARD_BLOCK)
+        disc, x[start:stop], keep=model.feature_layer), len(x), FORWARD_BLOCK)
     return parts[0] if len(parts) == 1 else tuple(np.concatenate(out) for out in zip(*parts))
 
 
@@ -152,8 +129,7 @@ def discriminator_probs(model: GanModel, x) -> np.ndarray:
 
 def discriminator_features(model: GanModel, x) -> np.ndarray:
     """Noiseless feature-layer activations from a pass that stops at that layer."""
-    k = model.feature_layer + 1
-    return nn.mlp_forward(model.disc_params[:k], model.disc_specs[:k], x)[0]
+    return nn.mlp_forward(model.disc[:-1], x)[0]
 
 
 def sample_z(model: GanModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -161,7 +137,7 @@ def sample_z(model: GanModel, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def generator_forward(model: GanModel, z: np.ndarray, noise_rng=None, cache: list | None = None) -> np.ndarray:
-    return nn.mlp_forward(model.gen_params, model.gen_specs, z, noise_rng, cache=cache)[0]
+    return nn.mlp_forward(model.gen, z, noise_rng, cache=cache)[0]
 
 
 def sample_generator(model: GanModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -263,7 +239,7 @@ def generator_loss_standard(
     """The loss, and its gradient at the discriminator's logits on G(z)."""
     gen_cache, disc_cache = caches or (None, None)
     fake = generator_forward(model, z, noise_rng, gen_cache)
-    logits = nn.mlp_forward(model.disc_params, model.disc_specs, fake, noise_rng, cache=disc_cache)[0]
+    logits = nn.mlp_forward(model.disc, fake, noise_rng, cache=disc_cache)[0]
     return generator_loss_standard_from_logits(logits, model.K)
 
 
@@ -281,14 +257,12 @@ def generator_loss_feature_matching(
     gradient at the generated features.
 
     The real branch is a constant of this loss. The discriminator runs up to
-    its feature layer; after it, build_gan puts only the noiseless output layer.
+    its feature layer; after it comes only the output layer.
     """
     gen_cache, disc_cache = caches or (None, None)
-    k = model.feature_layer + 1
-    params, specs = model.disc_params[:k], model.disc_specs[:k]
-    mean_real = nn.mlp_forward(params, specs, real_x, noise_rng)[0].mean(axis=0)
+    mean_real = nn.mlp_forward(model.disc[:-1], real_x, noise_rng)[0].mean(axis=0)
     fake = generator_forward(model, z, noise_rng, gen_cache)
-    features = nn.mlp_forward(params, specs, fake, noise_rng, cache=disc_cache)[0]
+    features = nn.mlp_forward(model.disc[:-1], fake, noise_rng, cache=disc_cache)[0]
     return feature_matching_from_features(features, mean_real)
 
 
@@ -367,16 +341,15 @@ def _gradients(model: GanModel, step: int, loss_fn, *args, noise_rng=None):
     trains_disc = not gen_cache
     if not np.isfinite(value):
         raise TrainingDiverged(step, "d-loss" if trains_disc else "g-loss", value)
-    grads = nn.flat_stack(model.disc_params if trains_disc else model.gen_params)
-    k = len(disc_cache)  # a feature-matching pass stops at the feature layer
-    grad = nn.mlp_backward(model.disc_specs[:k], model.disc_params[:k], disc_cache, grad,
+    grads = nn.flat_stack(model.disc if trains_disc else model.gen)
+    grad = nn.mlp_backward(model.disc, disc_cache, grad,  # a feature-matching pass stops at the feature layer
                            out=grads if trains_disc else None, need_dx=not trains_disc)
     if not trains_disc:
-        nn.mlp_backward(model.gen_specs, model.gen_params, gen_cache, grad, out=grads, need_dx=False)
+        nn.mlp_backward(model.gen, gen_cache, grad, out=grads, need_dx=False)
     return value, grads
 
 
-def _descend(params: list[nn.LayerParams], state: nn.AdamState, *args, **kwargs) -> float:
+def _descend(params: list[nn.Layer], state: nn.AdamState, *args, **kwargs) -> float:
     """One Adam update of ``params`` on ``_gradients(*args, **kwargs)``; returns the loss value.
 
     The gradients die on return, before the next phase builds its own.
@@ -418,8 +391,8 @@ def train_gan(
             labeled_x, labeled_y = labeled.features, labeled.labels
     all_x = data.features  # every real example feeds the unsupervised term
 
-    d_state = nn.init_adam(model.disc_params, config.lr, config.beta1, config.beta2, config.eps)
-    g_state = nn.init_adam(model.gen_params, config.lr, config.beta1, config.beta2, config.eps)
+    d_state = nn.init_adam(model.disc, config.lr, config.beta1, config.beta2, config.eps)
+    g_state = nn.init_adam(model.gen, config.lr, config.beta1, config.beta2, config.eps)
     log = TrainLog()
 
     # A diverging run overflows to inf/nan; the finite-loss and finite-gradient
@@ -431,11 +404,11 @@ def train_gan(
     with np.errstate(over="ignore", invalid="ignore"), blas.one_thread() as pinned:
         noise = streams.noise
         try:
-            noisy = any(spec.noise_std > 0 for spec in model.disc_specs + model.gen_specs)
+            noisy = any(layer.noise_std > 0 for layer in model.disc + model.gen)
             if pinned and noisy and blas.cpu_count() >= 2:
                 noise = NoiseAhead(streams.noise)
-            nn.cache_weights(model.disc_params)
-            nn.cache_weights(model.gen_params)
+            nn.cache_weights(model.disc)
+            nn.cache_weights(model.gen)
             for step in range(1, config.total_steps + 1):
                 for _ in range(config.d_steps_per_g):
                     unl = all_x[streams.shuffling.integers(0, len(all_x), config.batch_size)]
@@ -448,9 +421,9 @@ def train_gan(
                         fake = np.asarray(fake_source(config.batch_size, streams.sampling), dtype=np.float64)
                     else:
                         fake = sample_generator(model, config.batch_size, streams.sampling)
-                    d_val = _descend(model.disc_params, d_state, model, step,
+                    d_val = _descend(model.disc, d_state, model, step,
                                      discriminator_loss, lx, ly, unl, fake, noise_rng=noise)
-                    nn.cache_weights(model.disc_params)
+                    nn.cache_weights(model.disc)
 
                 g_val = None
                 if fake_source is None:
@@ -460,8 +433,8 @@ def train_gan(
                         args = (generator_loss_feature_matching, real, z)
                     else:
                         args = (generator_loss_standard, z)
-                    g_val = _descend(model.gen_params, g_state, model, step, *args, noise_rng=noise)
-                    nn.cache_weights(model.gen_params)
+                    g_val = _descend(model.gen, g_state, model, step, *args, noise_rng=noise)
+                    nn.cache_weights(model.gen)
 
                 fm = None
                 if step % config.log_every == 0 or step == 1 or step == config.total_steps:
@@ -472,7 +445,7 @@ def train_gan(
                         fm = feature_matching_distance(model, real, fake)
                 log.rows.append(LogRow(step, d_val, g_val, fm))
         finally:
-            nn.drop_weights(model.disc_params + model.gen_params)
+            nn.drop_weights(model.disc + model.gen)
             if noise is not streams.noise:
                 noise.close()
 
@@ -504,8 +477,8 @@ def save_model(path, model: GanModel):
                 1 if model.frozen else 0,
             )
         )
-        nn.write_mlp_block(fh, model.gen_specs, model.gen_params)
-        nn.write_mlp_block(fh, model.disc_specs, model.disc_params)
+        nn.write_mlp_block(fh, model.gen)
+        nn.write_mlp_block(fh, model.disc)
 
 
 def load_model(path) -> GanModel:
@@ -532,23 +505,18 @@ def load_model(path) -> GanModel:
         if frozen not in (0, 1):
             raise FormatError(source, f"frozen flag must be 0 or 1, got {frozen}", offset=fh.tell() - 1)
         gen_at = fh.tell()
-        gen_specs, gen_params = nn.read_mlp_block(fh, source)
+        gen = nn.read_mlp_block(fh, source)
         disc_at = fh.tell()
-        disc_specs, disc_params = nn.read_mlp_block(fh, source)
+        disc = nn.read_mlp_block(fh, source)
         end = fh.tell()
         if fh.read(1):
             raise FormatError(source, "trailing bytes after the model", offset=end)
-    if gen_specs[0].in_dim != z_dim:
-        raise FormatError(source, f"generator input width {gen_specs[0].in_dim} is not z_dim={z_dim}", offset=gen_at)
-    if disc_specs[-1].out_dim != K + 1:
-        raise FormatError(source, f"discriminator output width {disc_specs[-1].out_dim} is not K+1={K + 1}", offset=disc_at)
-    return GanModel(
-        gen_specs=gen_specs,
-        gen_params=gen_params,
-        disc_specs=disc_specs,
-        disc_params=disc_params,
-        K=K,
-        feature_layer=feature_layer,
-        z_dim=z_dim,
-        frozen=bool(frozen),
-    )
+    if gen[0].in_dim != z_dim:
+        raise FormatError(source, f"generator input width {gen[0].in_dim} is not z_dim={z_dim}", offset=gen_at)
+    if disc[-1].out_dim != K + 1:
+        raise FormatError(source, f"discriminator output width {disc[-1].out_dim} is not K+1={K + 1}", offset=disc_at)
+    model = GanModel(gen, disc, frozen=bool(frozen))
+    if feature_layer != model.feature_layer:
+        raise FormatError(source, f"feature layer {feature_layer} is not the last hidden layer "
+                                  f"({model.feature_layer})", offset=len(MAGIC) + struct.calcsize("<IBII"))
+    return model

@@ -56,35 +56,39 @@ def effective_weights(v: np.ndarray, g: np.ndarray, out: np.ndarray | None = Non
     return np.multiply((g / norm)[:, None], v, out=out), norm
 
 
-@dataclass(frozen=True)
-class LayerSpec:
+@dataclass(eq=False)
+class Layer:
     """A weight-normalized layer (Salimans & Kingma 2016): ``activation(x @ W.T + b)``
-    with ``W = effective_weights(v, g)``, plus Gaussian noise of ``noise_std`` on the
-    output of a pass given a noise rng."""
+    with ``W = effective_weights(v, g)`` from direction rows v (out x in), gain g
+    and bias b, plus Gaussian noise of ``noise_std`` on the output of a pass given
+    a noise rng. Its widths are v's: ``in_dim`` columns, ``out_dim`` rows."""
 
-    in_dim: int
-    out_dim: int
+    v: np.ndarray
+    g: np.ndarray
+    b: np.ndarray
     activation: str = "relu"
     noise_std: float = field(default=0.0, kw_only=True)
+    # ``effective_weights(v, g)`` while v and g stay unchanged; see cache_weights
+    wn: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.in_dim < 1 or self.out_dim < 1:
+        if self.v.ndim != 2 or not self.g.shape == self.b.shape == (len(self.v),):
+            raise ShapeMismatch("layer", self.v.shape, self.g.shape, self.b.shape,
+                                detail="v must be 2-d, with one entry of g and of b per row")
+        if 0 in self.v.shape:
             raise ValidationError(f"layer dims must be >= 1, got {self.in_dim}x{self.out_dim}")
         if self.activation not in ACTIVATIONS:
             raise ValidationError(f"unknown activation {self.activation!r}; have {ACTIVATIONS}")
         if not 0 <= self.noise_std < math.inf:  # NaN fails every comparison
             raise ValidationError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 
+    @property
+    def in_dim(self) -> int:
+        return self.v.shape[1]
 
-@dataclass
-class LayerParams:
-    """One layer's parameters: direction rows v (out x in), gain g, bias b."""
-
-    v: np.ndarray
-    g: np.ndarray
-    b: np.ndarray
-    # ``effective_weights(v, g)`` while v and g stay unchanged; see cache_weights
-    wn: tuple[np.ndarray, np.ndarray] | None = None
+    @property
+    def out_dim(self) -> int:
+        return self.v.shape[0]
 
     def named(self):
         yield "v", self.v
@@ -103,22 +107,28 @@ def _carve(shapes) -> list[np.ndarray]:
     return views
 
 
-def flat_stack(params: list[LayerParams]) -> list[LayerParams]:
-    """Zeros laid out like ``params``: each array a view of one new flat buffer, in ``named()`` order."""
-    views = iter(_carve([a.shape for p in params for _, a in p.named()]))
-    return [LayerParams(v=next(views), g=next(views), b=next(views)) for _ in params]
+def flat_stack(layers: list[Layer]) -> list[Layer]:
+    """Zeros laid out like ``layers``: each array a view of one new flat buffer, in ``named()`` order."""
+    views = iter(_carve([a.shape for layer in layers for _, a in layer.named()]))
+    return [Layer(next(views), next(views), next(views), layer.activation, noise_std=layer.noise_std)
+            for layer in layers]
 
 
-def init_mlp(specs: list[LayerSpec], rng: np.random.Generator) -> list[LayerParams]:
-    """He-style init: v ~ N(0, 2/in_dim), gains 1, biases 0, each a separate array."""
-    params = []
-    for spec in specs:
-        v = rng.normal(0.0, np.sqrt(2.0 / spec.in_dim), size=(spec.out_dim, spec.in_dim))
-        params.append(LayerParams(v=v, g=np.ones(spec.out_dim), b=np.zeros(spec.out_dim)))
-    return params
+def init_mlp(dims: list[int], hidden: str, last: str, rng: np.random.Generator,
+             noise_std: float = 0.0) -> list[Layer]:
+    """A stack of layers ``dims[i] -> dims[i + 1]``: the ``hidden`` activation and Gaussian
+    noise of ``noise_std`` on all but the last, which has the ``last`` activation and no noise.
+    He-style init: v ~ N(0, 2/in_dim), gains 1, biases 0, each a separate array."""
+    layers = []
+    for i, (n_in, n_out) in enumerate(zip(dims, dims[1:])):
+        v = rng.normal(0.0, np.sqrt(2.0 / n_in), size=(n_out, n_in))
+        top = i == len(dims) - 2
+        layers.append(Layer(v, np.ones(n_out), np.zeros(n_out), last if top else hidden,
+                            noise_std=0.0 if top else noise_std))
+    return layers
 
 
-def cache_weights(params: list[LayerParams]):
+def cache_weights(layers: list[Layer]):
     """Store each layer's effective weights and row norms on it.
 
     ``mlp_forward`` then reuses them instead of normalizing again. The cache
@@ -128,34 +138,18 @@ def cache_weights(params: list[LayerParams]):
     keeps them in place in memory, so no ``mlp_forward`` cache that holds them
     may be used after it.
     """
-    for p in params:
-        p.wn = effective_weights(p.v, p.g, out=None if p.wn is None else p.wn[0])
+    for layer in layers:
+        layer.wn = effective_weights(layer.v, layer.g, out=None if layer.wn is None else layer.wn[0])
 
 
-def drop_weights(params: list[LayerParams]):
+def drop_weights(layers: list[Layer]):
     """Clear what ``cache_weights`` stored: passes normalize from the arrays again."""
-    for p in params:
-        p.wn = None
-
-
-def _check_chain(specs: list[LayerSpec], in_width: int):
-    if not specs:
-        raise ValidationError("empty layer stack")
-    if specs[0].in_dim != in_width:
-        raise ShapeMismatch("mlp-forward", (in_width,), (specs[0].in_dim,), detail="input width vs layer 0")
-    for i in range(1, len(specs)):
-        if specs[i].in_dim != specs[i - 1].out_dim:
-            raise ShapeMismatch(
-                "mlp-forward",
-                (specs[i - 1].out_dim,),
-                (specs[i].in_dim,),
-                detail=f"dimension chain breaks at layer {i}",
-            )
+    for layer in layers:
+        layer.wn = None
 
 
 def mlp_forward(
-    params: list[LayerParams],
-    specs: list[LayerSpec],
+    layers: list[Layer],
     x: np.ndarray,
     noise_rng=None,
     keep: int | None = None,
@@ -176,42 +170,40 @@ def mlp_forward(
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2:
         raise ShapeMismatch("mlp-forward", h.shape, detail="expects a batch (n, d)")
-    _check_chain(specs, h.shape[1])
 
     kept = None
-    for i, (spec, p) in enumerate(zip(specs, params)):
-        if p.v.ndim != 2 or h.shape[1] != p.v.shape[1] or p.b.shape != (p.v.shape[0],):
-            raise ShapeMismatch("linear", h.shape, p.v.shape, p.b.shape)
-        w, norm = p.wn or effective_weights(p.v, p.g)
+    for i, layer in enumerate(layers):
+        if h.shape[1] != layer.in_dim:
+            raise ShapeMismatch("linear", h.shape, layer.v.shape, detail=f"input width vs layer {i}")
+        w, norm = layer.wn or effective_weights(layer.v, layer.g)
         if cache is not None:
             cache.append([h, w, norm])
-        h = h @ w.T + p.b
+        h = h @ w.T + layer.b
         del w, norm  # without a cache, no array of a layer outlives it
         if cache is not None:
             cache[-1].append(h)
-        h = activate(spec.activation, h)
+        h = activate(layer.activation, h)
         if cache is not None:
             cache[-1].append(h)
-        if noise_rng is not None and spec.noise_std > 0:
-            h = h + noise_rng.normal(0.0, spec.noise_std, size=h.shape)  # a constant for backward
+        if noise_rng is not None and layer.noise_std > 0:
+            h = h + noise_rng.normal(0.0, layer.noise_std, size=h.shape)  # a constant for backward
         if i == keep:
             kept = h
     return h, kept
 
 
 def mlp_backward(
-    specs: list[LayerSpec],
-    params: list[LayerParams],
+    layers: list[Layer],
     cache: list,
     grad: np.ndarray,
-    out: list[LayerParams] | None = None,
+    out: list[Layer] | None = None,
     need_dx: bool = True,
 ) -> np.ndarray | None:
     """Backpropagate ``grad``, the gradient at the output of the pass that filled ``cache``.
 
     Returns the gradient at the pass's input (None when ``need_dx`` is
     false). Each layer's parameter gradients are written into its entry of
-    ``out``, a stack laid out like ``params`` (see :func:`flat_stack`); with
+    ``out``, a stack laid out like ``layers`` (see :func:`flat_stack`); with
     ``out`` None the stack is a constant and only the input gradient is
     formed. The noise is a constant, so its gradient is the identity. Each
     layer forms ``dW = grad.T @ x`` once and applies the weight-norm chain
@@ -219,8 +211,8 @@ def mlp_backward(
     """
     for i in range(len(cache) - 1, -1, -1):
         x, w, norm, pre, y = cache[i]
-        v, g = params[i].v, params[i].g
-        grad = activation_grad(specs[i].activation, grad, pre, y)
+        v, g = layers[i].v, layers[i].g
+        grad = activation_grad(layers[i].activation, grad, pre, y)
         dx = grad @ w if need_dx or i > 0 else None
         if out is not None:
             o = out[i]
@@ -257,7 +249,7 @@ class AdamState:
     step_count: int = 0
 
 
-def init_adam(params: list[LayerParams], lr: float, beta1: float, beta2: float, eps: float) -> AdamState:
+def init_adam(params: list[Layer], lr: float, beta1: float, beta2: float, eps: float) -> AdamState:
     """Zero moments for ``params``, whose arrays are first copied into one new
     flat buffer (:func:`flat_stack`) and rebound to views of it."""
     for p, packed in zip(params, flat_stack(params)):
@@ -269,8 +261,8 @@ def init_adam(params: list[LayerParams], lr: float, beta1: float, beta2: float, 
 
 
 def adam_step(
-    params: list[LayerParams],
-    grads: list[LayerParams],
+    params: list[Layer],
+    grads: list[Layer],
     state: AdamState,
 ) -> None:
     """Standard bias-corrected Adam update, in place.
@@ -336,24 +328,25 @@ def _read_array(fh, shape, source: str) -> np.ndarray:
     return np.frombuffer(fh.read(size), dtype="<f8").astype(np.float64).reshape(shape)
 
 
-def write_mlp_block(fh, specs: list[LayerSpec], params: list[LayerParams]):
+def write_mlp_block(fh, layers: list[Layer]):
     """A layer count, then per layer its header (dims, activation code, the
     weight-norm byte 1 and noise_std) and its v, g and b."""
-    fh.write(struct.pack("<I", len(specs)))
-    for spec, p in zip(specs, params):
-        fh.write(struct.pack("<IIBBd", spec.in_dim, spec.out_dim, _ACT_CODES[spec.activation], 1, spec.noise_std))
-        for a in (p.v, p.g, p.b):
+    fh.write(struct.pack("<I", len(layers)))
+    for layer in layers:
+        fh.write(struct.pack("<IIBBd", layer.in_dim, layer.out_dim, _ACT_CODES[layer.activation], 1,
+                             layer.noise_std))
+        for _, a in layer.named():
             _write_array(fh, a)
 
 
-def read_mlp_block(fh, source: str) -> tuple[list[LayerSpec], list[LayerParams]]:
+def read_mlp_block(fh, source: str) -> list[Layer]:
     head = fh.read(4)
     if len(head) != 4:
         raise FormatError(source, "truncated layer count")
     (n_layers,) = struct.unpack("<I", head)
     if n_layers == 0:
         raise FormatError(source, "empty layer stack", offset=fh.tell() - 4)
-    specs, params = [], []
+    layers = []
     for i in range(n_layers):
         at = fh.tell()
         raw = fh.read(struct.calcsize("<IIBBd"))
@@ -362,23 +355,21 @@ def read_mlp_block(fh, source: str) -> tuple[list[LayerSpec], list[LayerParams]]
         in_dim, out_dim, act, wn, noise_std = struct.unpack("<IIBBd", raw)
         if act not in _ACT_NAMES:
             raise FormatError(source, f"unknown activation code {act} in layer {i}", offset=at + 8)
-        if specs and in_dim != specs[-1].out_dim:
-            raise FormatError(source, f"layer {i} takes {in_dim} inputs but layer {i - 1} gives {specs[-1].out_dim}",
+        if layers and in_dim != layers[-1].out_dim:
+            raise FormatError(source, f"layer {i} takes {in_dim} inputs but layer {i - 1} gives {layers[-1].out_dim}",
                               offset=at)
         if wn != 1:  # 0, a layer without a gain, is retired
             raise FormatError(source, f"weight-norm byte of layer {i} must be 1, got {wn}",
                               offset=at + struct.calcsize("<IIB"))
-        try:
-            spec = LayerSpec(in_dim, out_dim, _ACT_NAMES[act], noise_std=noise_std)
-        except ValidationError as exc:
-            raise FormatError(source, f"layer {i}: {exc}", offset=at) from None
         v = _read_array(fh, (out_dim, in_dim), source)
         g = _read_array(fh, (out_dim,), source)
         b = _read_array(fh, (out_dim,), source)
-        layer = LayerParams(v=v, g=g, b=b)
+        try:
+            layer = Layer(v, g, b, _ACT_NAMES[act], noise_std=noise_std)
+        except ValidationError as exc:
+            raise FormatError(source, f"layer {i}: {exc}", offset=at) from None
         for name, a in layer.named():
             if not np.all(np.isfinite(a)):
                 raise FormatError(source, f"non-finite weights in layer {i} param {name!r}")
-        specs.append(spec)
-        params.append(layer)
-    return specs, params
+        layers.append(layer)
+    return layers

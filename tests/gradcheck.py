@@ -58,16 +58,15 @@ def check_layer_gradient(activation: str, seed: int):
     central finite differences, under a fixed random linear functional of its output."""
     rng = np.random.default_rng(seed)
     m, k, n = rng.integers(1, 9, size=3)
-    spec = nn.LayerSpec(int(k), int(n), activation)
     v = rng.uniform(-2.0, 2.0, size=(n, k))
     v[np.abs(v).sum(axis=1) < 0.5] += 1.0  # keep rows clearly nonzero
     g = rng.uniform(0.5, 1.5, size=n)
-    params = nn.LayerParams(v=v, g=g, b=rng.uniform(-2.0, 2.0, size=n))
+    layer = nn.Layer(v, g, rng.uniform(-2.0, 2.0, size=n), activation)
     x = rng.uniform(-2.0, 2.0, size=(m, k))
     kinked = activation in ("relu", "leaky-relu")
     while True:  # redraw the rows with a pre-activation near a kink
         cache = []
-        nn.mlp_forward([params], [spec], x, cache=cache)
+        nn.mlp_forward([layer], x, cache=cache)
         near = (np.abs(cache[0][3]) < 0.05).any(axis=1) & kinked
         if not near.any():
             break
@@ -75,10 +74,10 @@ def check_layer_gradient(activation: str, seed: int):
     weights = np.random.default_rng(seed + 1).uniform(0.5, 1.5, size=(m, n))
 
     def scalar():
-        return float((nn.mlp_forward([params], [spec], x)[0] * weights).sum())
+        return float((nn.mlp_forward([layer], x)[0] * weights).sum())
 
-    (grads,) = nn.flat_stack([params])
-    dx = nn.mlp_backward([spec], [params], cache, weights, out=[grads])
+    (grads,) = nn.flat_stack([layer])
+    dx = nn.mlp_backward([layer], cache, weights, out=[grads])
     assert_grad_close(dx, finite_difference_grad(scalar, x))
-    for name, array in params.named():
+    for name, array in layer.named():
         assert_grad_close(getattr(grads, name), finite_difference_grad(scalar, array))

@@ -41,17 +41,8 @@ def _check_network_gradients(seed: int):
     which place pre-activations away from the kink by construction.
     """
     rng = np.random.default_rng(seed)
-    gen_specs = gan._stack([8, 16], 4, 3, "sigmoid", "linear", 0.0)
-    disc_specs = gan._stack([16, 8], 3, 3, "sigmoid", "linear", 0.0)
-    model = gan.GanModel(
-        gen_specs=gen_specs,
-        gen_params=nn.init_mlp(gen_specs, rng),
-        disc_specs=disc_specs,
-        disc_params=nn.init_mlp(disc_specs, rng),
-        K=2,
-        feature_layer=1,
-        z_dim=4,
-    )
+    gen = nn.init_mlp([4, 8, 16, 3], "sigmoid", "linear", rng)
+    model = gan.GanModel(gen, nn.init_mlp([3, 16, 8, 3], "sigmoid", "linear", rng))  # K = 2
     z = rng.normal(size=(2, 4))
     real = rng.normal(size=(2, 3))
     labels = rng.integers(0, 2, size=2)
@@ -61,7 +52,7 @@ def _check_network_gradients(seed: int):
         return gan.discriminator_loss(model, real, labels, real, fake)[0]
 
     _, grads = gan._gradients(model, 0, gan.discriminator_loss, real, labels, real, fake)
-    for li, p in enumerate(model.disc_params):
+    for li, p in enumerate(model.disc):
         for name, a in p.named():
             assert_grad_close(getattr(grads[li], name), finite_difference_grad(d_loss_fixed_fake, a))
 
@@ -71,7 +62,7 @@ def _check_network_gradients(seed: int):
             return loss(model, *args)[0]
 
         _, grads = gan._gradients(model, 0, loss, *args)
-        for li, p in enumerate(model.gen_params):
+        for li, p in enumerate(model.gen):
             for name, a in p.named():
                 assert_grad_close(getattr(grads[li], name), finite_difference_grad(g_loss_value, a))
 

@@ -70,12 +70,11 @@ def test_gradients_accumulate_on_fanout():
 def test_forward_is_bit_identical_with_and_without_tape():
     """Keeping a pass's intermediates for its backward changes none of its bits."""
     rng = np.random.default_rng(3)
-    specs = [nn.LayerSpec(4, 5, "leaky-relu", noise_std=0.1), nn.LayerSpec(5, 3, "linear")]
-    params = nn.init_mlp(specs, rng)
+    layers = nn.init_mlp([4, 5, 3], "leaky-relu", "linear", rng, noise_std=0.1)
     x = rng.normal(size=(6, 4))
-    bare = nn.mlp_forward(params, specs, x, np.random.default_rng(1))[0]
+    bare = nn.mlp_forward(layers, x, np.random.default_rng(1))[0]
     cache = []
-    kept = nn.mlp_forward(params, specs, x, np.random.default_rng(1), cache=cache)[0]
+    kept = nn.mlp_forward(layers, x, np.random.default_rng(1), cache=cache)[0]
     assert len(cache) == 2 and bare.tobytes() == kept.tobytes()
 
 

@@ -10,10 +10,10 @@ import weakref
 import numpy as np
 import pytest
 
-from ndgan import blas, cli, gan, scores
+from ndgan import blas, cli, densities, gan, scores
 from ndgan import layers as nn
 from ndgan import data as dio
-from ndgan.errors import FormatError, ValidationError
+from ndgan.errors import FormatError, SchemaError, ValidationError
 
 
 def run(*argv):
@@ -192,7 +192,7 @@ def test_score_of_a_damaged_model_file_exits_2(pipeline, tmp_path, capsys, damag
     elif damage == "K-not-discriminator-output":  # well-formed blocks, but K+1 logits no longer fit K
         struct.pack_into("<I", raw, K_FIELD, struct.unpack_from("<I", raw, K_FIELD)[0] + 1)
         model, gen_block = gan.load_model(model_dir / "model.ndgan"), io.BytesIO()
-        nn.write_mlp_block(gen_block, model.gen_specs, model.gen_params)
+        nn.write_mlp_block(gen_block, model.gen)
         offset = GEN_BLOCK + gen_block.tell()  # the discriminator block
     elif damage == "z-dim-not-generator-input":
         struct.pack_into("<I", raw, Z_DIM_FIELD, struct.unpack_from("<I", raw, Z_DIM_FIELD)[0] + 1)
@@ -807,6 +807,27 @@ def test_oracle_rejects_a_spec_whose_grid_outgrows_grid_points(tmp_path, capsys)
     err = capsys.readouterr().err
     assert "$.grid_points" in err and "a 30-dimensional spec needs a grid of 2^30 = 1073741824 points" in err
     assert "grid_points=10000" in err and list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("n_points", [100, 10_000])
+def test_oracle_grid_rule_accepts_a_prefix_of_dimensions(n_points):
+    """A d-dimensional grid has floor(n^(1/d)) points per axis, and a spec is rejected,
+    before any grid is made, exactly when 2^d > n: so the accepted d run from 1 up."""
+    accepted = []
+    for d in range(1, 41):
+        spec = densities.MixtureSpec(0.5, densities.gaussian([0.0] * d, 1.0), densities.gaussian([2.0] * d, 1.0))
+        try:
+            grid = cli._grid_for_spec(spec, n_points)
+        except SchemaError as exc:
+            assert 2**d > n_points and exc.json_path == "$.grid_points"
+            assert f"a {d}-dimensional spec needs a grid of 2^{d} = {2**d} points" in str(exc)
+            continue
+        per_axis = round(len(grid) ** (1 / d))
+        assert grid.shape == (per_axis**d, d) and per_axis**d <= n_points < (per_axis + 1) ** d
+        accepted.append(d)
+    assert accepted == list(range(1, n_points.bit_length()))  # d = 1 .. floor(log2 n)
+    spec = densities.MixtureSpec(0.5, densities.gaussian([0.0] * 2, 1.0), densities.gaussian([2.0] * 2, 1.0))
+    assert len(cli._grid_for_spec(spec, 399)) == 19**2  # a non-square count rounds down
 
 
 def test_missing_out_dir_is_a_validation_error(tmp_path):

@@ -186,6 +186,7 @@ def _model_with(files, at: int, value: int):
 _ACT = len(gan.MAGIC) + 5 + 14 + 4 + 8  # the activation byte of the generator's first layer
 _PRIOR = len(gan.MAGIC) + 5 + 12  # the z-prior byte
 _WN = _ACT + 1  # the weight-norm byte of the generator's first layer
+_FEATURE = len(gan.MAGIC) + 5 + 8  # the model header's feature-layer field, after K and z_dim
 
 
 @pytest.mark.parametrize("at, value, message", [
@@ -199,10 +200,16 @@ def test_retired_model_encodings_exit_2(files, capsys, at, value, message):
     assert f"at byte {at}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [0, 1, 3])  # the `2d` discriminator's last hidden layer is 2, its output 3
+def test_a_model_whose_feature_layer_is_not_the_last_hidden_layer_exits_2(files, capsys, value):
+    assert _FEATURE == 19
+    assert _score(files, _model_with(files, _FEATURE, value)) == 2
+    assert f"at byte 19: feature layer {value} is not the last hidden layer (2)" in capsys.readouterr().err
+
+
 def test_a_model_with_a_broken_layer_chain_exits_2(files, capsys):
     model = gan.load_model(files / "model.ndgan")
-    model.disc_specs[1] = nn.LayerSpec(32, 64, "leaky-relu", noise_std=0.1)
-    model.disc_params[1] = nn.init_mlp(model.disc_specs[1:2], np.random.default_rng(0))[0]
+    model.disc[1] = nn.init_mlp([32, 64, 1], "leaky-relu", "linear", np.random.default_rng(0), noise_std=0.1)[0]
     gan.save_model(files / "broken-chain.ndgan", model)  # every array has the size its header gives
     at = (files / "broken-chain.ndgan").read_bytes().index(struct.pack("<II", 32, 64))  # layer 1's header
     assert _score(files, files / "broken-chain.ndgan") == 2

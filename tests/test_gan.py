@@ -17,28 +17,20 @@ from tests.conftest import assert_grad_close, finite_difference_grad
 def tiny_model(K=2, data_dim=2, z_dim=3, gen_widths=(4,), disc_widths=(5, 4), seed=0,
                noise_std=0.0):
     """Small hand-buildable model (no noise by default, for exact assertions)."""
-    gen_specs = gan._stack(list(gen_widths), z_dim, data_dim, "relu", "linear", 0.0)
-    disc_specs = gan._stack(list(disc_widths), data_dim, K + 1, "leaky-relu", "linear", noise_std)
     rng = np.random.default_rng(seed)
-    return gan.GanModel(
-        gen_specs=gen_specs,
-        gen_params=nn.init_mlp(gen_specs, rng),
-        disc_specs=disc_specs,
-        disc_params=nn.init_mlp(disc_specs, rng),
-        K=K,
-        feature_layer=len(disc_widths) - 1,
-        z_dim=z_dim,
-    )
+    gen = nn.init_mlp([z_dim, *gen_widths, data_dim], "relu", "linear", rng)
+    return gan.GanModel(gen, nn.init_mlp([data_dim, *disc_widths, K + 1], "leaky-relu", "linear", rng,
+                                         noise_std=noise_std))
 
 
 def bias_model(bias_logits, data_dim=2):
     """Discriminator whose logits are a constant bias vector for any input."""
     K = len(bias_logits) - 1
     model = tiny_model(K=K, data_dim=data_dim)
-    for p in model.disc_params:
+    for p in model.disc:
         p.g[:] = 0.0  # gain 0: zero weights
         p.b[:] = 0.0
-    model.disc_params[-1].b[:] = np.asarray(bias_logits, dtype=np.float64)
+    model.disc[-1].b[:] = np.asarray(bias_logits, dtype=np.float64)
     return model
 
 
@@ -202,8 +194,8 @@ def test_generator_loss_is_clamped_when_d_saturates():
 def test_feature_stats_distance_hand_values():
     # identity feature layer: the mean features of a batch are its mean rows
     model = tiny_model(disc_widths=(2,))
-    model.disc_params[0].v[:] = np.eye(2)  # unit rows: at gain 1 the weights are v
-    model.disc_params[0].b[:] = 0.0
+    model.disc[0].v[:] = np.eye(2)  # unit rows: at gain 1 the weights are v
+    model.disc[0].b[:] = 0.0
     assert gan.feature_matching_distance(model, np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]])) == 0.0
     assert gan.feature_matching_distance(model, np.array([[1.0, 2.0]]), np.array([[1.0, 0.0]])) == 4.0
 
@@ -228,13 +220,13 @@ def test_feature_matching_gradient_reaches_only_the_generator(rng):
     real = rng.normal(size=(5, 2))
     z = rng.normal(size=(5, 3))
     _, gen_grads = gan._gradients(model, 0, gan.generator_loss_feature_matching, real, z)
-    assert len(gen_grads) == len(model.gen_params)
+    assert len(gen_grads) == len(model.gen)
     assert any(np.any(g != 0) for layer in gen_grads for _, g in layer.named())
 
     def value():
         return gan.generator_loss_feature_matching(model, real, z)[0]
 
-    for li, p in enumerate(model.gen_params):
+    for li, p in enumerate(model.gen):
         for name, a in p.named():
             assert_grad_close(getattr(gen_grads[li], name), finite_difference_grad(value, a))
 
@@ -251,21 +243,21 @@ def test_generator_step_tape_holds_no_discriminator_parameter(loss, rng, monkeyp
             tapes.append(self)
             return super().__enter__()
 
-    def recording(specs, *args, **kwargs):
-        backward_calls.append((specs[0] is model.disc_specs[0], kwargs.get("out") is not None))
-        return real_backward(specs, *args, **kwargs)
+    def recording(layers, *args, **kwargs):
+        backward_calls.append((layers[0] is model.disc[0], kwargs.get("out") is not None))
+        return real_backward(layers, *args, **kwargs)
 
     monkeypatch.setattr(ad, "Tape", RecordedTape)
     monkeypatch.setattr(nn, "mlp_backward", recording)
     args = (gan.generator_loss_feature_matching, real, z) if loss == "feature-matching" else (
         gan.generator_loss_standard, z)
     _, grads = gan._gradients(model, 1, *args, noise_rng=np.random.default_rng(0))
-    params = [a for p in model.disc_params + model.gen_params for _, a in p.named()]
+    params = [a for p in model.disc + model.gen for _, a in p.named()]
     assert tapes == []
     assert not any(np.shares_memory(g, a) for layer in grads for _, g in layer.named() for a in params)
     assert backward_calls == [(True, False), (False, True)]  # the discriminator is a constant
     layout = lambda stack: [(name, a.shape) for p in stack for name, a in p.named()]
-    assert layout(grads) == layout(model.gen_params)
+    assert layout(grads) == layout(model.gen)
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +275,10 @@ def test_sample_generator_empty_and_deterministic():
 
 def test_zero_weight_generator_emits_its_bias():
     model = tiny_model(seed=8)
-    for p in model.gen_params:
+    for p in model.gen:
         p.g[:] = 0.0  # gain 0: zero weights
         p.b[:] = 0.0
-    model.gen_params[-1].b[:] = [0.25, -0.5]
+    model.gen[-1].b[:] = [0.25, -0.5]
     out = gan.sample_generator(model, 4, np.random.default_rng(0))
     np.testing.assert_allclose(out, [[0.25, -0.5]] * 4, atol=0)
 
@@ -300,7 +292,7 @@ def test_training_is_bit_deterministic():
         model, log = gan.train_gan(model, data, cfg)
         results.append((model, log))
     m1, m2 = results[0][0], results[1][0]
-    for p, q in zip(m1.disc_params + m1.gen_params, m2.disc_params + m2.gen_params):
+    for p, q in zip(m1.disc + m1.gen, m2.disc + m2.gen):
         assert np.array_equal(p.v, q.v)
         assert np.array_equal(p.b, q.b)
     assert [(r.step, r.d_loss, r.g_loss) for r in results[0][1].rows] == [
@@ -320,7 +312,7 @@ def test_train_step_normalizes_each_layer_once_per_adam_update(monkeypatch, gene
         return real_normalize(v, g, out)
 
     def adam(params, grads, state):
-        events.append("disc" if params is model.disc_params else "gen")
+        events.append("disc" if params is model.disc else "gen")
         return real_adam(params, grads, state)
 
     monkeypatch.setattr(nn, "effective_weights", normalize)
@@ -328,7 +320,7 @@ def test_train_step_normalizes_each_layer_once_per_adam_update(monkeypatch, gene
     cfg = gan.TrainConfig(total_steps=4, batch_size=8, seed=4, labeled_fraction=0.5, log_every=100,
                           generator_loss=generator_loss, d_steps_per_g=d_steps)
     gan.train_gan(model, data, cfg)
-    layers = {"disc": len(model.disc_specs), "gen": len(model.gen_specs)}
+    layers = {"disc": len(model.disc), "gen": len(model.gen)}
     assert layers == {"disc": 4, "gen": 3}  # 7 normalizations a `2d` step at one D step per G step
     updates = [i for i, e in enumerate(events) if e != "wn"]
     assert [events[i] for i in updates] == (["disc"] * d_steps + ["gen"]) * 4
@@ -339,7 +331,7 @@ def test_train_step_normalizes_each_layer_once_per_adam_update(monkeypatch, gene
 
 def _copied(params):
     """The same stack in new arrays, with no cached weights."""
-    return [nn.LayerParams(*(a.copy() for a in (p.v, p.g, p.b))) for p in params]
+    return [nn.Layer(*(a.copy() for a in (p.v, p.g, p.b)), p.activation, noise_std=p.noise_std) for p in params]
 
 
 def test_editing_weights_after_training_changes_forward_like_fresh_arrays():
@@ -348,16 +340,16 @@ def test_editing_weights_after_training_changes_forward_like_fresh_arrays():
     model, _ = gan.train_gan(model, data, gan.TrainConfig(total_steps=3, batch_size=8, seed=6))
     x = np.random.default_rng(6).normal(size=(16, 2))
     before = gan.forward(model, x)
-    for p in model.disc_params:
+    for p in model.disc:
         p.v[0] *= -1.7  # in place, as a finite-difference check edits v
         p.g[1] += 0.25
     edited = gan.forward(model, x)
-    want = gan.forward(dataclasses.replace(model, disc_params=_copied(model.disc_params)), x)
+    want = gan.forward(dataclasses.replace(model, disc=_copied(model.disc)), x)
     assert not np.array_equal(edited[0], before[0])
     assert edited[0].tobytes() == want[0].tobytes() and edited[1].tobytes() == want[1].tobytes()
     z = np.random.default_rng(7).normal(size=(4, model.z_dim))
-    model.gen_params[-1].v[0] *= 3.0
-    fresh = dataclasses.replace(model, gen_params=_copied(model.gen_params))
+    model.gen[-1].v[0] *= 3.0
+    fresh = dataclasses.replace(model, gen=_copied(model.gen))
     got = gan.generator_forward(model, z)
     assert got.tobytes() == gan.generator_forward(fresh, z).tobytes()
 
@@ -424,13 +416,13 @@ def test_feature_matching_distance_shrinks_on_ring_benchmark():
 
     data, _ = dio.gen_ring_mixture(2000, 8, 2.0, 0.2, seed=6)
     model = gan.build_gan(2, 8, arch="2d", seed=6)
-    init_gen = copy.deepcopy(model.gen_params)
+    init_gen = copy.deepcopy(model.gen)
     cfg = gan.TrainConfig(total_steps=5000, batch_size=64, seed=6, labeled_fraction=0.2, log_every=1000)
     model, log = gan.train_gan(model, data, cfg)
 
     rng = np.random.default_rng(0)
     z = gan.sample_z(model, 512, rng)
-    fake_initial = nn.mlp_forward(init_gen, model.gen_specs, z)[0]
+    fake_initial = nn.mlp_forward(init_gen, z)[0]
     fake_trained = gan.sample_generator(model, 512, np.random.default_rng(0))
     real = data.features[rng.integers(0, data.n, 512)]
     d_initial = gan.feature_matching_distance(model, real, fake_initial)
@@ -466,7 +458,7 @@ def test_load_model_rejects_trailing_bytes_and_non_finite_weights(tmp_path):
         gan.load_model(path)
     assert err.value.offset == len(good) and "trailing" in str(err.value)
 
-    model.disc_params[1].b[0] = np.inf
+    model.disc[1].b[0] = np.inf
     gan.save_model(path, model)
     with pytest.raises(FormatError) as err:
         gan.load_model(path)
@@ -495,10 +487,10 @@ def test_feature_passes_stop_at_the_feature_layer(monkeypatch):
     _, features = gan.forward(model, x)
     depths, real_forward = [], nn.mlp_forward
 
-    def recording(params, specs, *args, **kwargs):
-        if specs[0] is model.disc_specs[0]:
-            depths.append(len(specs))
-        return real_forward(params, specs, *args, **kwargs)
+    def recording(layers, *args, **kwargs):
+        if layers[0] is model.disc[0]:
+            depths.append(len(layers))
+        return real_forward(layers, *args, **kwargs)
 
     monkeypatch.setattr(nn, "mlp_forward", recording)
     assert gan.discriminator_features(model, x).tobytes() == features.tobytes()
@@ -507,13 +499,27 @@ def test_feature_passes_stop_at_the_feature_layer(monkeypatch):
     assert depths == [2] * 5  # feature layer 1: the output layer never runs
 
 
+def test_model_widths_come_from_its_layers():
+    model = tiny_model(K=3, data_dim=2, z_dim=5, disc_widths=(5, 4))
+    assert [f.name for f in dataclasses.fields(model)] == ["gen", "disc", "frozen"]
+    assert (model.K, model.z_dim, model.feature_layer, model.data_dim) == (3, 5, 1, 2)
+
+
+def test_model_rejects_a_discriminator_without_a_hidden_layer():
+    model = tiny_model(K=2, data_dim=2)
+    logits_only = nn.init_mlp([2, 3], "linear", "linear", np.random.default_rng(0))
+    with pytest.raises(ValidationError) as err:
+        gan.GanModel(model.gen, logits_only)
+    assert "hidden layer" in str(err.value)
+
+
 def test_mnist_architecture_has_five_hidden_layers_and_250_features():
     model = gan.build_gan(data_dim=196, K=9, arch="mnist", seed=1)
-    assert len(model.disc_specs) == 6  # 5 hidden + logits
-    assert len(model.gen_specs) == 6
-    assert model.disc_specs[model.feature_layer].out_dim == 250
-    assert model.disc_specs[-1].out_dim == 10
-    assert model.gen_specs[-1].activation == "sigmoid"
+    assert len(model.disc) == 6  # 5 hidden + logits
+    assert len(model.gen) == 6
+    assert model.disc[model.feature_layer].out_dim == 250
+    assert model.disc[-1].out_dim == 10
+    assert model.gen[-1].activation == "sigmoid"
 
     rng = np.random.default_rng(0)
     probs, _ = gan.forward(model, rng.uniform(size=(4, 196)))

@@ -16,8 +16,12 @@ def _layer(v, activation="linear", noise_std=0.0, gain=None):
     its row's norm, so g / norm is 1), or zero with ``gain=0``."""
     v = np.asarray(v, dtype=np.float64)
     g = np.sqrt((v * v).sum(axis=1)) if gain is None else np.full(len(v), float(gain))
-    spec = nn.LayerSpec(v.shape[1], v.shape[0], activation, noise_std=noise_std)
-    return spec, nn.LayerParams(v=v, g=g, b=np.zeros(len(v)))
+    return nn.Layer(v, g, np.zeros(len(v)), activation, noise_std=noise_std)
+
+
+def _mlp(rng, dims, activations):
+    """An initialized stack whose layer i has ``activations[i]``."""
+    return [nn.Layer(p.v, p.g, p.b, act) for p, act in zip(nn.init_mlp(dims, "linear", "linear", rng), activations)]
 
 
 def _init_adam(params, lr=3e-4):
@@ -27,79 +31,76 @@ def _init_adam(params, lr=3e-4):
 
 
 def test_identity_linear_layer_is_identity():
-    spec, params = _layer(np.eye(2))
-    out, kept = nn.mlp_forward([params], [spec], np.array([[1.0, 2.0]]))
+    layer = _layer(np.eye(2))
+    out, kept = nn.mlp_forward([layer], np.array([[1.0, 2.0]]))
     assert out.tolist() == [[1.0, 2.0]]
     assert kept is None  # no layer asked for
-    out, kept = nn.mlp_forward([params], [spec], np.array([[1.0, 2.0]]), keep=0)
+    out, kept = nn.mlp_forward([layer], np.array([[1.0, 2.0]]), keep=0)
     assert kept is out
 
 
 def test_linear_layer_hand_example():
     # x @ v.T + b with v = [[1, 1]]: the product [[1, 2], [3, 4]] @ [[1], [1]]
-    spec, params = _layer([[1.0, 1.0]])
-    out, _ = nn.mlp_forward([params], [spec], [[1.0, 2.0], [3.0, 4.0]])
+    layer = _layer([[1.0, 1.0]])
+    out, _ = nn.mlp_forward([layer], [[1.0, 2.0], [3.0, 4.0]])
     assert out.tolist() == [[3.0], [7.0]]
 
 
 def test_zero_weight_sigmoid_unit_outputs_half():
-    spec, params = _layer(np.ones((1, 3)), "sigmoid", gain=0.0)  # gain 0: zero weights
-    out, _ = nn.mlp_forward([params], [spec], np.array([[5.0, -2.0, 0.3]]))
+    layer = _layer(np.ones((1, 3)), "sigmoid", gain=0.0)  # gain 0: zero weights
+    out, _ = nn.mlp_forward([layer], np.array([[5.0, -2.0, 0.3]]))
     assert out.tolist() == [[0.5]]
 
 
 def test_eval_mode_is_deterministic_train_mode_is_noisy():
     rng = np.random.default_rng(1)
-    specs = [nn.LayerSpec(3, 4, "sigmoid", noise_std=0.2), nn.LayerSpec(4, 2)]
-    params = nn.init_mlp(specs, rng)
+    layers = nn.init_mlp([3, 4, 2], "sigmoid", "relu", rng, noise_std=0.2)
     x = rng.normal(size=(5, 3))
-    a, _ = nn.mlp_forward(params, specs, x)  # no noise rng: an eval pass
-    b, _ = nn.mlp_forward(params, specs, x)
+    a, _ = nn.mlp_forward(layers, x)  # no noise rng: an eval pass
+    b, _ = nn.mlp_forward(layers, x)
     assert np.array_equal(a, b)
-    c, _ = nn.mlp_forward(params, specs, x, np.random.default_rng(7))
+    c, _ = nn.mlp_forward(layers, x, np.random.default_rng(7))
     assert not np.array_equal(a, c)
 
 
 def test_noise_is_seed_deterministic_and_constant_in_backward():
-    spec, params = _layer(np.eye(2), noise_std=0.5)
+    layer = _layer(np.eye(2), noise_std=0.5)
     x = np.zeros((3, 2))
-    draws = [nn.mlp_forward([params], [spec], x, np.random.default_rng(9))[0] for _ in range(2)]
+    draws = [nn.mlp_forward([layer], x, np.random.default_rng(9))[0] for _ in range(2)]
     assert np.array_equal(draws[0], draws[1])
     assert draws[0].std() > 0
 
     cache = []
-    nn.mlp_forward([params], [spec], x, np.random.default_rng(9), cache=cache)
-    dx = nn.mlp_backward([spec], [params], cache, np.ones((3, 2)))
+    nn.mlp_forward([layer], x, np.random.default_rng(9), cache=cache)
+    dx = nn.mlp_backward([layer], cache, np.ones((3, 2)))
     np.testing.assert_array_equal(dx, np.ones((3, 2)))
 
 
 def test_weight_norm_row_scaling_leaves_output_bit_unchanged():
     rng = np.random.default_rng(2)
-    specs = [nn.LayerSpec(4, 3, "sigmoid")]
-    params = nn.init_mlp(specs, rng)
+    params = nn.init_mlp([4, 3], "relu", "sigmoid", rng)
     x = rng.normal(size=(6, 4))
-    base, _ = nn.mlp_forward(params, specs, x)
+    base, _ = nn.mlp_forward(params, x)
     # power-of-two scalings are exact in float64, so outputs match bit for bit
     for scale in (2.0, 0.5, 8.0):
         params[0].v[1] *= scale
-        scaled, _ = nn.mlp_forward(params, specs, x)
+        scaled, _ = nn.mlp_forward(params, x)
         assert np.array_equal(base, scaled)
         params[0].v[1] /= scale
     params[0].v[1] *= 1.7  # generic positive scaling: equal within rounding
-    scaled, _ = nn.mlp_forward(params, specs, x)
+    scaled, _ = nn.mlp_forward(params, x)
     np.testing.assert_allclose(base, scaled, rtol=1e-12)
 
 
 def test_weight_norm_effective_rows_have_gain_norm():
     rng = np.random.default_rng(3)
-    specs = [nn.LayerSpec(3, 4, "sigmoid")]
-    params = nn.init_mlp(specs, rng)
+    params = nn.init_mlp([3, 4], "relu", "sigmoid", rng)
     params[0].g[:] = rng.uniform(0.5, 2.0, size=4)
     w, _ = nn.effective_weights(params[0].v, params[0].g)
     np.testing.assert_allclose(np.linalg.norm(w, axis=1), np.abs(params[0].g), rtol=1e-12)
     # the layer is its activation of x @ w.T + b, bit for bit
     x = rng.normal(size=(5, 3))
-    assert np.array_equal(nn.mlp_forward(params, specs, x)[0], nn.activate("sigmoid", x @ w.T + params[0].b))
+    assert np.array_equal(nn.mlp_forward(params, x)[0], nn.activate("sigmoid", x @ w.T + params[0].b))
 
 
 @pytest.mark.parametrize("slope", [0.2, 0.01, 0.5, 0.999])
@@ -130,15 +131,14 @@ def test_leaky_relu_gradient_is_bitwise_the_where_form():
 def test_linear_rejects_bad_shapes_and_zero_direction_rows():
     x, v, g, b = np.ones((2, 3)), np.ones((4, 3)), np.ones(4), np.zeros(4)
 
-    def layer(x, g):  # params hand-built against a spec that matches the input
-        spec = nn.LayerSpec(x.shape[1], 4, "linear")
-        return nn.mlp_forward([nn.LayerParams(v, g, b)], [spec], x)
+    def layer(x, g):
+        return nn.mlp_forward([nn.Layer(v, g, b, "linear")], x)
 
     with pytest.raises(ShapeMismatch) as err:
         layer(np.ones((2, 5)), g)
     assert "linear" in str(err.value) and "(2, 5)" in str(err.value)
-    with pytest.raises(ShapeMismatch):
-        layer(x, np.ones(3))
+    with pytest.raises(ShapeMismatch):  # raised when the layer is built, before any pass
+        nn.Layer(v, np.ones(3), b)
     v[2] = 0.0
     with pytest.raises(DomainError) as err:
         layer(x, g)
@@ -146,40 +146,48 @@ def test_linear_rejects_bad_shapes_and_zero_direction_rows():
 
 
 def test_full_mlp_gradient_matches_finite_differences(rng):
-    specs = [
-        nn.LayerSpec(3, 6, "leaky-relu"),
-        nn.LayerSpec(6, 5, "sigmoid"),
-        nn.LayerSpec(5, 2, "linear"),
-    ]
-    params = nn.init_mlp(specs, rng)
+    params = _mlp(rng, [3, 6, 5, 2], ["leaky-relu", "sigmoid", "linear"])
     x = rng.normal(size=(4, 3))
     weights = rng.normal(size=(4, 2))
 
     def value():
-        out, _ = nn.mlp_forward(params, specs, x)
+        out, _ = nn.mlp_forward(params, x)
         return float((out * weights).sum())
 
     cache = []
-    nn.mlp_forward(params, specs, x, cache=cache)
+    nn.mlp_forward(params, x, cache=cache)
     grads = nn.flat_stack(params)
-    dx = nn.mlp_backward(specs, params, cache, weights, out=grads)
+    dx = nn.mlp_backward(params, cache, weights, out=grads)
     assert_grad_close(dx, finite_difference_grad(value, x))
     for li, p in enumerate(params):
         for name, a in p.named():
             assert_grad_close(getattr(grads[li], name), finite_difference_grad(value, a))
     # a constant stack forms the same input gradient; without it, the same parameter gradients
-    assert nn.mlp_backward(specs, params, cache, weights).tobytes() == dx.tobytes()
+    assert nn.mlp_backward(params, cache, weights).tobytes() == dx.tobytes()
     again = nn.flat_stack(params)
-    assert nn.mlp_backward(specs, params, cache, weights, out=again, need_dx=False) is None
+    assert nn.mlp_backward(params, cache, weights, out=again, need_dx=False) is None
     assert again[0].v.base.tobytes() == grads[0].v.base.tobytes()
 
 
 def test_dimension_chain_break_names_layer():
-    specs = [nn.LayerSpec(3, 4), nn.LayerSpec(5, 2)]
-    params = nn.init_mlp(specs, np.random.default_rng(0))
+    params = nn.init_mlp([3, 4], "relu", "relu", np.random.default_rng(0))
+    params += nn.init_mlp([5, 2], "relu", "relu", np.random.default_rng(0))
     with pytest.raises(ShapeMismatch) as err:
-        nn.mlp_forward(params, specs, np.ones((1, 3)))
+        nn.mlp_forward(params, np.ones((1, 3)))
     assert "layer 1" in str(err.value)
+
+
+@pytest.mark.parametrize("g, b", [(np.ones(3), np.zeros(4)), (np.ones(4), np.zeros(5)), (np.ones((4, 1)), np.zeros(4))],
+                         ids=["short-gain", "long-bias", "2d-gain"])
+def test_layer_rejects_gain_or_bias_not_one_per_row_when_built(g, b):
+    with pytest.raises(ShapeMismatch) as err:
+        nn.Layer(np.ones((4, 3)), g, b)
+    assert "one entry of g and of b per row" in str(err.value)
+
+
+def test_layer_widths_are_those_of_v():
+    layer = nn.Layer(np.ones((4, 3)), np.ones(4), np.zeros(4))
+    assert (layer.in_dim, layer.out_dim) == (3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +196,7 @@ def test_dimension_chain_break_names_layer():
 
 
 def _scalar_param(value=0.0):
-    return [nn.LayerParams(v=np.array([[value]]), g=np.ones(1), b=np.zeros(1))]
+    return [nn.Layer(np.array([[value]]), np.ones(1), np.zeros(1))]
 
 
 def _stack(params, *layers):
@@ -262,11 +270,10 @@ def test_blocked_flat_adam_equals_per_tensor_update_bit_for_bit(data, block, ste
     # with the real block size, 160-200 wide layers put block edges inside and between tensors
     lo, hi = (1, 9) if block < 100 else (160, 200)
     dims = data.draw(st.lists(st.integers(lo, hi), min_size=2, max_size=4), label="dims")
-    specs = [nn.LayerSpec(a, b) for a, b in zip(dims, dims[1:])]
     rng = np.random.default_rng(seed)
-    params = nn.init_mlp(specs, rng)
+    params = nn.init_mlp(dims, "relu", "relu", rng)
     if not from_init:  # strided views of other arrays: init_adam copies them into its buffer
-        params = [nn.LayerParams(*(np.stack([a, -a], axis=-1)[..., 0] for a in (p.v, p.g, p.b))) for p in params]
+        params = [nn.Layer(*(np.stack([a, -a], axis=-1)[..., 0] for a in (p.v, p.g, p.b))) for p in params]
     arrays = {(i, name): a.copy() for i, p in enumerate(params) for name, a in p.named()}
     m = {key: np.zeros_like(w) for key, w in arrays.items()}
     v = {key: np.zeros_like(w) for key, w in arrays.items()}
@@ -275,7 +282,7 @@ def test_blocked_flat_adam_equals_per_tensor_update_bit_for_bit(data, block, ste
         state = nn.init_adam(params, lr, b1, b2, eps)
         for t in range(1, steps + 1):
             grads = {key: rng.normal(size=w.shape) * 10.0 ** rng.uniform(-4, 2) for key, w in arrays.items()}
-            layers = [{name: g for (j, name), g in grads.items() if j == i} for i in range(len(specs))]
+            layers = [{name: g for (j, name), g in grads.items() if j == i} for i in range(len(params))]
             nn.adam_step(params, _stack(params, *layers), state)
             _per_tensor_adam(arrays, grads, m, v, t, lr, b1, b2, eps)
     for i, p in enumerate(params):
@@ -286,8 +293,7 @@ def test_blocked_flat_adam_equals_per_tensor_update_bit_for_bit(data, block, ste
 
 
 def test_adam_names_the_non_finite_tensor_inside_a_shared_block():
-    specs = [nn.LayerSpec(2, 2), nn.LayerSpec(2, 1)]
-    params = nn.init_mlp(specs, np.random.default_rng(0))
+    params = nn.init_mlp([2, 2, 1], "relu", "relu", np.random.default_rng(0))
     grads = nn.flat_stack(params)
     grads[0].v.base[...] = 1.0
     grads[1].b[0] = np.inf
@@ -299,8 +305,7 @@ def test_adam_names_the_non_finite_tensor_inside_a_shared_block():
 
 
 def test_adam_changes_nothing_when_a_later_block_holds_a_non_finite_gradient():
-    specs = [nn.LayerSpec(3, 4), nn.LayerSpec(4, 2)]
-    params = nn.init_mlp(specs, np.random.default_rng(2))
+    params = nn.init_mlp([3, 4, 2], "relu", "relu", np.random.default_rng(2))
     grads = nn.flat_stack(params)
     grads[0].v.base[...] = np.random.default_rng(3).normal(size=grads[0].v.base.size)
     with mock.patch.object(nn, "ADAM_BLOCK", 4):  # eight blocks; the last holds layer 1's bias
@@ -315,9 +320,8 @@ def test_adam_changes_nothing_when_a_later_block_holds_a_non_finite_gradient():
 
 
 def test_adam_rejects_stacks_of_another_size():
-    specs = [nn.LayerSpec(3, 4), nn.LayerSpec(4, 2)]
-    params = nn.init_mlp(specs, np.random.default_rng(4))
-    unpacked = nn.init_mlp(specs, np.random.default_rng(4))
+    params = nn.init_mlp([3, 4, 2], "relu", "relu", np.random.default_rng(4))
+    unpacked = nn.init_mlp([3, 4, 2], "relu", "relu", np.random.default_rng(4))
     state = _init_adam(params)
     for bad_params, bad_grads in ((params, nn.flat_stack(params[:1])), (unpacked, nn.flat_stack(params)),
                                   (params[1:], nn.flat_stack(params[1:]))):
@@ -328,8 +332,7 @@ def test_adam_rejects_stacks_of_another_size():
 
 
 def test_init_adam_packs_the_stack_in_one_buffer_that_adam_updates_in_place():
-    specs = [nn.LayerSpec(3, 4), nn.LayerSpec(4, 2)]
-    params = nn.init_mlp(specs, np.random.default_rng(5))
+    params = nn.init_mlp([3, 4, 2], "relu", "relu", np.random.default_rng(5))
     values = [a.copy() for p in params for _, a in p.named()]
     state = _init_adam(params)
     flat = params[0].v.base
@@ -349,19 +352,14 @@ def test_init_adam_packs_the_stack_in_one_buffer_that_adam_updates_in_place():
 
 
 def test_mlp_serialization_round_trip_is_bit_exact(tmp_path, rng):
-    specs = [
-        nn.LayerSpec(3, 7, "leaky-relu", noise_std=0.1),
-        nn.LayerSpec(7, 2, "linear"),
-    ]
+    params = nn.init_mlp([3, 7, 2], "leaky-relu", "linear", rng, noise_std=0.1)
     # a model file carries the stack as its discriminator
-    gen_specs = [nn.LayerSpec(2, 3, "linear")]
-    params = nn.init_mlp(specs, rng)
-    model = gan.GanModel(gen_specs, nn.init_mlp(gen_specs, rng), specs, params, K=1, feature_layer=0, z_dim=2)
+    model = gan.GanModel(nn.init_mlp([2, 3], "linear", "linear", rng), params)
     path = tmp_path / "net.ndgan"
     gan.save_model(path, model)
     again = gan.load_model(path)
-    specs2, params2 = again.disc_specs, again.disc_params
-    assert specs2 == specs
+    params2 = again.disc
+    assert [(p.activation, p.noise_std) for p in params2] == [(p.activation, p.noise_std) for p in params]
     for p, q in zip(params, params2):
         for name, a in p.named():
             assert np.array_equal(a, getattr(q, name))

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blas
 from .errors import DomainError, FormatError, ShapeMismatch, ValidationError
 
 _ACT_CODES = {"relu": 0, "leaky-relu": 1, "sigmoid": 3, "linear": 4}  # model-file codes; 2 and 5 are retired
@@ -128,8 +129,8 @@ def init_mlp(dims: list[int], hidden: str, last: str, rng: np.random.Generator,
     return layers
 
 
-def cache_weights(layers: list[Layer]):
-    """Store each layer's effective weights and row norms on it.
+def cache_weights(layers: list[Layer], lane: blas.Lane | None = None):
+    """Store each layer's effective weights and row norms on it; a ``lane`` takes every other layer.
 
     ``mlp_forward`` then reuses them instead of normalizing again. The cache
     is only right while v and g stay unchanged: refresh it after every update
@@ -138,8 +139,10 @@ def cache_weights(layers: list[Layer]):
     keeps them in place in memory, so no ``mlp_forward`` cache that holds them
     may be used after it.
     """
-    for layer in layers:
+    def cache(layer: Layer):
         layer.wn = effective_weights(layer.v, layer.g, out=None if layer.wn is None else layer.wn[0])
+
+    blas.each(cache, [(layer,) for layer in layers], lane)
 
 
 def drop_weights(layers: list[Layer]):
@@ -192,12 +195,24 @@ def mlp_forward(
     return h, kept
 
 
+def _param_grads(layer: Layer, o: Layer, grad: np.ndarray, x: np.ndarray, norm: np.ndarray):
+    """Write into ``o`` the parameter gradients of ``layer`` from the gradient ``grad`` at its
+    pre-activations, its input ``x`` and its row norms."""
+    v, g = layer.v, layer.g
+    dw = np.matmul(grad.T, x, out=o.v)
+    grad.sum(axis=0, out=o.b)
+    gv = (dw * v).sum(axis=1)
+    np.subtract((g / norm)[:, None] * dw, (g * gv / norm**3)[:, None] * v, out=o.v)
+    np.divide(gv, norm, out=o.g)
+
+
 def mlp_backward(
     layers: list[Layer],
     cache: list,
     grad: np.ndarray,
     out: list[Layer] | None = None,
     need_dx: bool = True,
+    lane: blas.Lane | None = None,
 ) -> np.ndarray | None:
     """Backpropagate ``grad``, the gradient at the output of the pass that filled ``cache``.
 
@@ -207,21 +222,21 @@ def mlp_backward(
     ``out`` None the stack is a constant and only the input gradient is
     formed. The noise is a constant, so its gradient is the identity. Each
     layer forms ``dW = grad.T @ x`` once and applies the weight-norm chain
-    rule (Salimans & Kingma 2016) to it.
+    rule (Salimans & Kingma 2016) to it. A ``lane`` forms the parameter
+    gradients while the caller forms the input gradients; both are done on return.
     """
-    for i in range(len(cache) - 1, -1, -1):
-        x, w, norm, pre, y = cache[i]
-        v, g = layers[i].v, layers[i].g
-        grad = activation_grad(layers[i].activation, grad, pre, y)
-        dx = grad @ w if need_dx or i > 0 else None
-        if out is not None:
-            o = out[i]
-            dw = np.matmul(grad.T, x, out=o.v)
-            grad.sum(axis=0, out=o.b)
-            gv = (dw * v).sum(axis=1)
-            np.subtract((g / norm)[:, None] * dw, (g * gv / norm**3)[:, None] * v, out=o.v)
-            np.divide(gv, norm, out=o.g)
-        grad = dx
+    try:
+        for i in range(len(cache) - 1, -1, -1):
+            x, w, norm, pre, y = cache[i]
+            grad = activation_grad(layers[i].activation, grad, pre, y)
+            if out is not None and lane is not None:
+                lane.submit(_param_grads, layers[i], out[i], grad, x, norm)
+            elif out is not None:
+                _param_grads(layers[i], out[i], grad, x, norm)
+            grad = grad @ w if need_dx or i > 0 else None
+    finally:
+        if lane is not None:
+            lane.join()
     return grad
 
 
@@ -238,7 +253,9 @@ ADAM_BLOCK = 32768
 @dataclass
 class AdamState:
     """Adam's settings and moments. ``m`` and ``v`` are laid out like the
-    network's flat parameter buffer, which ``init_adam`` makes."""
+    network's flat parameter buffer, which ``init_adam`` makes. ``halves``
+    cuts that buffer at the block boundary nearest its middle, but not at 0:
+    per part, its span and the two block buffers of its pass."""
 
     lr: float
     beta1: float
@@ -247,6 +264,13 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
+    halves: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = self.m.size
+        mid = min(n, ADAM_BLOCK * max(1, round(n / (2 * ADAM_BLOCK))))
+        self.halves = [(lo, hi, np.empty(min(ADAM_BLOCK, hi - lo)), np.empty(min(ADAM_BLOCK, hi - lo)))
+                       for lo, hi in ((0, mid), (mid, n)) if lo < hi]
 
 
 def init_adam(params: list[Layer], lr: float, beta1: float, beta2: float, eps: float) -> AdamState:
@@ -264,6 +288,7 @@ def adam_step(
     params: list[Layer],
     grads: list[Layer],
     state: AdamState,
+    lane: blas.Lane | None = None,
 ) -> None:
     """Standard bias-corrected Adam update, in place.
 
@@ -272,12 +297,15 @@ def adam_step(
     buffers in blocks of ADAM_BLOCK elements, with the per-tensor update's
     operations in the same order, so every bit matches an update of one
     tensor at a time. A non-finite gradient raises before anything changes.
+    A ``lane`` checks and updates the second of ``state.halves``.
     """
     flat, grad = params[0].v.base, grads[0].v.base
     if flat is None or grad is None or not flat.size == grad.size == state.m.size:
         raise ShapeMismatch("adam-step", np.shape(flat), np.shape(grad), state.m.shape,
                             detail="parameters vs gradients vs Adam moments")
-    if not np.isfinite(grad).all():
+    finite = blas.each(lambda lo, hi: bool(np.isfinite(grad[lo:hi]).all()),
+                       [half[:2] for half in state.halves], lane)
+    if not all(finite):
         at = int(np.argmin(np.isfinite(grad)))  # the first non-finite element
         for i, p in enumerate(params):
             for name, a in p.named():
@@ -288,23 +316,25 @@ def adam_step(
     t = state.step_count
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    n = min(ADAM_BLOCK, flat.size)
-    s_buf, d_buf = np.empty(n), np.empty(n)
-    for lo in range(0, flat.size, ADAM_BLOCK):
-        hi = min(lo + ADAM_BLOCK, flat.size)
-        g, s, d = grad[lo:hi], s_buf[: hi - lo], d_buf[: hi - lo]
-        m, v = state.m[lo:hi], state.v[lo:hi]
-        m *= state.beta1
-        m += np.multiply(g, 1.0 - state.beta1, out=s)
-        v *= state.beta2
-        np.multiply(g, 1.0 - state.beta2, out=s)
-        v += np.multiply(s, g, out=s)
-        np.divide(m, c1, out=s)
-        s *= state.lr
-        np.divide(v, c2, out=d)
-        np.sqrt(d, out=d)
-        d += state.eps
-        flat[lo:hi] -= np.divide(s, d, out=s)
+
+    def update(start: int, stop: int, s_buf: np.ndarray, d_buf: np.ndarray):
+        for lo in range(start, stop, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, stop)
+            g, s, d = grad[lo:hi], s_buf[: hi - lo], d_buf[: hi - lo]
+            m, v = state.m[lo:hi], state.v[lo:hi]
+            m *= state.beta1
+            m += np.multiply(g, 1.0 - state.beta1, out=s)
+            v *= state.beta2
+            np.multiply(g, 1.0 - state.beta2, out=s)
+            v += np.multiply(s, g, out=s)
+            np.divide(m, c1, out=s)
+            s *= state.lr
+            np.divide(v, c2, out=d)
+            np.sqrt(d, out=d)
+            d += state.eps
+            flat[lo:hi] -= np.divide(s, d, out=s)
+
+    blas.each(update, state.halves, lane)
 
 
 # ---------------------------------------------------------------------------

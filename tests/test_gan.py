@@ -311,9 +311,9 @@ def test_train_step_normalizes_each_layer_once_per_adam_update(monkeypatch, gene
         events.append("wn")
         return real_normalize(v, g, out)
 
-    def adam(params, grads, state):
+    def adam(params, grads, state, lane=None):
         events.append("disc" if params is model.disc else "gen")
-        return real_adam(params, grads, state)
+        return real_adam(params, grads, state, lane)
 
     monkeypatch.setattr(nn, "effective_weights", normalize)
     monkeypatch.setattr(nn, "adam_step", adam)

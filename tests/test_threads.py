@@ -107,12 +107,25 @@ def _started(monkeypatch) -> list:
     return made
 
 
+def _lane_blocks(monkeypatch) -> list:
+    """One entry per job that a lane is handed from now on."""
+    handed, submit = [], blas.Lane.submit
+
+    def counting(self, *args):
+        handed.append(args)
+        return submit(self, *args)
+
+    monkeypatch.setattr(blas.Lane, "submit", counting)
+    return handed
+
+
+def _lanes_alive() -> int:
+    return sum(t.name == "ndgan-lane" for t in threading.enumerate())
+
+
 _RING = dio.gen_ring_mixture(200, 4, 2.0, 0.2, seed=1)[0]
 _IMAGES = dio.Dataset(np.random.default_rng(2).uniform(size=(96, 36)), np.arange(96) % 3, K=3)
-
-
-@needs_openblas
-@pytest.mark.parametrize("arch, data, train, fake", [
+_TRAINING_BRANCHES = pytest.mark.parametrize("arch, data, train, fake", [
     ("2d", _RING, {"labeled_fraction": 0.5}, False),
     ("2d", _RING, {"generator_loss": "standard", "d_steps_per_g": 2}, False),
     ("2d", _RING, {"labeled_fraction": 0.5}, True),
@@ -120,36 +133,77 @@ _IMAGES = dio.Dataset(np.random.default_rng(2).uniform(size=(96, 36)), np.arange
     ("mnist", _IMAGES, {"generator_loss": "standard", "d_steps_per_g": 2}, False),
     ("mnist", _IMAGES, {}, True),
 ], ids=["2d-fm", "2d-standard-d2", "2d-uniform", "mnist-fm", "mnist-standard-d2", "mnist-uniform"])
-def test_the_noise_thread_keeps_the_trained_bits(tmp_path, monkeypatch, arch, data, train, fake):
-    made = _started(monkeypatch)
+
+
+def _trained_files(tmp_path, monkeypatch, arch, data, train, fake, on_cpus=lambda cpus: None) -> list:
+    """(model file, log file) bytes of one training run at cpu_count 1 and one at 2;
+    ``on_cpus(cpus)`` is called before each."""
     fake_source = UniformBaselineGenerator([[-3.0, 3.0]] * data.dim).sample if fake else None
     config = gan.TrainConfig(total_steps=40 if arch == "2d" else 4, batch_size=32, seed=4, log_every=2, **train)
     files = []
-    for cpus in (1, 2):  # one CPU: the stream itself; two: the thread
+    for cpus in (1, 2):
         monkeypatch.setattr(blas, "cpu_count", lambda cpus=cpus: cpus)
+        on_cpus(cpus)
         model, log = gan.train_gan(gan.build_gan(data.dim, data.K, arch, seed=4), data, config, fake_source)
         gan.save_model(tmp_path / "model.ndgan", model)
         log.to_csv(tmp_path / "log.csv")
         files.append(((tmp_path / "model.ndgan").read_bytes(), (tmp_path / "log.csv").read_bytes()))
+    return files
+
+
+@needs_openblas
+@_TRAINING_BRANCHES
+def test_the_noise_thread_keeps_the_trained_bits(tmp_path, monkeypatch, arch, data, train, fake):
+    made = _started(monkeypatch)
+    files = _trained_files(tmp_path, monkeypatch, arch, data, train, fake)  # one CPU: the stream itself; two: the thread
     assert len(made) == 1
     assert files[0] == files[1]
 
 
+@needs_openblas
+@_TRAINING_BRANCHES
+def test_the_training_lane_keeps_the_trained_bits(tmp_path, monkeypatch, arch, data, train, fake):
+    handed, counts = _lane_blocks(monkeypatch), {}
+    files = _trained_files(tmp_path, monkeypatch, arch, data, train, fake,
+                           on_cpus=lambda cpus: counts.setdefault(cpus, len(handed)))
+    counts = {1: counts[2] - counts[1], 2: len(handed) - counts[2]}  # jobs handed at each CPU count
+    assert counts[1] == 0 and bool(counts[2]) == (arch == "mnist")  # the lane runs mnist widths alone
+    assert files[0] == files[1]
+    assert _lanes_alive() == 0
+
+
 def _poison_gradients(monkeypatch):
-    """Adam then meets an infinite gradient at the first discriminator step."""
+    """Adam then meets an infinite gradient at the first discriminator step, in the last
+    element of its buffer: in the lane's half, where a lane checks one."""
     backward = nn.mlp_backward
 
     def poisoned(*args, out=None, **kwargs):
         dx = backward(*args, out=out, **kwargs)
         if out is not None:
-            out[0].b[0] = np.inf
+            out[-1].b[-1] = np.inf
         return dx
 
     monkeypatch.setattr(nn, "mlp_backward", poisoned)
 
 
-def _poisoned_batches(n, rng):
-    return np.full((n, 2), np.nan)  # a non-finite d-loss at step 1
+def _failed_adam_steps(monkeypatch) -> list:
+    """Per adam_step call that raises from now on: whether it had a lane, and the bytes of
+    the parameters, both moments and the step count before the call and after it."""
+    failed, step = [], nn.adam_step
+
+    def spy(params, grads, state, lane=None):
+        def state_now():
+            return params[0].v.base.tobytes(), state.m.tobytes(), state.v.tobytes(), state.step_count
+
+        before = state_now()
+        try:
+            return step(params, grads, state, lane)
+        except DomainError:
+            failed.append((lane is not None, before, state_now()))
+            raise
+
+    monkeypatch.setattr(nn, "adam_step", spy)
+    return failed
 
 
 @needs_openblas
@@ -159,15 +213,40 @@ def test_a_failed_run_stops_the_noise_thread_and_restores_blas(monkeypatch, erro
     monkeypatch.setattr(blas, "cpu_count", lambda: 2)
     get = blas.openblas()[0]
     before = get()
-    fake_source = _poisoned_batches if error is TrainingDiverged else None
+    failed = _failed_adam_steps(monkeypatch)
     if error is DomainError:
         _poison_gradients(monkeypatch)
     alive = threading.active_count()
-    with pytest.raises(error):
-        gan.train_gan(gan.build_gan(2, 4, "2d", seed=3), _RING, gan.TrainConfig(total_steps=5, batch_size=8),
-                      fake_source)
+    for arch, data in (("2d", _RING), ("mnist", _IMAGES)):  # the lane runs at mnist width
+        poisoned = (lambda n, rng: np.full((n, data.dim), np.nan)) if error is TrainingDiverged else None
+        with pytest.raises(error):  # TrainingDiverged: a non-finite d-loss at step 1
+            gan.train_gan(gan.build_gan(data.dim, data.K, arch, seed=3), data,
+                          gan.TrainConfig(total_steps=5, batch_size=8), poisoned)
+        assert made and not made[-1]._thread.is_alive()
+        assert threading.active_count() == alive and _lanes_alive() == 0
+        assert get() == before
+    assert len(made) == 2
+    if error is DomainError:  # nothing written: the check of both halves ran first
+        assert [lane for lane, _, _ in failed] == [False, True]
+        assert all(was == now for _, was, now in failed)
+
+
+@needs_openblas
+@pytest.mark.parametrize("owner, name", [(nn, "effective_weights"), (nn.np, "matmul"), (nn.np, "isfinite"),
+                                         (nn, "mlp_forward")], ids=["cache", "backward", "adam", "feature-matching"])
+def test_an_error_in_the_training_lane_reaches_the_caller_and_restores_threads_and_blas(monkeypatch, owner, name):
+    made = _started(monkeypatch)
+    monkeypatch.setattr(blas, "cpu_count", lambda: 2)
+    error = DomainError("lane", "bad job")
+    _fail_in_lanes(monkeypatch, owner, name, error)
+    get = blas.openblas()[0]
+    before, alive = get(), threading.active_count()
+    with pytest.raises(DomainError) as caught:
+        gan.train_gan(gan.build_gan(_IMAGES.dim, _IMAGES.K, "mnist", seed=3), _IMAGES,
+                      gan.TrainConfig(total_steps=8, batch_size=8))
+    assert caught.value is error
     assert len(made) == 1 and not made[0]._thread.is_alive()
-    assert threading.active_count() == alive
+    assert threading.active_count() == alive and _lanes_alive() == 0
     assert get() == before
 
 
@@ -181,19 +260,6 @@ def test_one_thread_pins_and_restores():
 
 
 _LANE_SCORERS = ["nd-gan-ratio", "fake-prob", "entropy", "max-prob", "knn-5"]
-
-
-def _lane_blocks(monkeypatch) -> list:
-    """One entry per block that a scoring lane thread is handed from now on."""
-    handed = []
-
-    class Counting(blas.ThreadPoolExecutor):
-        def submit(self, *args, **kwargs):
-            handed.append(args)
-            return super().submit(*args, **kwargs)
-
-    monkeypatch.setattr(blas, "ThreadPoolExecutor", Counting)
-    return handed
 
 
 @needs_openblas

@@ -21,6 +21,7 @@ import platform
 import sys
 import traceback
 import uuid
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -60,13 +61,20 @@ def _write_json(path: Path, doc: dict):
     _atomic(path, lambda p: p.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"))
 
 
+def _input_file(path: str, what: str) -> str:
+    """``path``, once it names a file that exists; a validation error naming it otherwise."""
+    if not Path(path).exists():
+        raise ValidationError(f"{what} file not found: {path}")
+    if Path(path).is_dir():
+        raise ValidationError(f"{what} is a directory, not a file: {path}")
+    return path
+
+
 def _load_config(path: str | None, command: str) -> dict:
     if path is None:
         return {}
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ValidationError(f"config file not found: {path}") from None
+        doc = json.loads(Path(_input_file(path, "config")).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"config is not valid JSON: {exc}") from exc
     if isinstance(doc, dict) and "command" in doc and "config" in doc:  # a manifest
@@ -83,8 +91,13 @@ def _resolve_out_dir(cfg: dict) -> Path:
     if not out:
         raise ValidationError(f"no output directory: pass --out-dir, set out_dir, or export {ENV_OUT_DIR}")
     out = Path(out)
+    if out.exists() and not out.is_dir():
+        raise ValidationError(f"output directory is a file, not a directory: {out}")
     if not out.exists():
-        out.mkdir(parents=True)
+        try:
+            out.mkdir(parents=True)
+        except OSError as exc:  # a file where a parent directory should be, or no permission
+            raise ValidationError(f"cannot create output directory {out}: {exc.strerror}") from None
         _log(f"created output directory {out}")
     return out
 
@@ -137,18 +150,14 @@ _DATASET = {
 
 def _load_dataset(spec: dict, model_width: int | None = None) -> dio.Dataset:
     """The dataset ``spec`` names; with ``model_width`` given, it must have that many feature columns."""
-    path = spec["path"]
-    if not Path(path).exists():
-        raise ValidationError(f"dataset file not found: {path}")
+    path = _input_file(spec["path"], "dataset")
     if spec.get("format", "idx" if "idx" in Path(path).name else "csv") == "csv":
         dataset, _ = dio.read_csv_dataset(path, spec.get("label_column"))
     else:
         dataset = dio.read_idx(path)
         labels_path = spec.get("labels_path")
         if labels_path:
-            if not Path(labels_path).exists():
-                raise ValidationError(f"labels file not found: {labels_path}")
-            labels = dio.read_idx_labels(labels_path)
+            labels = dio.read_idx_labels(_input_file(labels_path, "labels"))
             dataset = dio.Dataset(dataset.features, labels, int(labels.max()) + 1, dataset.provenance)
     down = spec.get("downscale")
     if down:
@@ -273,9 +282,7 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_score(cfg: dict, out_dir: Path) -> int:
-    if not Path(cfg["model"]).exists():
-        raise ValidationError(f"model file not found: {cfg['model']}")
-    model = gan.load_model(cfg["model"])
+    model = gan.load_model(_input_file(cfg["model"], "model"))
     dataset = _load_dataset(cfg["dataset"], model.data_dim)
 
     knn_reference = None
@@ -304,10 +311,8 @@ def cmd_score(cfg: dict, out_dir: Path) -> int:
 
 
 def _read_scores_csv(path: str, column: str):
-    if not Path(path).exists():
-        raise ValidationError(f"scores file not found: {path}")
     try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
+        with open(_input_file(path, "scores"), "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             index = {name: i for i, name in enumerate(next(reader, []))}  # a repeated name: its last column
             rows = [row for row in reader if row]  # blank rows are skipped, as csv.DictReader skips them
@@ -320,6 +325,15 @@ def _read_scores_csv(path: str, column: str):
     if "is_novel" not in index:
         raise ValidationError(f"{path}: no is_novel ground-truth column")
     at, novel_at = index[column], index["is_novel"]
+    if min(map(len, rows)) > max(at, novel_at):  # every row has both cells: convert whole columns
+        try:
+            score_v = list(map(float, map(itemgetter(at), rows)))
+            novel_v = list(map(int, map(itemgetter(novel_at), rows)))
+        except ValueError:  # a blank or non-numeric cell, which the row loop below names
+            pass
+        else:
+            if set(novel_v) <= {0, 1}:
+                return np.asarray(score_v), np.asarray(novel_v, dtype=bool)
     score_v, novel_v = [], []
     for i, row in enumerate(rows):
         row += [None] * (max(at, novel_at) + 1 - len(row))  # a short row's missing cells

@@ -249,21 +249,46 @@ def read_csv_dataset(path, label_column: int | str | None = None) -> tuple[Datas
     if not np.isfinite(raw_labels).all():  # NaN != NaN: it could name no class
         raise FormatError(source, f"row {int(np.argmin(np.isfinite(raw_labels)))}: non-finite label")
     feats = np.delete(values, label_idx, axis=1)
-    distinct = sorted(set(raw_labels.tolist()))
-    mapping = {orig: i for i, orig in enumerate(distinct)}
-    labels = np.array([mapping[v] for v in raw_labels], dtype=np.int64)
+    distinct, labels = np.unique(raw_labels, return_inverse=True)
+    mapping = {orig: i for i, orig in enumerate(distinct.tolist())}
     data = Dataset(feats, labels, K=len(distinct), provenance=f"csv:{source}")
     return data, mapping
 
 
+TABLE_CHUNK_ROWS = 2048  # rows whose cells write_table's fast path holds as text at once
+_PLAIN_CELLS = {int, float, type(None)}
+
+
+def _plain(column) -> bool:
+    """Whether every cell of ``column`` is an int, a float or None, cells ``str`` writes as csv does."""
+    if isinstance(column, np.ndarray):
+        kind = column.dtype.kind  # a longdouble's tolist keeps numpy scalars
+        return column.ndim == 1 and (kind in "iu" or kind == "f" and column.dtype.itemsize <= 8)
+    return set(map(type, column)) <= _PLAIN_CELLS
+
+
+def _cells(chunk):
+    """The text of each cell of a plain column's chunk: ``str``, and None as an empty cell."""
+    if isinstance(chunk, np.ndarray):
+        chunk = chunk.tolist()
+    return map(str, chunk) if None not in chunk else ["" if v is None else str(v) for v in chunk]
+
+
 def write_table(path, header, columns):
-    """CSV of a header row and equal-length columns; numpy columns convert with one ``tolist``
-    each, and the csv module writes a float as its ``repr`` and None as an empty cell."""
-    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    """CSV of a header row and equal-length columns, byte for byte as csv.writer writes them:
+    a float is its ``repr``, None an empty cell. A table of two or more columns of ints, floats
+    and Nones skips the csv module: each chunk of ``TABLE_CHUNK_ROWS`` rows is formatted with
+    ``str`` and joined. Text, bools and single columns, which csv may quote, go through it."""
+    plain = len(columns) > 1 and all(map(_plain, columns))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(zip(*columns))
+        if not plain:
+            w.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+            return
+        for start in range(0, min(map(len, columns)), TABLE_CHUNK_ROWS):
+            rows = zip(*(_cells(c[start : start + TABLE_CHUNK_ROWS]) for c in columns))
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def write_csv_dataset(path, data: Dataset):

@@ -49,7 +49,7 @@ def roc_from_arrays(nominal_scores, novel_scores) -> RocCurve:
     thr = np.concatenate([[np.inf], thresholds])
 
     auroc = float(np.trapezoid(tpr, fpr))
-    points = [(float(f), float(t), float(h)) for f, t, h in zip(fpr, tpr, thr)]
+    points = list(zip(fpr.tolist(), tpr.tolist(), thr.tolist()))
     return RocCurve(points=points, auroc=auroc)
 
 

@@ -430,6 +430,9 @@ def _read_scores_csv_by_dict_rows(path, column):
     return np.asarray(score_v), np.asarray(novel_v, dtype=bool)
 
 
+_MANY_ROWS = "s,is_novel\n" + "0.25,0\n1e-3,1\n" * 600
+
+
 @pytest.mark.parametrize("text, column", [
     ("s,is_novel\n0.5,0\n1e3,1\n-inf,0\nnan,1\n", "s"),
     ("s,is_novel\n\n0.5,0\n\n\n2,1\n", "s"),  # blank rows are skipped and not counted
@@ -447,6 +450,20 @@ def _read_scores_csv_by_dict_rows(path, column):
     ("s,t\n1,0\n", "s"),
     ("s,is_novel\n", "s"),
     ("", "s"),
+    # inputs that the whole-column read takes, or hands on to the row loop
+    pytest.param(_MANY_ROWS, "s", id="1200-rows"),
+    pytest.param(_MANY_ROWS + "x,1\n", "s", id="1200-rows-then-a-bad-score"),
+    pytest.param(_MANY_ROWS + ",1\n", "s", id="1200-rows-then-a-blank-score"),
+    pytest.param(_MANY_ROWS + "1,2\n", "s", id="1200-rows-then-ground-truth-2"),
+    pytest.param(_MANY_ROWS + "1,\n", "s", id="1200-rows-then-blank-ground-truth"),
+    pytest.param(_MANY_ROWS + "1\n", "s", id="1200-rows-then-a-short-row"),
+    ("s,is_novel\n1,0\n2, 1\n3,1 \n", "s"),  # int() takes these ground truths
+    ("s,is_novel\n1,0\n2,+1\n", "s"),
+    ("s,is_novel\n1,0\n2,-0\n3,1\n", "s"),
+    ("s,is_novel\n1,0\n2,1_0\n", "s"),  # 10
+    ("s,is_novel\n1,0\n2,0_1\n", "s"),
+    ("s,is_novel\ninf,1\nnan,0\n-inf,1\n1e999,0\n", "s"),
+    ("s,is_novel\n 1_5 ,0\n+.5,1\n-0,1\n", "s"),
 ])
 def test_scores_reader_parses_and_fails_as_one_dict_per_row_did(tmp_path, text, column):
     path = tmp_path / "scores.csv"
@@ -762,6 +779,55 @@ def test_an_unreadable_density_spec_exits_2(pipeline, tmp_path, monkeypatch, cap
     assert run(*argv, "--out-dir", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("which", ["train --config", "score --model", "score --data", "score --knn-reference",
+                                   "eval --scores", "dataset path", "labels_path"])
+def test_an_input_path_that_names_a_directory_exits_2(pipeline, tmp_path, capsys, which):
+    _, data_dir, model_dir = pipeline
+    folder = tmp_path / "a-folder"
+    folder.mkdir()
+    if which.startswith("score"):
+        paths = {"--model": model_dir / "model.ndgan", "--data": data_dir / "novel.csv",
+                 "--knn-reference": data_dir / "train.csv", which.split()[1]: folder}
+        argv = ["score", "--scorers", "knn-2", *(str(a) for item in paths.items() for a in item)]
+    elif which == "train --config":
+        argv = ["train", "--config", str(folder)]
+    elif which == "eval --scores":
+        argv = ["eval", "--scores", str(folder)]
+    elif which == "dataset path":
+        argv = ["train", "--config", str(train_config(tmp_path, data_dir, dataset={"path": str(folder)}))]
+    else:
+        images = tmp_path / "images-idx"
+        images.write_bytes(struct.pack(">4I", dio.IDX_MAGIC_IMAGES, 2, 1, 2) + bytes(4))
+        dataset = {"path": str(images), "format": "idx", "labels_path": str(folder)}
+        argv = ["train", "--config", str(train_config(tmp_path, data_dir, dataset=dataset))]
+    assert run(*argv, "--seed", "1", "--out-dir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert f"is a directory, not a file: {folder}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["synth", "oracle"])
+@pytest.mark.parametrize("where, message", [
+    ("file", "output directory is a file, not a directory"),
+    ("under-a-file", "cannot create output directory"),
+], ids=["file", "under-a-file"])
+def test_an_out_dir_that_cannot_be_a_directory_exits_2_before_any_work(
+        pipeline, tmp_path, monkeypatch, capsys, command, where, message):
+    _, data_dir, _ = pipeline
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "taken").write_text("a file\n")
+    out = work / "taken" if where == "file" else work / "taken" / "out"
+    monkeypatch.setattr(densities, "verify_mixture_identity", lambda *args: pytest.fail("oracle ran"))
+    if command == "synth":
+        argv = ["synth", "--config", str(synth_config(tmp_path))]
+    else:
+        argv = ["oracle", "--density", str(data_dir / "density.json"), "--seed", "1"]
+    assert run(*argv, "--out-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert message in err and str(out) in err and "Traceback" not in err
+    assert list(work.iterdir()) == [work / "taken"] and (work / "taken").read_text() == "a file\n"
 
 
 @pytest.mark.parametrize("wide_flag", ["--data", "--knn-reference"])

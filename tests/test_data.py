@@ -1,8 +1,9 @@
+import csv
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ndgan import data as dio
@@ -242,6 +243,63 @@ def test_csv_fast_path_matches_cell_parser_on_random_text(tmp_path, monkeypatch,
     path = tmp_path / "fuzz.csv"
     path.write_bytes((header + body).encode())
     assert _csv_outcome(path, label_column) == _cell_parser_outcome(path, label_column, monkeypatch)
+
+
+_EDGE_FLOATS = [
+    float("inf"), -float("inf"), float("nan"), -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+    9999999999999998.0, 1e16, 1.0000000000000002e16, -1e16,  # repr turns to exponent form at 1e16
+    0.0001, 9.999999999999999e-05, 0.00010000000000000002, -1e-4,  # ... and below 1e-4
+]
+_FLOATS = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+_TEXT = st.text(alphabet='a1.,"\r\n -', max_size=6)
+_CELLS = {  # column kind -> the cells one column of that kind repeats
+    "int": st.integers(),
+    "float": _FLOATS,
+    "number-or-none": st.one_of(st.none(), st.integers(), _FLOATS),
+    "bool": st.one_of(st.booleans(), st.integers(0, 1)),
+    "text": st.one_of(_TEXT, st.floats(), st.none()),
+    "int64": st.integers(-2**63, 2**63 - 1),
+    "uint8": st.integers(0, 255),
+    "float64": _FLOATS,
+    "float32": st.floats(width=32),
+    "ndbool": st.booleans(),
+    "range": st.integers(-2**40, 2**40),  # the range's start
+}
+_ROWS = [0, 1, 2, 7, dio.TABLE_CHUNK_ROWS - 1, dio.TABLE_CHUNK_ROWS, dio.TABLE_CHUNK_ROWS + 1,
+         2 * dio.TABLE_CHUNK_ROWS + 3]
+
+
+@st.composite
+def _table(draw):
+    n = draw(st.sampled_from(_ROWS))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=4)):
+        cells = draw(st.lists(_CELLS[kind], min_size=1, max_size=9))
+        if kind == "range":
+            columns.append(range(cells[0], cells[0] + n))
+        elif kind in ("int64", "uint8", "float64", "float32"):
+            columns.append(np.resize(np.array(cells, dtype=kind), n))
+        elif kind == "ndbool":
+            columns.append(np.resize(np.array(cells, dtype=bool), n))
+        else:
+            columns.append((cells * n)[:n])
+    header = draw(st.lists(_TEXT, min_size=len(columns), max_size=len(columns)))
+    return header, columns
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_table())
+@example(table=(["a"], [[None, 1, 2.5]]))  # csv quotes a row's only cell when it is empty
+@example(table=(["a", "b"], [[None] * 3, (None, -0.0, 1e16)]))
+@example(table=(["i", "x"], [range(dio.TABLE_CHUNK_ROWS + 1), np.linspace(-1e-3, 1e-3, dio.TABLE_CHUNK_ROWS + 1)]))
+def test_write_table_writes_the_bytes_csv_writer_writes(tmp_path, table):
+    header, columns = table
+    dio.write_table(tmp_path / "table.csv", header, columns)
+    with open(tmp_path / "csv.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Seeded fuzzing of every file the CLI reads: IDX images and labels, numeric CSV,
-density JSON and `2d` model files.
+density JSON, `2d` model files and scores CSV.
 
 Each case writes one mutated file beside valid companions and runs the command
 that reads it through ``cli.main``, in this process. A malformed file must end
@@ -128,6 +128,10 @@ def _oracle(root, density):
     return _run(["oracle", "--density", density, "--grid-points", 64, "--seed", 1, "--out-dir", root / "out"])
 
 
+def _eval(root, scores):
+    return _run(["eval", "--scores", scores, "--seed", 1, "--out-dir", root / "out"])
+
+
 def _fuzz(files, name, reader, head, seed, allowed=(0, 2)):
     """``CASES`` mutations of ``files / name``, each read by ``reader(path)``; returns the exit codes."""
     rng = np.random.default_rng(seed)
@@ -155,6 +159,21 @@ def test_mutated_csv_exits_0_or_2(files, capsys):
 def test_mutated_model_files_exit_0_or_2(files, capsys):
     head = len(gan.MAGIC) + 5 + 14 + 4 + 18  # the file and model headers, and the first layer's header
     codes = _fuzz(files, "model.ndgan", lambda p: _score(files, p), head, 4)
+    assert 2 in codes and "Traceback" not in capsys.readouterr().err
+
+
+def test_mutated_scores_csv_exits_0_or_2(files, capsys):
+    tables = []
+    for mark in (0, 1):  # one scores table with nominal and novel rows, as eval needs
+        out = files / f"scored-{mark}"
+        assert _run(["score", "--model", files / "model.ndgan", "--data", files / "train.csv", "--label-column",
+                     "label", "--scorers", "nd-gan-ratio,entropy", "--mark-novel", mark, "--seed", 1,
+                     "--out-dir", out]) == 0
+        tables.append((out / "scores.csv").read_bytes())
+    header, _, novel = tables[1].partition(b"\r\n")
+    (files / "scores.csv").write_bytes(tables[0] + novel)
+    assert _eval(files, files / "scores.csv") == 0
+    codes = _fuzz(files, "scores.csv", lambda p: _eval(files, p), len(header), 7)
     assert 2 in codes and "Traceback" not in capsys.readouterr().err
 
 

@@ -3,26 +3,16 @@ runs the explicit passes of ``layers`` and the closed-form loss heads of
 ``gan``. The benchmark's tracer binds :meth:`Tape.record`.
 
 A :class:`Tape` records the custom operations passed to :meth:`Tape.record`
-while it is active (it is a context manager); :func:`backward` replays the
-records in reverse to accumulate gradients. A recorded value is any object
+(``with Tape() as tape`` opens one); :func:`backward` replays the records
+in reverse to accumulate gradients. A recorded value is any object
 holding its array as ``.data``.
 """
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .errors import TapeError
-
-_state = threading.local()
-
-
-def _tape_stack() -> list:
-    if not hasattr(_state, "stack"):
-        _state.stack = []
-    return _state.stack
 
 
 class _Node:
@@ -43,12 +33,10 @@ class Tape:
         self._keepalive: list = []  # pins id()s for the tape's lifetime
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
-        assert popped is self
+        pass
 
     def node_of(self, t) -> int | None:
         return self._ids.get(id(t))

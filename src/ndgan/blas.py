@@ -3,6 +3,7 @@
 Training and scoring pin OpenBLAS to one thread: a multi-threaded product splits its
 sums by thread count, and a model's or a score's last bits would follow. At one thread
 a numpy call gives the same bits on any thread, so a second CPU can take whole calls.
+Every helper thread of the package is a Lane's, and ``spare_lane`` alone decides when one runs.
 """
 
 from __future__ import annotations
@@ -157,13 +158,19 @@ def each(fn, calls: list, lane: Lane | None = None) -> list:
     return [(mine, theirs)[i % 2][i // 2] for i in range(len(calls))]
 
 
+def spare_lane(wanted: bool):
+    """A Lane, stopped on leaving its ``with`` block, if ``wanted``, OpenBLAS runs one thread and a
+    second CPU is free; otherwise a context that yields None."""
+    threads = openblas()
+    if wanted and threads is not None and threads[0]() == 1 and cpu_count() >= 2:
+        return Lane()
+    return contextlib.nullcontext()
+
+
 def in_blocks(fn, n: int, most: int) -> list:
-    """``[fn(start, stop)]`` over ``range(n)`` in the fewest blocks, even in count, of at most ``most`` rows, with OpenBLAS
-    at one thread; if that pin holds and a second CPU is free, a lane (stopped on return) runs every other block."""
+    """``[fn(start, stop)]`` over ``range(n)`` in the fewest blocks, even in count, of at most ``most`` rows, with
+    OpenBLAS at one thread; a ``spare_lane`` (stopped on return) runs every other block of two or more."""
     size = max(1, -(-n // (2 * max(1, -(-n // (2 * most))))))  # rows per block, blocks in pairs
     bounds = [(start, min(start + size, n)) for start in range(0, max(n, 1), size)]
-    with one_thread() as pinned:
-        if len(bounds) == 1 or not pinned or cpu_count() < 2:
-            return [fn(*b) for b in bounds]
-        with Lane() as lane:
-            return each(fn, bounds, lane)
+    with one_thread(), spare_lane(len(bounds) > 1) as lane:
+        return each(fn, bounds, lane)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, blas, data as dio, densities, gan, metrics, scores
-from .errors import DomainError, FormatError, NdganError, Nullable, Req, SchemaError, TrainingDiverged, ValidationError, Where, check
+from .errors import DomainError, FormatError, NdganError, Nullable, Req, SchemaError, TrainingDiverged, ValidationError, Where, check, read_json
 from .rng import RngStreams, derive_seed
 
 ENV_OUT_DIR = "NDGAN_OUT_DIR"
@@ -73,10 +73,7 @@ def _input_file(path: str, what: str) -> str:
 def _load_config(path: str | None, command: str) -> dict:
     if path is None:
         return {}
-    try:
-        doc = json.loads(Path(_input_file(path, "config")).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"config is not valid JSON: {exc}") from exc
+    doc = read_json(path, "config")
     if isinstance(doc, dict) and "command" in doc and "config" in doc:  # a manifest
         if doc["command"] != command:
             raise ValidationError(f"manifest is for command {doc['command']!r}, not {command!r}")
@@ -318,6 +315,8 @@ def _read_scores_csv(path: str, column: str):
             rows = [row for row in reader if row]  # blank rows are skipped, as csv.DictReader skips them
     except UnicodeDecodeError:
         raise FormatError(path, "not UTF-8 text") from None
+    except csv.Error as exc:  # a cell past csv's field limit
+        raise FormatError(path, f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise FormatError(path, "empty scores file")
     if column not in index:

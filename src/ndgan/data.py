@@ -204,7 +204,11 @@ def _read_csv_cells(source: str, label_column) -> tuple[np.ndarray, int | None]:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(source, f"not UTF-8 text (byte 0x{raw[exc.start]:02x})", offset=exc.start) from None
-    rows = [r for r in csv.reader(io.StringIO(text, newline="")) if r]
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = [r for r in reader if r]
+    except csv.Error as exc:  # a cell past csv's field limit
+        raise FormatError(source, f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise FormatError(source, "empty file")
 

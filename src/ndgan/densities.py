@@ -8,12 +8,11 @@ the yardstick for the learned detectors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FormatError, Req, SchemaError, ValidationError, Where, check
+from .errors import DomainError, Req, SchemaError, ValidationError, Where, check, read_json
 
 DENSITY_FLOOR = 1e-300  # clamp before ratios; below this a density "underflowed"
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -280,18 +279,7 @@ def mixture_spec_from_json(doc) -> MixtureSpec:
 
 
 def load_mixture_spec(path) -> MixtureSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"density spec not found: {path}") from None
-    except IsADirectoryError:
-        raise ValidationError(f"density spec is a directory, not a file: {path}") from None
-    except UnicodeDecodeError:
-        raise FormatError(str(path), "not UTF-8 text") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"not valid JSON: {exc}") from exc
-    return mixture_spec_from_json(doc)
+    return mixture_spec_from_json(read_json(path, "density spec"))
 
 
 def mixture_spec_to_json(spec: MixtureSpec) -> dict:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and ``check``, the JSON schema walk behind SchemaError.
+"""Exception types shared across the package; ``check``, the JSON schema walk behind SchemaError,
+and ``read_json``, the one reader of the JSON files it checks.
 
 Every error raised on purpose carries enough structure (op names, shapes,
 offsets, step numbers) for a caller to act on it without parsing messages.
@@ -6,6 +7,7 @@ offsets, step numbers) for a caller to act on it without parsing messages.
 
 from __future__ import annotations
 
+import json
 import reprlib
 
 
@@ -102,6 +104,23 @@ def check(value, node, path: str = "$"):
                 raise SchemaError(f"{path}.{key}", "must not be null")
             elif key not in value and isinstance(field, Req):
                 raise SchemaError(f"{path}.{key}", "missing required field")
+
+
+def read_json(path, what: str):
+    """The JSON document in the file at ``path``; a ValidationError naming ``what`` where the
+    file is missing or is a directory, a FormatError where it is not UTF-8, and a SchemaError
+    at ``$`` where it does not parse."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ValidationError(f"{what} not found: {path}") from None
+    except IsADirectoryError:
+        raise ValidationError(f"{what} is a directory, not a file: {path}") from None
+    except UnicodeDecodeError:
+        raise FormatError(str(path), "not UTF-8 text") from None
+    except (ValueError, RecursionError) as exc:  # bad JSON, an int past Python's digit limit, or deep nesting
+        raise SchemaError("$", f"{what} is not valid JSON: {exc}") from None
 
 
 class FormatError(NdganError):

@@ -8,7 +8,6 @@ between real and generated batches.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import struct
 from dataclasses import dataclass, field, replace
@@ -423,17 +422,16 @@ def train_gan(
     # Each network's effective weights are computed once per update of it and
     # reused by every pass until the next one; the cache is dropped on the way out.
     # BLAS runs one thread, so the bits do not depend on the machine's thread
-    # count; a second CPU, if there is one, draws the layer noise ahead and,
-    # for a model with a layer of LANE_WEIGHTS weights or more, runs a lane.
-    # Every lane job is joined in the call that submits it.
+    # count. Where blas.spare_lane finds a second CPU, one lane draws the layer
+    # noise ahead (rng.NoiseAhead) and, for a model with a layer of LANE_WEIGHTS
+    # weights or more, another runs the training jobs, each joined in the call
+    # that submits it.
     wide = max(layer.v.size for layer in model.disc + model.gen) >= LANE_WEIGHTS
-    with np.errstate(over="ignore", invalid="ignore"), blas.one_thread() as pinned, (
-            blas.Lane() if pinned and wide and blas.cpu_count() >= 2 else contextlib.nullcontext()) as lane:
-        noise = streams.noise
+    noisy = any(layer.noise_std > 0 for layer in model.disc + model.gen)
+    with (np.errstate(over="ignore", invalid="ignore"), blas.one_thread(),
+          blas.spare_lane(wide) as lane, blas.spare_lane(noisy) as noise_lane):
+        noise = streams.noise if noise_lane is None else NoiseAhead(streams.noise, noise_lane)
         try:
-            noisy = any(layer.noise_std > 0 for layer in model.disc + model.gen)
-            if pinned and noisy and blas.cpu_count() >= 2:
-                noise = NoiseAhead(streams.noise)
             nn.cache_weights(model.disc, lane)
             nn.cache_weights(model.gen, lane)
             for step in range(1, config.total_steps + 1):
@@ -473,8 +471,6 @@ def train_gan(
                 log.rows.append(LogRow(step, d_val, g_val, fm))
         finally:
             nn.drop_weights(model.disc + model.gen)
-            if noise is not streams.noise:
-                noise.close()
 
     model.frozen = True
     return model, log

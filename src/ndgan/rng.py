@@ -9,8 +9,6 @@ which keeps existing streams stable when new ones are introduced.
 from __future__ import annotations
 
 import math
-import queue
-import threading
 import zlib
 
 import numpy as np
@@ -62,46 +60,37 @@ class RngStreams:
 
 
 class NoiseAhead:
-    """``gen.normal(loc, scale, size)``, bit for bit, from standard-normal buffers that
-    one background thread fills ahead: ``Generator.normal`` is ``loc + scale * z`` over
-    the sequence ``standard_normal`` fills. A returned array may view a buffer that is
-    refilled after a later call, so use it first. ``gen`` belongs to the thread until
-    ``close`` stops and joins it; an error there is raised by ``normal``."""
+    """``gen.normal(loc, scale, size)``, bit for bit, from two standard-normal buffers:
+    ``Generator.normal`` is ``loc + scale * z`` over the sequence ``standard_normal``
+    fills. When the caller starts reading one buffer, a job on ``lane`` (a ``blas.Lane``
+    that nothing else joins) fills the other, so one fill at most is outstanding and the
+    draws keep their order whichever thread runs it. A returned array may view a buffer
+    that is refilled after a later call, so use it first. A failed fill raises its
+    exception, the same object, in the call that needs it and in every later one."""
 
-    SIZE = 1 << 18  # draws per buffer; smaller ones make the thread wait for the GIL more often
-    COUNT = 3  # buffers: the one being read and two filled or filling
+    SIZE = 1 << 18  # draws per buffer; smaller ones make the lane wait for the GIL more often
 
-    def __init__(self, gen: np.random.Generator):
-        self._gen = gen
-        self._free, self._full = queue.SimpleQueue(), queue.SimpleQueue()
-        for _ in range(self.COUNT):
-            self._free.put(np.empty(self.SIZE))
-        self._buf, self._pos = np.empty(0), 0
-        self._closed = False
-        self._thread = threading.Thread(target=self._fill, name="ndgan-noise", daemon=True)
-        self._thread.start()
+    def __init__(self, gen: np.random.Generator, lane):
+        self._gen, self._lane, self._error = gen, lane, None
+        self._buf = np.empty(self.SIZE)
+        self._pos = self.SIZE  # read through, so the first call takes the first fill
+        lane.submit(self._fill, np.empty(self.SIZE))
 
-    def _fill(self):
-        try:
-            while True:
-                buf = self._free.get()
-                if self._closed:
-                    return
-                self._gen.standard_normal(out=buf)  # releases the GIL
-                self._full.put(buf)
-        except BaseException as exc:  # raised again in the caller of normal
-            self._full.put(exc)
+    def _fill(self, buf: np.ndarray) -> np.ndarray:
+        self._gen.standard_normal(out=buf)  # releases the GIL
+        return buf
 
     def _next(self):
-        """Hand the spent buffer back to the thread and read from the next filled one."""
-        if self._buf.size:
-            self._free.put(self._buf)
-        self._buf, self._pos = np.empty(0), 0
-        item = self._full.get()
-        if isinstance(item, BaseException):
-            self._full.put(item)  # every later call fails too
-            raise RuntimeError("the noise thread failed") from item
-        self._buf = item
+        """Read from the buffer the lane filled, and have it fill the spent one."""
+        if self._error is not None:
+            raise self._error
+        spent, self._buf, self._pos = self._buf, np.empty(0), 0
+        try:
+            (self._buf,) = self._lane.join()
+        except BaseException as exc:
+            self._error = exc
+            raise
+        self._lane.submit(self._fill, spent)
 
     def normal(self, loc: float, scale: float, size: tuple) -> np.ndarray:
         n = math.prod(size)
@@ -122,8 +111,3 @@ class NoiseAhead:
         np.multiply(z, scale, out=z)
         z += loc  # not skipped at loc 0: 0.0 + -0.0 is 0.0, as in Generator.normal
         return z.reshape(size)
-
-    def close(self):
-        self._closed = True
-        self._free.put(None)  # wakes the thread if it waits for a buffer
-        self._thread.join()

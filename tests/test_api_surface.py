@@ -86,6 +86,24 @@ def test_no_module_but_autodiff_imports_autodiff():
     assert not importers, f"modules that import autodiff: {importers}"
 
 
+def test_no_module_but_blas_imports_threading_or_queue():
+    """Every helper thread is a blas.Lane's, so one module decides when a thread runs."""
+    def importers(tree):
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.add(node.module.split(".")[0])
+        return names & {"threading", "queue"}
+
+    probe = "import threading\nfrom queue import SimpleQueue\nfrom . import rng\nimport numpy as np"
+    assert importers(ast.parse(probe)) == {"threading", "queue"}
+    found = {path.name: sorted(names) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "blas.py" and (names := importers(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert not found, f"modules that import threading or queue: {found}"
+
+
 def _private_reads(tree) -> list[str]:
     """``module._name`` for each read of another package module's private name in
     ``tree``, whether through an attribute of an imported module or a from-import."""

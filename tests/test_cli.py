@@ -757,28 +757,54 @@ def test_oracle_malformed_spec_reports_json_path(tmp_path, capsys):
     assert "$.data" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["oracle", "train"])
+@pytest.mark.parametrize("command", ["oracle", "train", "config"])
 @pytest.mark.parametrize("case, message", [
     ("missing", "density spec not found"),
     ("directory", "density spec is a directory"),
     ("not-utf8", "not UTF-8 text"),
+    ("utf16-bom", "not UTF-8 text"),
+    ("too-deep", "not valid JSON: maximum recursion depth exceeded"),
+    ("too-many-digits", "not valid JSON: Exceeds the limit"),
 ])
 def test_an_unreadable_density_spec_exits_2(pipeline, tmp_path, monkeypatch, capsys, command, case, message):
+    """Command ``config`` gives the bad file as ``train --config``: the one JSON reader reads both."""
     _, data_dir, _ = pipeline
     path = tmp_path / "density.json"
     if case == "directory":
         path.mkdir()
-    elif case == "not-utf8":
-        path.write_bytes(b'{"version": 1, "pi": "\xff"}')
+    elif case != "missing":
+        path.write_bytes({"not-utf8": b'{"version": 1, "pi": "\xff"}', "utf16-bom": b"\xff\xfe{}",
+                          "too-deep": b"[" * 100_000, "too-many-digits": b"1" * 5_000}[case])
     monkeypatch.setattr(gan, "train_gan", lambda *args, **kwargs: pytest.fail("trained before the check"))
     if command == "oracle":
         argv = ["oracle", "--density", str(path), "--seed", "1"]
-    else:  # a mixture fake source reads the same spec
+    elif command == "train":  # a mixture fake source reads the same spec
         argv = ["train", "--config", str(train_config(tmp_path, data_dir,
                                                       fake_source={"kind": "mixture", "density": str(path)}))]
+    else:
+        argv = ["train", "--config", str(path), "--seed", "1"]
+        message = message.replace("density spec", "config")
     assert run(*argv, "--out-dir", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("which", ["eval --scores", "score --data", "score --knn-reference"])
+def test_a_cell_past_the_csv_field_limit_exits_2(pipeline, tmp_path, capsys, which):
+    """csv's reader takes cells of at most 131,072 characters; a longer one is a bad table."""
+    _, data_dir, model_dir = pipeline
+    bad = tmp_path / "long.csv"
+    if which == "eval --scores":
+        bad.write_text(f"nd_gan_ratio,is_novel\n{'1' * 140_000},0\n2,1\n")
+        argv = ["eval", "--scores", str(bad)]
+    else:  # the quoted cell sends the table past the whole-file parse, to the cell parser
+        bad.write_text(f'x0,x1,label\n"1",{"1" * 140_000},0\n2,3,1\n')
+        paths = {"--data": data_dir / "novel.csv", "--knn-reference": data_dir / "train.csv", which.split()[1]: bad}
+        argv = ["score", "--model", str(model_dir / "model.ndgan"), "--scorers", "knn-1", "--label-column", "label",
+                *(str(a) for item in paths.items() for a in item)]
+    assert run(*argv, "--seed", "1", "--out-dir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: line 2: field larger than field limit (131072)" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("which", ["train --config", "score --model", "score --data", "score --knn-reference",

@@ -1,10 +1,11 @@
-"""The BLAS pin of training and scoring, the noise thread and the scoring lanes:
+"""The BLAS pin of training and scoring, the noise lane and the training and scoring lanes:
 the bits they must keep, and the threads and thread counts they must give back."""
 
 import hashlib
 import json
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,14 +30,12 @@ _SHAPES = st.one_of(st.tuples(st.integers(0, 40)), st.tuples(st.integers(0, 9), 
        requests=st.lists(st.tuples(_SHAPES, st.sampled_from([0.1, 1.0, 2.5, 1e-3])), max_size=12))
 def test_noise_ahead_gives_generator_normal_bit_for_bit(size, seed, requests):
     small = type("Small", (NoiseAhead,), {"SIZE": size})  # requests span and exceed buffers
-    ahead, reference = small(np.random.default_rng(seed)), np.random.default_rng(seed)
-    try:
+    with blas.Lane() as lane:
+        ahead, reference = small(np.random.default_rng(seed), lane), np.random.default_rng(seed)
         for shape, scale in requests:
             got, want = ahead.normal(0.0, scale, shape), reference.normal(0.0, scale, shape)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    finally:
-        ahead.close()
-    assert not ahead._thread.is_alive()
+    assert _lanes_alive() == 0
 
 
 def test_noise_threads_under_fast_switching_keep_every_stream_exact():
@@ -44,12 +43,10 @@ def test_noise_threads_under_fast_switching_keep_every_stream_exact():
     results = {}
 
     def consume(seed):
-        ahead, reference = small(np.random.default_rng(seed)), np.random.default_rng(seed)
-        try:
+        with blas.Lane() as lane:
+            ahead, reference = small(np.random.default_rng(seed), lane), np.random.default_rng(seed)
             results[seed] = all(ahead.normal(0.0, 0.5, (i % 7, 2)).tobytes()
                                 == reference.normal(0.0, 0.5, (i % 7, 2)).tobytes() for i in range(2000))
-        finally:
-            ahead.close()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -61,37 +58,37 @@ def test_noise_threads_under_fast_switching_keep_every_stream_exact():
             t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in consumers)
+    assert not any(t.is_alive() for t in consumers) and _lanes_alive() == 0
     assert results == {seed: True for seed in range(4)}
 
 
 def test_an_error_in_the_noise_thread_reaches_every_later_call():
+    error = ValueError("no draws")
+
     class Broken:  # fills one buffer, then fails
         fills = 0
 
         def standard_normal(self, out):
             self.fills += 1
             if self.fills > 1:
-                raise ValueError("no draws")
+                raise error
             out[:] = 1.0
 
-    ahead, raised = type("Small", (NoiseAhead,), {"SIZE": 4})(Broken()), []
+    class Idle(blas.Lane):  # its thread ends at once, so the caller runs every job when it joins
+        def _work(self):
+            pass
 
-    def consume():
-        assert ahead.normal(0.0, 2.0, (3,)).tolist() == [2.0, 2.0, 2.0]
-        for _ in range(2):  # the first spans into the failed buffer
-            try:
-                ahead.normal(0.0, 1.0, (3,))
-            except RuntimeError as exc:
-                raised.append(exc.__cause__)
-
-    consumer = threading.Thread(target=consume)
-    consumer.start()
-    consumer.join(timeout=10)
-    assert not consumer.is_alive()
-    ahead.close()
-    assert not ahead._thread.is_alive()
-    assert [type(e) for e in raised] == [ValueError, ValueError]
+    for lane_type in (blas.Lane, Idle):
+        raised = []
+        with lane_type() as lane:
+            ahead = type("Small", (NoiseAhead,), {"SIZE": 4})(Broken(), lane)
+            assert ahead.normal(0.0, 2.0, (3,)).tolist() == [2.0, 2.0, 2.0]
+            for shape in ((3,), (1,), (0,)):  # the first spans into the failed buffer
+                with pytest.raises(ValueError) as caught:
+                    ahead.normal(0.0, 1.0, shape)
+                raised.append(caught.value)
+        assert _lanes_alive() == 0
+        assert all(e is error for e in raised) and len(raised) == 3
 
 
 def _started(monkeypatch) -> list:
@@ -99,8 +96,8 @@ def _started(monkeypatch) -> list:
     made = []
 
     class Spy(NoiseAhead):
-        def __init__(self, gen):
-            super().__init__(gen)
+        def __init__(self, gen, lane):
+            super().__init__(gen, lane)
             made.append(self)
 
     monkeypatch.setattr(gan, "NoiseAhead", Spy)
@@ -108,12 +105,13 @@ def _started(monkeypatch) -> list:
 
 
 def _lane_blocks(monkeypatch) -> list:
-    """One entry per job that a lane is handed from now on."""
+    """One entry per job that a lane is handed from now on, but for noise fills."""
     handed, submit = [], blas.Lane.submit
 
-    def counting(self, *args):
-        handed.append(args)
-        return submit(self, *args)
+    def counting(self, fn, *args):
+        if not isinstance(getattr(fn, "__self__", None), NoiseAhead):
+            handed.append(args)
+        return submit(self, fn, *args)
 
     monkeypatch.setattr(blas.Lane, "submit", counting)
     return handed
@@ -172,6 +170,23 @@ def test_the_training_lane_keeps_the_trained_bits(tmp_path, monkeypatch, arch, d
     assert _lanes_alive() == 0
 
 
+@needs_openblas
+def test_training_runs_one_lane_for_the_noise_and_one_more_at_mnist_width(monkeypatch):
+    monkeypatch.setattr(blas, "cpu_count", lambda: 2)
+    seen, descend = [], gan._descend
+
+    def counting(*args, **kwargs):
+        seen.append(_lanes_alive())
+        return descend(*args, **kwargs)
+
+    monkeypatch.setattr(gan, "_descend", counting)
+    for arch, data, lanes in (("2d", _RING, 1), ("mnist", _IMAGES, 2)):
+        seen.clear()
+        gan.train_gan(gan.build_gan(data.dim, data.K, arch, seed=3), data, gan.TrainConfig(total_steps=3, batch_size=8))
+        assert seen and set(seen) == {lanes}, arch
+        assert _lanes_alive() == 0
+
+
 def _poison_gradients(monkeypatch):
     """Adam then meets an infinite gradient at the first discriminator step, in the last
     element of its buffer: in the lane's half, where a lane checks one."""
@@ -222,7 +237,6 @@ def test_a_failed_run_stops_the_noise_thread_and_restores_blas(monkeypatch, erro
         with pytest.raises(error):  # TrainingDiverged: a non-finite d-loss at step 1
             gan.train_gan(gan.build_gan(data.dim, data.K, arch, seed=3), data,
                           gan.TrainConfig(total_steps=5, batch_size=8), poisoned)
-        assert made and not made[-1]._thread.is_alive()
         assert threading.active_count() == alive and _lanes_alive() == 0
         assert get() == before
     assert len(made) == 2
@@ -245,7 +259,7 @@ def test_an_error_in_the_training_lane_reaches_the_caller_and_restores_threads_a
         gan.train_gan(gan.build_gan(_IMAGES.dim, _IMAGES.K, "mnist", seed=3), _IMAGES,
                       gan.TrainConfig(total_steps=8, batch_size=8))
     assert caught.value is error
-    assert len(made) == 1 and not made[0]._thread.is_alive()
+    assert len(made) == 1
     assert threading.active_count() == alive and _lanes_alive() == 0
     assert get() == before
 
@@ -283,15 +297,23 @@ def test_scores_do_not_depend_on_the_lane_count(monkeypatch, arch, dim):
 
 
 def _fail_in_lanes(monkeypatch, owner, name, error):
-    """``owner.name`` raises ``error`` when a lane thread calls it."""
-    real = getattr(owner, name)
+    """``owner.name`` raises ``error`` when a lane thread calls it. A join first waits for
+    the lane's thread to take every job, so that no job runs on the caller however the
+    threads are scheduled."""
+    real, join = getattr(owner, name), blas.Lane.join
 
     def failing(*args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
             raise error
         return real(*args, **kwargs)
 
+    def patient(lane):
+        while lane._queue:
+            time.sleep(1e-4)
+        return join(lane)
+
     monkeypatch.setattr(owner, name, failing)
+    monkeypatch.setattr(blas.Lane, "join", patient)
 
 
 @needs_openblas

@@ -6,6 +6,6 @@ oracles (likelihood-ratio detector, closed-form optimal discriminator)
 provide the ground truth it is validated against.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from . import blas, cli, data, densities, gan, layers, metrics, rng, scores  # noqa: F401

@@ -243,16 +243,10 @@ def cmd_synth(cfg: dict, out_dir: Path) -> int:
 
 _TRAIN = {  # gan.TrainConfig's fields, whose ranges it checks
     "total_steps": Req(int), "batch_size": int, "d_steps_per_g": int, "labeled_fraction": Nullable(float),
-    "generator_loss": gan.GENERATOR_LOSSES, "lr": float, "beta1": float, "beta2": float, "eps": float,
+    "generator_loss": gan.GENERATOR_LOSSES, "lr": float,
     "log_every": int,  # no effect in a holdout eval, which keeps no training log
 }
-_MODEL = {"arch": ("2d", "mnist"), "z_dim": Nullable(int), "disc_noise_std": float, "train": Req(_TRAIN)}
-
-
-def _build_gan(cfg: dict, data_dim: int, K: int, arch: str, seed: int) -> gan.GanModel:
-    """The untrained model of a train or holdout config, of architecture ``arch`` unless it names one."""
-    return gan.build_gan(data_dim, K, cfg.get("arch", arch), cfg.get("z_dim"), seed,
-                         float(cfg.get("disc_noise_std", 0.1)))
+_MODEL = {"arch": ("2d", "mnist"), "train": Req(_TRAIN)}
 
 
 def cmd_train(cfg: dict, out_dir: Path) -> int:
@@ -260,10 +254,11 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
     config = gan.TrainConfig(seed=cfg["seed"], **cfg["train"])
 
     K = dataset.K if dataset.labels is not None else 1
-    model = _build_gan(cfg, dataset.dim, K, "2d", cfg["seed"])
+    arch = cfg.get("arch", "2d")
+    model = gan.build_gan(dataset.dim, K, arch, cfg["seed"])
     fake_source = _fake_source_from_config(cfg.get("fake_source"), dataset.dim)
 
-    _log(f"training: {config.total_steps} steps, K={K}, dim={dataset.dim}, arch={cfg.get('arch', '2d')}")
+    _log(f"training: {config.total_steps} steps, K={K}, dim={dataset.dim}, arch={arch}")
     model, log = gan.train_gan(model, dataset, config, fake_source=fake_source)
 
     _atomic(out_dir / "model.ndgan", lambda p: gan.save_model(p, model))
@@ -383,9 +378,9 @@ def _eval_flat(cfg: dict, alphas: tuple, out_dir: Path) -> int:
 
 def _run_holdout_split(split, hold_cfg, seed):
     config = gan.TrainConfig(seed=derive_seed(seed, f"split-{split.holdout_class}"), **hold_cfg["train"])
-    model = _build_gan(hold_cfg, split.train.dim, split.train.K, "mnist", config.seed)
+    model = gan.build_gan(split.train.dim, split.train.K, hold_cfg.get("arch", "mnist"), config.seed)
     model, _ = gan.train_gan(model, split.train, config, diagnostics=False)
-    return scores.Scorer(model, hold_cfg["scorers"], split.train.features, split.fingerprint)
+    return scores.Scorer(model, hold_cfg["scorers"], split.train.features)
 
 
 def _eval_holdout(cfg: dict, alphas: tuple, out_dir: Path) -> int:
@@ -427,6 +422,8 @@ def cmd_eval(cfg: dict, out_dir: Path) -> int:
 # oracle
 # ---------------------------------------------------------------------------
 
+ORACLE_MC_SAMPLES = 20_000  # draws from each of the data and novel densities for the LR detector's AUROC
+
 
 def _grid_for_spec(spec: densities.MixtureSpec, n_points: int) -> np.ndarray:
     lo = (spec.data.means - 5 * np.sqrt(spec.data.variances)).min(axis=0)
@@ -461,7 +458,6 @@ def _closed_form_lr_auroc(spec: densities.MixtureSpec) -> float | None:
 def cmd_oracle(cfg: dict, out_dir: Path) -> int:
     spec = densities.load_mixture_spec(cfg["density"])
     tol = float(cfg.get("tolerance", 1e-12))
-    n_mc = cfg.get("mc_samples", 20_000)
     rng = RngStreams(cfg["seed"]).sampling
 
     try:
@@ -475,8 +471,8 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
         _atomic(out_dir / "dstar_grid.csv", lambda p: dio.write_table(
             p, [f"x{j}" for j in range(spec.dim)] + ["d_star"], [*grid[keep].T, dstar]))
 
-        nominal = spec.data.sample(n_mc, rng)
-        novel = spec.novel.sample(n_mc, rng)
+        nominal = spec.data.sample(ORACLE_MC_SAMPLES, rng)
+        novel = spec.novel.sample(ORACLE_MC_SAMPLES, rng)
         lr_nom = densities.likelihood_ratio_score(spec.data, spec.novel, nominal)
         lr_nov = densities.likelihood_ratio_score(spec.data, spec.novel, novel)
         auroc_mc = metrics.roc_from_arrays(lr_nom, lr_nov).auroc
@@ -540,7 +536,7 @@ _COMMANDS = {
     "synth": ("materialize a synthetic benchmark to disk", {
         "kind": Req(("ring",)), "n_train": Req(int), "n_test": Nullable(int),
         "components": Req(int), "radius": Req(float), "sigma": Req(float), "pi": float,
-        "novel": Nullable({"kind": Req(("gaussian", "uniform")), "n": Req(int),
+        "novel": Nullable({"kind": Req(("gaussian", "uniform")), "n": Req(_COUNT),
                            "mean": [float], "sigma": float, "bounds": [[float]]}),
         **_RUN,
     }, [
@@ -582,7 +578,7 @@ _COMMANDS = {
               help="comma-separated target FPRs"),
     ]),
     "oracle": ("verify analytic identities for a density spec", {
-        "density": Req(str), "grid_points": _COUNT, "tolerance": float, "mc_samples": _COUNT, **_RUN,
+        "density": Req(str), "grid_points": _COUNT, "tolerance": float, **_RUN,
     }, [
         _flag("--density", "density", help="density spec JSON"),
         _flag("--tolerance", "tolerance"),

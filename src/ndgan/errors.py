@@ -145,14 +145,3 @@ class TrainingDiverged(NdganError):
 
 class FrozenModelError(NdganError):
     """Attempted to mutate a model that has been frozen after training."""
-
-
-class FingerprintMismatch(ValidationError):
-    """A scorer was evaluated against a split it was not trained on."""
-
-    def __init__(self, expected: str, actual: str):
-        self.expected = expected
-        self.actual = actual
-        super().__init__(
-            f"scorer was trained on split {expected[:12]}… but evaluated on {actual[:12]}…"
-        )

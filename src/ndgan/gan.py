@@ -33,6 +33,7 @@ FORWARD_BLOCK = 256  # most rows per block of an eval pass
 # lane ran 0.60x as fast as without at w = 64, 0.94x at 208, 1.01x at 240 (57,600 weights)
 # and 1.17x at 320, on 2 shared cores. The smallest widest layer of `mnist` has 196,608.
 LANE_WEIGHTS = 60_000
+DISC_NOISE_STD = 0.1  # the discriminator's hidden-layer noise, as in Salimans et al. 2016
 
 
 @dataclass
@@ -67,21 +68,15 @@ class GanModel:
         return self.disc[0].in_dim
 
 
-def build_gan(
-    data_dim: int,
-    K: int,
-    arch: str = "2d",
-    z_dim: int | None = None,
-    seed: int = 0,
-    disc_noise_std: float = 0.1,
-) -> GanModel:
-    """Default architectures; "2d" for toy problems, "mnist" for image-scale runs."""
+def build_gan(data_dim: int, K: int, arch: str = "2d", seed: int = 0) -> GanModel:
+    """Default architectures; "2d" for toy problems, "mnist" for image-scale runs.
+    Each hidden discriminator layer adds Gaussian noise of DISC_NOISE_STD in training."""
     if arch == "2d":
-        z_dim = 16 if z_dim is None else z_dim
+        z_dim = 16
         gen_widths, disc_widths = [64, 64], [64, 64, 64]
         gen_out_act = "linear"
     elif arch == "mnist":
-        z_dim = 64 if z_dim is None else z_dim
+        z_dim = 64
         gen_widths, disc_widths = [250, 250, 256, 384, 512], [512, 384, 256, 250, 250]
         gen_out_act = "sigmoid"
     else:
@@ -89,7 +84,7 @@ def build_gan(
 
     rng = RngStreams(seed).init
     gen = nn.init_mlp([z_dim, *gen_widths, data_dim], "relu", gen_out_act, rng)
-    disc = nn.init_mlp([data_dim, *disc_widths, K + 1], "leaky-relu", "linear", rng, noise_std=disc_noise_std)
+    disc = nn.init_mlp([data_dim, *disc_widths, K + 1], "leaky-relu", "linear", rng, noise_std=DISC_NOISE_STD)
     return GanModel(gen, disc)
 
 
@@ -308,10 +303,7 @@ class TrainConfig:
     seed: int = 0
     labeled_fraction: float | None = None  # None: fully unsupervised
     generator_loss: str = "feature-matching"
-    lr: float = 3e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float = 3e-4  # Adam's step size; its other settings are layers.ADAM_*
     log_every: int = 50
 
     def __post_init__(self):
@@ -413,8 +405,8 @@ def train_gan(
             labeled_x, labeled_y = labeled.features, labeled.labels
     all_x = data.features  # every real example feeds the unsupervised term
 
-    d_state = nn.init_adam(model.disc, config.lr, config.beta1, config.beta2, config.eps)
-    g_state = nn.init_adam(model.gen, config.lr, config.beta1, config.beta2, config.eps)
+    d_state = nn.init_adam(model.disc, config.lr)
+    g_state = nn.init_adam(model.gen, config.lr)
     log = TrainLog()
 
     # A diverging run overflows to inf/nan; the finite-loss and finite-gradient

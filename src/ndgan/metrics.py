@@ -9,13 +9,12 @@ with ties counting one half.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, write_table
-from .errors import FingerprintMismatch, ValidationError
+from .errors import ValidationError
 from .rng import derive_seed
 
 
@@ -85,34 +84,23 @@ def tpr_at_fpr(nominal_scores, novel_scores, alpha: float) -> tuple[float, float
 # ---------------------------------------------------------------------------
 
 
-def dataset_fingerprint(data: Dataset) -> str:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(data.features, dtype="<f8").tobytes())
-    if data.labels is not None:
-        h.update(np.ascontiguousarray(data.labels, dtype="<i8").tobytes())
-    return h.hexdigest()
-
-
 @dataclass
 class HoldoutSplit:
     holdout_class: int
     train: Dataset  # K-1 classes, labels remapped to 0..K-2
     eval_nominal: Dataset
     eval_novel: Dataset
-    fingerprint: str = field(default="")
-
-    def __post_init__(self):
-        if not self.fingerprint:
-            self.fingerprint = dataset_fingerprint(self.train)
 
 
-def _remap(data: Dataset, keep_mask: np.ndarray, label_map: dict, provenance: str) -> Dataset:
-    labels = np.array([label_map[int(l)] for l in data.labels[keep_mask]], dtype=np.int64)
+def _remap(data: Dataset, holdout: int) -> Dataset:
+    """``data`` without class ``holdout``, the classes above it shifted down by one."""
+    keep = data.labels != holdout
+    labels = data.labels[keep]
     return Dataset(
-        features=data.features[keep_mask],
-        labels=labels,
-        K=len(label_map),
-        provenance=provenance,
+        features=data.features[keep],
+        labels=labels - (labels > holdout),
+        K=data.K - 1,
+        provenance=f"{data.provenance}|holdout={holdout}",
     )
 
 
@@ -146,14 +134,8 @@ def make_holdout_splits(train: Dataset, test: Dataset, seed: int, classes=None) 
     splits = []
     for holdout in wanted:
         rng = np.random.default_rng(derive_seed(seed, f"holdout-{holdout}"))
-        label_map = {int(c): i for i, c in enumerate(c for c in range(K) if c != holdout)}
-
-        split_train = _remap(
-            train, train.labels != holdout, label_map, f"{train.provenance}|holdout={holdout}"
-        )
-        eval_nominal = _remap(
-            test, test.labels != holdout, label_map, f"{test.provenance}|holdout={holdout}"
-        )
+        split_train = _remap(train, holdout)
+        eval_nominal = _remap(test, holdout)
 
         novel_pool = [test.features[test.labels == holdout]]
         novel_pool.append(train.features[train.labels == holdout])
@@ -257,15 +239,12 @@ def run_benchmark(split_scorers, alphas=(0.05, 0.10)) -> BenchmarkResult:
 
     ``split_scorers`` is a sequence of (split, scorer) pairs: a HoldoutSplit,
     and a ``scores.Scorer``, whose ``score(x)`` maps name -> scores of a
-    batch, so each evaluation set is scored once. A scorer whose
-    ``train_fingerprint`` is set is checked against its split's fingerprint.
+    batch, so each evaluation set is scored once.
     """
     rows: list[BenchmarkRow] = []
     curves = {}
     for split, scorer in split_scorers:
         split_name = str(split.holdout_class)
-        if scorer.train_fingerprint is not None and scorer.train_fingerprint != split.fingerprint:
-            raise FingerprintMismatch(scorer.train_fingerprint, split.fingerprint)
         nominal = scorer.score(split.eval_nominal.features)
         novel = scorer.score(split.eval_novel.features)
         for name, nom in nominal.items():

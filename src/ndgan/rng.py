@@ -13,8 +13,6 @@ import zlib
 
 import numpy as np
 
-STREAM_NAMES = ("init", "noise", "sampling", "shuffling", "diagnostics")
-
 
 def _stream_key(name: str) -> int:
     return zlib.crc32(name.encode("utf-8"))
@@ -27,36 +25,13 @@ def derive_seed(master_seed: int, label: str) -> int:
 
 
 class RngStreams:
-    """Named, independently seeded ``numpy.random.Generator`` streams."""
+    """Named, independently seeded ``numpy.random.Generator`` streams, one attribute each."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._gens = {
-            name: np.random.default_rng(
-                np.random.SeedSequence(entropy=self.seed, spawn_key=(_stream_key(name),))
-            )
-            for name in STREAM_NAMES
-        }
-
-    @property
-    def init(self) -> np.random.Generator:
-        return self._gens["init"]
-
-    @property
-    def noise(self) -> np.random.Generator:
-        return self._gens["noise"]
-
-    @property
-    def sampling(self) -> np.random.Generator:
-        return self._gens["sampling"]
-
-    @property
-    def shuffling(self) -> np.random.Generator:
-        return self._gens["shuffling"]
-
-    @property
-    def diagnostics(self) -> np.random.Generator:
-        return self._gens["diagnostics"]
+        self.init, self.noise, self.sampling, self.shuffling, self.diagnostics = (
+            np.random.default_rng(np.random.SeedSequence(entropy=self.seed, spawn_key=(_stream_key(name),)))
+            for name in ("init", "noise", "sampling", "shuffling", "diagnostics"))
 
 
 class NoiseAhead:

@@ -229,10 +229,13 @@ def knn_k(name: str) -> int | None:
         return None
     if not name.startswith("knn-"):
         raise ValidationError(f"unknown scorer {name!r}; have {tuple(SCORERS)} and knn-<k>")
+    text = name.split("-", 1)[1]
     try:
-        k = int(name.split("-", 1)[1])
+        k = int(text)
     except ValueError:
-        raise ValidationError(f"bad kNN scorer name {name!r}; use knn-<k>") from None
+        k = None
+    if k is None or str(k) != text:  # one name per k, so one scores column and one ROC file name
+        raise ValidationError(f"bad kNN scorer name {name!r}; use knn-<k>, k in ASCII digits without a leading zero")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     return k
@@ -242,10 +245,9 @@ class Scorer:
     """Named novelty scores of a frozen model, all from one discriminator pass per
     batch; kNN scorers search the features of ``reference_x``, computed once."""
 
-    def __init__(self, model: GanModel, names, reference_x=None, train_fingerprint: str | None = None):
+    def __init__(self, model: GanModel, names, reference_x=None):
         self.model = model
         self.kind = "+".join(names)  # names the scorer set in reports and traces
-        self.train_fingerprint = train_fingerprint
         self._k = {name: knn_k(name) for name in names}
         knn = [name for name, k in self._k.items() if k is not None]
         if knn and reference_x is None:

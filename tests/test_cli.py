@@ -650,7 +650,7 @@ def _probe_configs(pipeline, tmp_path):
     ("train", "train.lr", "x", "$.train.lr"),
     ("train", "train.batch_size", 8.5, "$.train.batch_size"),
     ("train", "train.batch_size", None, "$.train.batch_size"),
-    ("train", "z_dim", "4", "$.z_dim"),
+    ("train", "arch", "3d", "$.arch"),
     ("train", "train.total_steps", "3", "$.train.total_steps"),
     ("train", "dataset.downscale", {"side": "abc", "target": 14}, "$.dataset.downscale.side"),
     ("holdout", "holdout.holdout_classes", 0, "$.holdout.holdout_classes"),
@@ -671,9 +671,23 @@ def _probe_configs(pipeline, tmp_path):
     ("flat", "scores", "x.csv", "$.scores"),
     ("oracle", "grid_points", -4, "$.grid_points"),
     ("oracle", "grid_points", 0, "$.grid_points"),
-    ("oracle", "mc_samples", -5, "$.mc_samples"),
-    ("oracle", "mc_samples", 0, "$.mc_samples"),
     ("train", "dataset.split_tag", "test", "$.dataset.split_tag"),  # removed in 0.6.0: an unknown field
+    ("synth", "novel.n", -1, "$.novel.n"),
+    ("synth", "novel.n", 0, "$.novel.n"),
+    *(pytest.param("score", "scorers", ["entropy", name], "$.scorers[1]", id=f"score-scorers-{name!r}")
+      for name in ["knn-05", "knn- 5", "knn-+5", "knn-\u0665", "knn-5\n", "knn-1_0"]),  # one name per k
+    # removed in 0.9.0, so unknown fields even at the values they had, which are now constants
+    ("train", "train.beta1", 0.5, "$.train.beta1"),
+    ("train", "train.beta2", 0.999, "$.train.beta2"),
+    ("train", "train.eps", 1e-8, "$.train.eps"),
+    ("train", "z_dim", 16, "$.z_dim"),
+    ("train", "disc_noise_std", 0.1, "$.disc_noise_std"),
+    ("holdout", "holdout.train.beta1", 0.5, "$.holdout.train.beta1"),
+    ("holdout", "holdout.train.beta2", 0.999, "$.holdout.train.beta2"),
+    ("holdout", "holdout.train.eps", 1e-8, "$.holdout.train.eps"),
+    ("holdout", "holdout.z_dim", 64, "$.holdout.z_dim"),
+    ("holdout", "holdout.disc_noise_std", 0.1, "$.holdout.disc_noise_std"),
+    ("oracle", "mc_samples", 20_000, "$.mc_samples"),
 ])
 def test_a_malformed_config_exits_2_at_its_path_before_any_work(pipeline, tmp_path, monkeypatch, capsys,
                                                                  base, key, value, where):

@@ -24,12 +24,6 @@ def _mlp(rng, dims, activations):
     return [nn.Layer(p.v, p.g, p.b, act) for p, act in zip(nn.init_mlp(dims, "linear", "linear", rng), activations)]
 
 
-def _init_adam(params, lr=3e-4):
-    """Adam with TrainConfig's default betas and eps."""
-    c = gan.TrainConfig(total_steps=1, lr=lr)
-    return nn.init_adam(params, c.lr, c.beta1, c.beta2, c.eps)
-
-
 def test_identity_linear_layer_is_identity():
     layer = _layer(np.eye(2))
     out, kept = nn.mlp_forward([layer], np.array([[1.0, 2.0]]))
@@ -210,7 +204,7 @@ def _stack(params, *layers):
 
 def test_adam_zero_gradient_is_a_fixed_point():
     params = _scalar_param(1.5)
-    state = _init_adam(params, lr=0.1)
+    state = nn.init_adam(params, 0.1)
     nn.adam_step(params, _stack(params), state)
     assert params[0].v[0, 0] == 1.5
     assert state.step_count == 1
@@ -218,16 +212,16 @@ def test_adam_zero_gradient_is_a_fixed_point():
 
 def test_adam_first_step_is_bias_corrected_unit_step():
     params = _scalar_param(0.0)
-    state = _init_adam(params, lr=0.1)
+    state = nn.init_adam(params, 0.1)
     nn.adam_step(params, _stack(params, {"v": 1.0}), state)
     # mhat = vhat = 1 at t=1, so the step is lr/(1 + eps) regardless of betas
     assert params[0].v[0, 0] == pytest.approx(-0.1, abs=1e-6)
 
 
 def test_adam_converges_on_scalar_quadratic_and_matches_recurrence():
-    lr, b1, b2, eps = 0.1, 0.5, 0.999, 1e-8
+    lr, b1, b2, eps = 0.1, nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS
     params = _scalar_param(0.0)
-    state = nn.init_adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    state = nn.init_adam(params, lr)
 
     # independent plain-float oracle of the same recurrence
     w, m, v = 0.0, 0.0, 0.0
@@ -245,7 +239,7 @@ def test_adam_converges_on_scalar_quadratic_and_matches_recurrence():
 
 def test_adam_rejects_non_finite_gradient_naming_the_parameter():
     params = _scalar_param()
-    state = _init_adam(params)
+    state = nn.init_adam(params, 3e-4)
     with pytest.raises(DomainError) as err:
         nn.adam_step(params, _stack(params, {"v": np.nan}), state)
     assert "layer 0" in str(err.value) and "'v'" in str(err.value)
@@ -277,9 +271,9 @@ def test_blocked_flat_adam_equals_per_tensor_update_bit_for_bit(data, block, ste
     arrays = {(i, name): a.copy() for i, p in enumerate(params) for name, a in p.named()}
     m = {key: np.zeros_like(w) for key, w in arrays.items()}
     v = {key: np.zeros_like(w) for key, w in arrays.items()}
-    lr, b1, b2, eps = 1e-3, 0.5, 0.999, 1e-8
+    lr, b1, b2, eps = 1e-3, nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS
     with mock.patch.object(nn, "ADAM_BLOCK", block):
-        state = nn.init_adam(params, lr, b1, b2, eps)
+        state = nn.init_adam(params, lr)
         for t in range(1, steps + 1):
             grads = {key: rng.normal(size=w.shape) * 10.0 ** rng.uniform(-4, 2) for key, w in arrays.items()}
             layers = [{name: g for (j, name), g in grads.items() if j == i} for i in range(len(params))]
@@ -298,7 +292,7 @@ def test_adam_names_the_non_finite_tensor_inside_a_shared_block():
     grads[0].v.base[...] = 1.0
     grads[1].b[0] = np.inf
     with mock.patch.object(nn, "ADAM_BLOCK", 16):  # all six tensors share one block
-        state = _init_adam(params)
+        state = nn.init_adam(params, 3e-4)
         with pytest.raises(DomainError) as err:
             nn.adam_step(params, grads, state)
     assert "layer 1" in str(err.value) and "'b'" in str(err.value)
@@ -309,7 +303,7 @@ def test_adam_changes_nothing_when_a_later_block_holds_a_non_finite_gradient():
     grads = nn.flat_stack(params)
     grads[0].v.base[...] = np.random.default_rng(3).normal(size=grads[0].v.base.size)
     with mock.patch.object(nn, "ADAM_BLOCK", 4):  # eight blocks; the last holds layer 1's bias
-        state = _init_adam(params)
+        state = nn.init_adam(params, 3e-4)
         nn.adam_step(params, grads, state)  # moments away from zero
         before = [params[0].v.base.tobytes(), state.m.tobytes(), state.v.tobytes(), state.step_count]
         grads[1].b[-1] = np.nan
@@ -322,7 +316,7 @@ def test_adam_changes_nothing_when_a_later_block_holds_a_non_finite_gradient():
 def test_adam_rejects_stacks_of_another_size():
     params = nn.init_mlp([3, 4, 2], "relu", "relu", np.random.default_rng(4))
     unpacked = nn.init_mlp([3, 4, 2], "relu", "relu", np.random.default_rng(4))
-    state = _init_adam(params)
+    state = nn.init_adam(params, 3e-4)
     for bad_params, bad_grads in ((params, nn.flat_stack(params[:1])), (unpacked, nn.flat_stack(params)),
                                   (params[1:], nn.flat_stack(params[1:]))):
         with pytest.raises(ShapeMismatch) as err:
@@ -334,7 +328,7 @@ def test_adam_rejects_stacks_of_another_size():
 def test_init_adam_packs_the_stack_in_one_buffer_that_adam_updates_in_place():
     params = nn.init_mlp([3, 4, 2], "relu", "relu", np.random.default_rng(5))
     values = [a.copy() for p in params for _, a in p.named()]
-    state = _init_adam(params)
+    state = nn.init_adam(params, 3e-4)
     flat = params[0].v.base
     assert flat.shape == state.m.shape == (12 + 4 + 4 + 8 + 2 + 2,)
     assert all(a.base is flat for p in params for _, a in p.named())

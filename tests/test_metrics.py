@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ndgan import metrics
 from ndgan.data import Dataset
-from ndgan.errors import FingerprintMismatch, ValidationError
+from ndgan.errors import ValidationError
 
 
 def pairwise_auroc(nominal, novel):
@@ -154,7 +154,7 @@ def test_holdout_splits_of_chosen_classes_equal_those_of_every_class():
         t = every[s.holdout_class]
         for name in ("train", "eval_nominal", "eval_novel"):
             assert getattr(s, name).features.tobytes() == getattr(t, name).features.tobytes()
-        assert s.fingerprint == t.fingerprint
+        assert s.train.labels.tobytes() == t.train.labels.tobytes()
     for bad in ([0, 4], [-1], []):
         with pytest.raises(ValidationError, match="0..3"):
             metrics.make_holdout_splits(train, test, seed=5, classes=bad)
@@ -176,9 +176,8 @@ def test_holdout_requires_every_class_present():
 class _StubScorer:
     """Stands in for ``scores.Scorer``: ``score`` maps each name to the scores of a batch."""
 
-    def __init__(self, fns, fingerprint=None):
+    def __init__(self, fns):
         self._fns = fns
-        self.train_fingerprint = fingerprint
 
     def score(self, x):
         return {name: fn(x) for name, fn in self._fns.items()}
@@ -189,7 +188,6 @@ class _StubSplit:
         self.eval_nominal = Dataset(nominal, None, 0, "test")
         self.eval_novel = Dataset(novel, None, 0, "test")
         self.holdout_class = name
-        self.fingerprint = "stub"
 
 
 def test_random_scorer_has_auroc_near_half(rng):
@@ -206,13 +204,6 @@ def test_identical_score_vectors_give_identical_rows(rng):
     result = metrics.run_benchmark([(split, _StubScorer({"a": fn, "b": fn}))])
     rows = {r.scorer: (r.auroc, *r.tpr) for r in result.rows}
     assert rows["a"] == rows["b"] and len(rows["a"]) == 3
-
-
-def test_benchmark_rejects_scorer_from_another_split(rng):
-    split = _StubSplit(rng.normal(size=(20, 2)), rng.normal(size=(20, 2)))
-    scorer = _StubScorer({"s": lambda x: x.sum(axis=1)}, fingerprint="someone-else")
-    with pytest.raises(FingerprintMismatch):
-        metrics.run_benchmark([(split, scorer)])
 
 
 def test_table1_reference_values_are_embedded():

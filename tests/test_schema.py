@@ -8,6 +8,7 @@ leaf's ``$.path``; through ``cli.main`` it must end in exit 2 with no
 traceback, before any file is read, model loaded or training run.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -110,6 +111,13 @@ def no_work(monkeypatch):
     monkeypatch.setattr(cli, "_load_dataset", forbid("dataset loaded"))
     monkeypatch.setattr(cli, "_read_scores_csv", forbid("scores read"))
     monkeypatch.setattr(cli, "_resolve_out_dir", forbid("output directory made"))
+
+
+def test_the_train_table_has_exactly_the_train_config_fields_but_the_seed():
+    # cmd_train and the holdout eval call TrainConfig(seed=..., **cfg["train"]): a table key with no
+    # field would end in a TypeError (exit 3), and a field with no key could never be set
+    fields = {f.name for f in dataclasses.fields(gan.TrainConfig)}
+    assert set(cli._TRAIN) == fields - {"seed"}
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ndgan import data as dio
 from ndgan import densities as dn
-from ndgan import gan, metrics, scores
+from ndgan import gan, scores
 from ndgan.errors import DomainError, ValidationError
 from tests.test_gan import bias_model
 
@@ -294,9 +294,8 @@ def test_every_scorer_ranks_vanishing_density_point_above_medoid(ring_model):
     # vanishing density (the ring's hollow center)
     medoid = data.features[np.argmax(density.logpdf(data.features))][None, :]
     origin = np.zeros((1, 2))
-    fp = metrics.dataset_fingerprint(data)
     names = ["nd-gan-ratio", "fake-prob", "entropy", "max-prob", "knn-1", "knn-5"]
-    scorer = scores.Scorer(model, names, data.features, train_fingerprint=fp)
+    scorer = scores.Scorer(model, names, data.features)
     at_origin, at_medoid = scorer.score(origin), scorer.score(medoid)
     assert list(at_origin) == names
     for name in names:

@@ -8,12 +8,12 @@ Every helper thread of the package is a Lane's, and ``spare_lane`` alone decides
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import contextvars
 import ctypes
 import functools
 import os
+import queue
 import threading
 
 
@@ -60,101 +60,92 @@ def cpu_count() -> int:
 
 
 class _Job:
-    """One queued call; the thread that takes it from the queue runs it."""
+    """One submitted call, run once: by the lane's thread or by the first waiter to claim it.
+    It runs in a copy of its submitter's context, so numpy's error state holds in it too."""
 
-    __slots__ = ("context", "fn", "args", "result", "error", "done")
+    __slots__ = ("context", "fn", "args", "result", "error", "claim", "done")
 
     def __init__(self, fn, args):
-        self.context = contextvars.copy_context()  # numpy's error state, for one
+        self.context = contextvars.copy_context()
         self.fn, self.args, self.result, self.error = fn, args, None, None
-        self.done = threading.Event()
+        self.claim, self.done = threading.Lock(), threading.Event()
 
     def run(self):
+        """Run the call here unless a thread has claimed it."""
+        if not self.claim.acquire(blocking=False):
+            return
         try:
             self.result = self.context.run(self.fn, *self.args)
-        except BaseException as exc:  # raised again by Lane.join
+        except BaseException as exc:  # raised again by wait
             self.error = exc
         finally:
+            self.context = self.fn = self.args = None  # no cycle through a bound method outlives the job
             self.done.set()
+
+    def wait(self):
+        """The call's result, run here if no thread has started it; its exception is raised again, the same object."""
+        self.run()
+        self.done.wait()
+        if self.error is not None:
+            raise self.error
+        return self.result
 
 
 class Lane:
     """One worker thread that runs jobs beside the caller.
 
-    ``submit`` queues ``fn(*args)``, which the thread takes from the front of
-    the queue. ``join`` has the caller run the jobs not yet started from the
-    back, waits for the rest, and returns the results of every job since the
-    last join in submit order; if any job raised, it raises the first such
-    exception, the same object, once all have ended. A job runs in a copy of
-    its submitter's context, so numpy's error state holds in it too. Leaving
-    the ``with`` block joins and stops the thread.
+    ``submit`` queues ``fn(*args)`` and returns its job, which the thread takes
+    from the front of the queue unless a waiter claimed it first; every submitter
+    waits on its own jobs. Leaving the ``with`` block lets the thread run the jobs
+    still queued, then stops it.
     """
 
     def __init__(self):
-        self._queue = collections.deque()  # jobs not yet started
-        self._jobs = []  # every job since the last join
-        self._wake = threading.Semaphore(0)
-        self._open = True
+        self._queue = queue.SimpleQueue()
         self._thread = threading.Thread(target=self._work, name="ndgan-lane", daemon=True)
         self._thread.start()
 
     def _work(self):
-        while True:
-            self._wake.acquire()
-            try:
-                job = self._queue.popleft()
-            except IndexError:  # the caller ran it, or the lane is closing
-                if not self._open:
-                    return
-                continue
+        for job in iter(self._queue.get, None):  # None: stop
             job.run()
 
-    def submit(self, fn, *args):
+    def submit(self, fn, *args) -> _Job:
         job = _Job(fn, args)
-        self._jobs.append(job)
-        self._queue.append(job)
-        self._wake.release()
-
-    def join(self) -> list:
-        while True:
-            try:
-                job = self._queue.pop()
-            except IndexError:
-                break
-            job.run()
-        jobs, self._jobs = self._jobs, []
-        for job in jobs:
-            job.done.wait()
-        for job in jobs:
-            if job.error is not None:
-                raise job.error
-        return [job.result for job in jobs]
+        self._queue.put(job)
+        return job
 
     def __enter__(self):
         return self
 
     def __exit__(self, kind, exc, tb):
+        self._queue.put(None)
+        self._thread.join()
+
+
+def wait_all(jobs: list) -> list:
+    """The results of ``jobs``, waited on newest first; once all have ended, the first
+    exception in submit order is raised, the same object."""
+    for job in reversed(jobs):
         try:
-            self.join()
-        except BaseException:
-            if kind is None:
+            job.wait()
+        except BaseException as exc:
+            if exc is not job.error:
                 raise
-        finally:
-            self._open = False
-            self._wake.release()
-            self._thread.join()
+    for job in jobs:
+        if job.error is not None:
+            raise job.error
+    return [job.result for job in jobs]
 
 
 def each(fn, calls: list, lane: Lane | None = None) -> list:
     """``[fn(*args) for args in calls]``; a ``lane`` runs every other call, from the second, beside the caller."""
     if lane is None:
         return [fn(*args) for args in calls]
-    for args in calls[1::2]:
-        lane.submit(fn, *args)
+    jobs = [lane.submit(fn, *args) for args in calls[1::2]]
     try:
         mine = [fn(*args) for args in calls[::2]]
     finally:
-        theirs = lane.join()
+        theirs = wait_all(jobs)
     return [(mine, theirs)[i % 2][i // 2] for i in range(len(calls))]
 
 

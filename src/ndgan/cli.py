@@ -101,6 +101,7 @@ def _resolve_out_dir(cfg: dict) -> Path:
 
 _RUN = {"seed": Nullable(int), "out_dir": Nullable(str)}  # part of every command's schema
 _COUNT = Where(int, lambda n: n >= 1, "an integer >= 1")
+_POSITIVE = Where(float, lambda x: 0 < x < math.inf, "a finite number > 0")
 
 
 def _is_scorer(name: str) -> bool:
@@ -243,7 +244,7 @@ def cmd_synth(cfg: dict, out_dir: Path) -> int:
 
 _TRAIN = {  # gan.TrainConfig's fields, whose ranges it checks
     "total_steps": Req(int), "batch_size": int, "d_steps_per_g": int, "labeled_fraction": Nullable(float),
-    "generator_loss": gan.GENERATOR_LOSSES, "lr": float,
+    "generator_loss": gan.GENERATOR_LOSSES, "lr": _POSITIVE,
     "log_every": int,  # no effect in a holdout eval, which keeps no training log
 }
 _MODEL = {"arch": ("2d", "mnist"), "train": Req(_TRAIN)}
@@ -537,7 +538,7 @@ _COMMANDS = {
         "kind": Req(("ring",)), "n_train": Req(int), "n_test": Nullable(int),
         "components": Req(int), "radius": Req(float), "sigma": Req(float), "pi": float,
         "novel": Nullable({"kind": Req(("gaussian", "uniform")), "n": Req(_COUNT),
-                           "mean": [float], "sigma": float, "bounds": [[float]]}),
+                           "mean": [float], "sigma": _POSITIVE, "bounds": [[float]]}),
         **_RUN,
     }, [
         _flag("--n-train", "n_train"), _flag("--n-test", "n_test"), _flag("--components", "components"),

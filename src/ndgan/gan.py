@@ -272,11 +272,11 @@ def generator_loss_feature_matching(
         mean_real = real_mean()
         fake = generator_forward(model, z, noise_rng, gen_cache)
     else:
-        lane.submit(real_mean)
+        job = lane.submit(real_mean)
         try:
             fake = generator_forward(model, z, noise_rng, gen_cache)
         finally:
-            (mean_real,) = lane.join()
+            mean_real = job.wait()
     features = nn.mlp_forward(model.disc[:-1], fake, noise_rng, cache=disc_cache)[0]
     return feature_matching_from_features(features, mean_real)
 
@@ -416,13 +416,14 @@ def train_gan(
     # BLAS runs one thread, so the bits do not depend on the machine's thread
     # count. Where blas.spare_lane finds a second CPU, one lane draws the layer
     # noise ahead (rng.NoiseAhead) and, for a model with a layer of LANE_WEIGHTS
-    # weights or more, another runs the training jobs, each joined in the call
+    # weights or more, runs the training jobs too, each waited on in the call
     # that submits it.
     wide = max(layer.v.size for layer in model.disc + model.gen) >= LANE_WEIGHTS
     noisy = any(layer.noise_std > 0 for layer in model.disc + model.gen)
     with (np.errstate(over="ignore", invalid="ignore"), blas.one_thread(),
-          blas.spare_lane(wide) as lane, blas.spare_lane(noisy) as noise_lane):
-        noise = streams.noise if noise_lane is None else NoiseAhead(streams.noise, noise_lane)
+          blas.spare_lane(wide or noisy) as spare):
+        noise = NoiseAhead(streams.noise, spare) if spare is not None and noisy else streams.noise
+        lane = spare if wide else None
         try:
             nn.cache_weights(model.disc, lane)
             nn.cache_weights(model.gen, lane)

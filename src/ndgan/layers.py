@@ -225,18 +225,18 @@ def mlp_backward(
     rule (Salimans & Kingma 2016) to it. A ``lane`` forms the parameter
     gradients while the caller forms the input gradients; both are done on return.
     """
+    jobs = []
     try:
         for i in range(len(cache) - 1, -1, -1):
             x, w, norm, pre, y = cache[i]
             grad = activation_grad(layers[i].activation, grad, pre, y)
             if out is not None and lane is not None:
-                lane.submit(_param_grads, layers[i], out[i], grad, x, norm)
+                jobs.append(lane.submit(_param_grads, layers[i], out[i], grad, x, norm))
             elif out is not None:
                 _param_grads(layers[i], out[i], grad, x, norm)
             grad = grad @ w if need_dx or i > 0 else None
     finally:
-        if lane is not None:
-            lane.join()
+        blas.wait_all(jobs)
     return grad
 
 

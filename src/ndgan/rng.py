@@ -37,19 +37,19 @@ class RngStreams:
 class NoiseAhead:
     """``gen.normal(loc, scale, size)``, bit for bit, from two standard-normal buffers:
     ``Generator.normal`` is ``loc + scale * z`` over the sequence ``standard_normal``
-    fills. When the caller starts reading one buffer, a job on ``lane`` (a ``blas.Lane``
-    that nothing else joins) fills the other, so one fill at most is outstanding and the
-    draws keep their order whichever thread runs it. A returned array may view a buffer
-    that is refilled after a later call, so use it first. A failed fill raises its
-    exception, the same object, in the call that needs it and in every later one."""
+    fills. When the caller starts reading one buffer, a job on ``lane`` (a ``blas.Lane``)
+    fills the other, so one fill at most is outstanding and the draws keep their order
+    whichever thread runs it. A returned array may view a buffer that is refilled after
+    a later call, so use it first. A failed fill raises its exception, the same object,
+    in the call that needs it and in every later one."""
 
     SIZE = 1 << 18  # draws per buffer; smaller ones make the lane wait for the GIL more often
 
     def __init__(self, gen: np.random.Generator, lane):
-        self._gen, self._lane, self._error = gen, lane, None
+        self._gen, self._lane = gen, lane
         self._buf = np.empty(self.SIZE)
         self._pos = self.SIZE  # read through, so the first call takes the first fill
-        lane.submit(self._fill, np.empty(self.SIZE))
+        self._fill_job = lane.submit(self._fill, np.empty(self.SIZE))
 
     def _fill(self, buf: np.ndarray) -> np.ndarray:
         self._gen.standard_normal(out=buf)  # releases the GIL
@@ -57,15 +57,9 @@ class NoiseAhead:
 
     def _next(self):
         """Read from the buffer the lane filled, and have it fill the spent one."""
-        if self._error is not None:
-            raise self._error
         spent, self._buf, self._pos = self._buf, np.empty(0), 0
-        try:
-            (self._buf,) = self._lane.join()
-        except BaseException as exc:
-            self._error = exc
-            raise
-        self._lane.submit(self._fill, spent)
+        self._buf = self._fill_job.wait()  # a failed fill stays the job, so every later call raises too
+        self._fill_job = self._lane.submit(self._fill, spent)
 
     def normal(self, loc: float, scale: float, size: tuple) -> np.ndarray:
         n = math.prod(size)

@@ -142,6 +142,11 @@ class UniformBaselineGenerator:
         if np.any(b[:, 0] >= b[:, 1]):
             bad = int(np.argmax(b[:, 0] >= b[:, 1]))
             raise ValidationError(f"dimension {bad}: lower bound {b[bad, 0]} >= upper bound {b[bad, 1]}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(b[:, 1] - b[:, 0])  # numpy's uniform draws over a finite width only
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValidationError(f"dimension {bad}: the width of [{b[bad, 0]}, {b[bad, 1]}] is not finite")
         object.__setattr__(self, "bounds", b)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import struct
 import warnings
 import weakref
@@ -688,6 +689,10 @@ def _probe_configs(pipeline, tmp_path):
     ("holdout", "holdout.z_dim", 64, "$.holdout.z_dim"),
     ("holdout", "holdout.disc_noise_std", 0.1, "$.holdout.disc_noise_std"),
     ("oracle", "mc_samples", 20_000, "$.mc_samples"),
+    # a step size must be finite and above 0: 0 never moves, a negative one ascends the loss
+    *(("train", "train.lr", lr, "$.train.lr") for lr in (0, -0.001, math.nan, math.inf)),
+    ("holdout", "holdout.train.lr", -1, "$.holdout.train.lr"),
+    ("synth", "novel.sigma", -0.5, "$.novel.sigma"),
 ])
 def test_a_malformed_config_exits_2_at_its_path_before_any_work(pipeline, tmp_path, monkeypatch, capsys,
                                                                  base, key, value, where):
@@ -711,7 +716,9 @@ def test_a_malformed_config_exits_2_at_its_path_before_any_work(pipeline, tmp_pa
     ({"kind": "uniform", "bounds": [[0, 1, 2]]}, "[low, high] pairs"),
     ({"kind": "uniform", "bounds": [[-3, 3], [-3, 3], [-3, 3]]}, "3 [low, high] pairs for 2-dimensional data"),
     ({"kind": "uniform"}, "[low, high] pairs, got None"),
-], ids=["not-pairs", "three-dims", "no-bounds"])
+    ({"kind": "uniform", "bounds": [[-1e308, 1e308], [0, 1]]}, "dimension 0: the width of"),
+    ({"kind": "uniform", "bounds": [[0, 1], [-math.inf, 1]]}, "dimension 1: the width of"),
+], ids=["not-pairs", "three-dims", "no-bounds", "huge-width", "minus-infinity"])
 def test_train_rejects_uniform_bounds_that_do_not_fit_the_data(pipeline, tmp_path, monkeypatch, capsys,
                                                               fake_source, message):
     _, data_dir, _ = pipeline
@@ -722,8 +729,10 @@ def test_train_rejects_uniform_bounds_that_do_not_fit_the_data(pipeline, tmp_pat
     assert "schema violation at $.fake_source.bounds:" in err and message in err and "Traceback" not in err
 
 
-def test_synth_rejects_uniform_novel_bounds_that_are_not_2d_and_writes_nothing(tmp_path, capsys):
-    cfg = synth_config(tmp_path, novel={"kind": "uniform", "bounds": [[0, 1], [0, 1], [0, 1]], "n": 50})
+@pytest.mark.parametrize("bounds", [[[0, 1], [0, 1], [0, 1]], [[-1e308, 1e308], [0, 1]], [[0, 1], [-math.inf, 1]]],
+                         ids=["three-dims", "huge-width", "minus-infinity"])
+def test_synth_rejects_uniform_novel_bounds_that_do_not_fit_and_writes_nothing(tmp_path, capsys, bounds):
+    cfg = synth_config(tmp_path, novel={"kind": "uniform", "bounds": bounds, "n": 50})
     out = tmp_path / "out"
     assert run("synth", "--config", str(cfg), "--out-dir", str(out)) == 2
     err = capsys.readouterr().err

@@ -1,11 +1,13 @@
-"""The BLAS pin of training and scoring, the noise lane and the training and scoring lanes:
+"""The BLAS pin of training and scoring, the lane jobs and the lanes that training and scoring run:
 the bits they must keep, and the threads and thread counts they must give back."""
 
+import gc
 import hashlib
 import json
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +25,11 @@ from tests.conftest import run_python
 needs_openblas = pytest.mark.skipif(blas.openblas() is None, reason="numpy's BLAS is not OpenBLAS")
 
 _SHAPES = st.one_of(st.tuples(st.integers(0, 40)), st.tuples(st.integers(0, 9), st.integers(1, 9)))
+
+
+class _Idle(blas.Lane):  # its thread ends at once, so a waiter runs every job
+    def _work(self):
+        pass
 
 
 @settings(max_examples=80, deadline=None)
@@ -74,11 +81,7 @@ def test_an_error_in_the_noise_thread_reaches_every_later_call():
                 raise error
             out[:] = 1.0
 
-    class Idle(blas.Lane):  # its thread ends at once, so the caller runs every job when it joins
-        def _work(self):
-            pass
-
-    for lane_type in (blas.Lane, Idle):
+    for lane_type in (blas.Lane, _Idle):
         raised = []
         with lane_type() as lane:
             ahead = type("Small", (NoiseAhead,), {"SIZE": 4})(Broken(), lane)
@@ -171,7 +174,7 @@ def test_the_training_lane_keeps_the_trained_bits(tmp_path, monkeypatch, arch, d
 
 
 @needs_openblas
-def test_training_runs_one_lane_for_the_noise_and_one_more_at_mnist_width(monkeypatch):
+def test_training_runs_one_lane_for_the_noise_and_the_training_jobs_at_both_widths(monkeypatch):
     monkeypatch.setattr(blas, "cpu_count", lambda: 2)
     seen, descend = [], gan._descend
 
@@ -180,11 +183,75 @@ def test_training_runs_one_lane_for_the_noise_and_one_more_at_mnist_width(monkey
         return descend(*args, **kwargs)
 
     monkeypatch.setattr(gan, "_descend", counting)
-    for arch, data, lanes in (("2d", _RING, 1), ("mnist", _IMAGES, 2)):
+    for arch, data in (("2d", _RING), ("mnist", _IMAGES)):
         seen.clear()
         gan.train_gan(gan.build_gan(data.dim, data.K, arch, seed=3), data, gan.TrainConfig(total_steps=3, batch_size=8))
-        assert seen and set(seen) == {lanes}, arch
+        assert seen and set(seen) == {1}, arch
         assert _lanes_alive() == 0
+
+
+def test_a_job_that_no_thread_started_runs_on_its_waiter():
+    ran = []
+    with _Idle() as lane:
+        job = lane.submit(lambda: ran.append(threading.current_thread()) or len(ran))
+        assert job.wait() == job.wait() == 1  # run once, waited on twice
+        assert ran == [threading.current_thread()]
+    assert _lanes_alive() == 0
+
+
+def test_a_job_that_waits_on_a_job_queued_behind_it_on_its_lane_finishes():
+    started, queued, behind = threading.Event(), threading.Event(), []
+
+    def first():
+        started.set()
+        assert queued.wait(timeout=10)
+        return behind[0].wait(), threading.current_thread()
+
+    with blas.Lane() as lane:
+        job = lane.submit(first)
+        assert started.wait(timeout=10)  # the lane's thread runs it, so the next job queues behind it
+        behind.append(lane.submit(threading.current_thread))
+        queued.set()
+        assert job.done.wait(timeout=10)
+        ran, owner = job.wait()
+        assert ran is owner and owner.name == "ndgan-lane"
+    assert _lanes_alive() == 0
+
+
+def test_an_ended_fill_holds_no_cycle_to_its_noise_object():
+    gc.disable()  # the noise buffers go with the last reference, not at the next collection
+    try:
+        with blas.Lane() as lane:
+            ahead = NoiseAhead(np.random.default_rng(1), lane)
+            ahead.normal(0.0, 1.0, (3,))
+            alive = weakref.ref(ahead)
+            del ahead
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_each_raises_the_first_error_of_its_lane_jobs_once_all_have_ended():
+    first, second = ValueError("first"), ValueError("second")
+    started, ended = threading.Event(), []
+
+    def call(i):
+        if i == 0:  # the caller's first call: the lane's thread has taken the slow job
+            assert started.wait(timeout=10)
+        elif i == 1:
+            started.set()
+            time.sleep(0.05)
+            ended.append(i)
+        elif i in (3, 5):  # run by the caller, newest first, while the slow job sleeps
+            raise {3: first, 5: second}[i]
+        return i
+
+    with blas.Lane() as lane:
+        with pytest.raises(ValueError) as caught:
+            blas.each(call, [(i,) for i in range(7)], lane)
+        assert caught.value is first and ended == [1]
+        assert blas.each(lambda i: i * i, [(i,) for i in range(5)], lane) == [0, 1, 4, 9, 16]
+    assert _lanes_alive() == 0
 
 
 def _poison_gradients(monkeypatch):
@@ -297,23 +364,23 @@ def test_scores_do_not_depend_on_the_lane_count(monkeypatch, arch, dim):
 
 
 def _fail_in_lanes(monkeypatch, owner, name, error):
-    """``owner.name`` raises ``error`` when a lane thread calls it. A join first waits for
-    the lane's thread to take every job, so that no job runs on the caller however the
-    threads are scheduled."""
-    real, join = getattr(owner, name), blas.Lane.join
+    """``owner.name`` raises ``error`` when a lane thread calls it. The main thread waits on
+    a job only once the lane's thread has claimed it, so that no job runs on the caller
+    however the threads are scheduled."""
+    real, wait = getattr(owner, name), blas._Job.wait
 
     def failing(*args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
             raise error
         return real(*args, **kwargs)
 
-    def patient(lane):
-        while lane._queue:
+    def patient(job):
+        while threading.current_thread() is threading.main_thread() and not job.claim.locked():
             time.sleep(1e-4)
-        return join(lane)
+        return wait(job)
 
     monkeypatch.setattr(owner, name, failing)
-    monkeypatch.setattr(blas.Lane, "join", patient)
+    monkeypatch.setattr(blas._Job, "wait", patient)
 
 
 @needs_openblas

@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 validation error, 3 runtime/divergence error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -99,9 +98,10 @@ def _resolve_out_dir(cfg: dict) -> Path:
     return out
 
 
-_RUN = {"seed": Nullable(int), "out_dir": Nullable(str)}  # part of every command's schema
+_RUN = {"seed": Nullable(Where(int, lambda s: s >= 0, "an integer >= 0")), "out_dir": Nullable(str)}  # in every schema
 _COUNT = Where(int, lambda n: n >= 1, "an integer >= 1")
 _POSITIVE = Where(float, lambda x: 0 < x < math.inf, "a finite number > 0")
+_SIGMA = Where(float, lambda s: s > 0 and 0 < s * s < math.inf, "a number > 0 whose square is finite and > 0")
 
 
 def _is_scorer(name: str) -> bool:
@@ -150,7 +150,7 @@ def _load_dataset(spec: dict, model_width: int | None = None) -> dio.Dataset:
     """The dataset ``spec`` names; with ``model_width`` given, it must have that many feature columns."""
     path = _input_file(spec["path"], "dataset")
     if spec.get("format", "idx" if "idx" in Path(path).name else "csv") == "csv":
-        dataset, _ = dio.read_csv_dataset(path, spec.get("label_column"))
+        dataset = dio.read_csv_dataset(path, spec.get("label_column"))
     else:
         dataset = dio.read_idx(path)
         labels_path = spec.get("labels_path")
@@ -166,13 +166,14 @@ def _load_dataset(spec: dict, model_width: int | None = None) -> dio.Dataset:
 
 
 def _csv_has_column(path: str, column: str) -> bool:
-    """Header peek for the --label-column shorthand (unlabeled files stay unlabeled)."""
+    """Header peek for the --label-column shorthand (unlabeled files stay unlabeled): the first
+    row, read by the dataset reader's rules."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline()
-    except (OSError, UnicodeDecodeError):  # the dataset read reports these
+        with dio.csv_rows(path) as rows:
+            header = dio.csv_header(next(rows, []))
+    except (OSError, FormatError):  # the dataset read reports these
         return False
-    return column in [c.strip() for c in header.split(",")]
+    return column in (header or ())
 
 
 def _uniform(bounds, dim: int, path: str) -> scores.UniformBaselineGenerator:
@@ -304,15 +305,9 @@ def cmd_score(cfg: dict, out_dir: Path) -> int:
 
 
 def _read_scores_csv(path: str, column: str):
-    try:
-        with open(_input_file(path, "scores"), "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            index = {name: i for i, name in enumerate(next(reader, []))}  # a repeated name: its last column
-            rows = [row for row in reader if row]  # blank rows are skipped, as csv.DictReader skips them
-    except UnicodeDecodeError:
-        raise FormatError(path, "not UTF-8 text") from None
-    except csv.Error as exc:  # a cell past csv's field limit
-        raise FormatError(path, f"line {reader.line_num}: {exc}") from None
+    with dio.csv_rows(_input_file(path, "scores")) as rows:
+        index = {name: i for i, name in enumerate(next(rows, []))}  # a repeated name: its last column
+        rows = list(rows)
     if not rows:
         raise FormatError(path, "empty scores file")
     if column not in index:
@@ -536,9 +531,9 @@ _COMMON = [
 _COMMANDS = {
     "synth": ("materialize a synthetic benchmark to disk", {
         "kind": Req(("ring",)), "n_train": Req(int), "n_test": Nullable(int),
-        "components": Req(int), "radius": Req(float), "sigma": Req(float), "pi": float,
+        "components": Req(int), "radius": Req(float), "sigma": Req(_SIGMA), "pi": float,
         "novel": Nullable({"kind": Req(("gaussian", "uniform")), "n": Req(_COUNT),
-                           "mean": [float], "sigma": _POSITIVE, "bounds": [[float]]}),
+                           "mean": [float], "sigma": _SIGMA, "bounds": [[float]]}),
         **_RUN,
     }, [
         _flag("--n-train", "n_train"), _flag("--n-test", "n_test"), _flag("--components", "components"),
@@ -597,7 +592,9 @@ def build_parser() -> argparse.ArgumentParser:
         for name, key, convert, kwargs in _COMMON + flags:
             node = schema if key and not convert else None
             for part in key.split(".") if node else ():
-                node = node[part].node if isinstance(node[part], (Req, Nullable, Where)) else node[part]
+                node = node[part]
+                while isinstance(node, (Req, Nullable, Where)):
+                    node = node.node
             if isinstance(node, tuple):
                 kwargs = {"type": type(node[0]), "choices": node, **kwargs}
             elif node in (int, float):

@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import csv
 import io
-import struct
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .densities import GaussianMixtureDensity
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, read_bytes, read_struct
 
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
@@ -96,51 +97,34 @@ def gen_ring_mixture(
 # ---------------------------------------------------------------------------
 
 
-def _read_u32be(fh, source, what):
-    raw = fh.read(4)
-    if len(raw) != 4:
-        raise FormatError(source, f"truncated while reading {what}", offset=fh.tell() - len(raw))
-    return struct.unpack(">I", raw)[0]
+_IDX_DIMS = ("item count", "row count", "column count")
+
+
+def _read_idx(path, magic: int, what: str) -> np.ndarray:
+    """The payload bytes of the IDX file at ``path``, one row per item. The magic number's low
+    byte gives the number of dimensions."""
+    source = str(path)
+    with open(path, "rb") as fh:
+        (found,) = read_struct(fh, ">I", source, "magic")
+        if found != magic:
+            raise FormatError(source, f"bad magic 0x{found:08x}, expected 0x{magic:08x}", offset=0)
+        dims = [read_struct(fh, ">I", source, name)[0] for name in _IDX_DIMS[: magic & 0xFF]]
+        if dims[0] == 0:
+            raise FormatError(source, f"no {what} (item count 0)", offset=4)
+        payload = read_bytes(fh, math.prod(dims), source, "payload")
+        if fh.read(1):
+            raise FormatError(source, "trailing bytes after the payload", offset=fh.tell() - 1)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(dims[0], math.prod(dims[1:]))
 
 
 def read_idx(path) -> Dataset:
     """Read an IDX image tensor; images are flattened and scaled to [0, 1]."""
-    source = str(path)
-    with open(path, "rb") as fh:
-        magic = _read_u32be(fh, source, "magic")
-        if magic != IDX_MAGIC_IMAGES:
-            raise FormatError(source, f"bad magic 0x{magic:08x}, expected 0x{IDX_MAGIC_IMAGES:08x}", offset=0)
-        count = _read_u32be(fh, source, "item count")
-        if count == 0:
-            raise FormatError(source, "no images (item count 0)", offset=4)
-        rows = _read_u32be(fh, source, "row count")
-        cols = _read_u32be(fh, source, "column count")
-        expected = count * rows * cols
-        payload = fh.read()
-    if len(payload) != expected:
-        raise FormatError(source, f"truncated payload: expected {expected} bytes, got {len(payload)}", offset=16)
-    pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-    return Dataset(
-        features=pixels.reshape(count, rows * cols),
-        labels=None,
-        K=0,
-        provenance=f"idx:{source}",
-    )
+    pixels = _read_idx(path, IDX_MAGIC_IMAGES, "images")
+    return Dataset(features=pixels.astype(np.float64) / 255.0, labels=None, K=0, provenance=f"idx:{path}")
 
 
 def read_idx_labels(path) -> np.ndarray:
-    source = str(path)
-    with open(path, "rb") as fh:
-        magic = _read_u32be(fh, source, "magic")
-        if magic != IDX_MAGIC_LABELS:
-            raise FormatError(source, f"bad magic 0x{magic:08x}, expected 0x{IDX_MAGIC_LABELS:08x}", offset=0)
-        count = _read_u32be(fh, source, "item count")
-        if count == 0:
-            raise FormatError(source, "no labels (item count 0)", offset=4)
-        payload = fh.read()
-    if len(payload) != count:
-        raise FormatError(source, f"truncated payload: expected {count} bytes, got {len(payload)}", offset=8)
-    return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+    return _read_idx(path, IDX_MAGIC_LABELS, "labels")[:, 0].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -148,25 +132,34 @@ def read_idx_labels(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _label_index(label_column, header, width: int) -> int | None:
-    if label_column is None:
-        return None
-    if isinstance(label_column, str):
-        if header is None or label_column not in header[:width]:  # a header may name more columns than a row has
-            raise ValidationError(f"label column {label_column!r} not among the {width} columns of header {header}")
-        return header.index(label_column)
-    label_idx = int(label_column)
-    if not -width <= label_idx < width:
-        raise ValidationError(f"label column index {label_idx} out of range for width {width}")
-    return label_idx % width
+@contextmanager
+def csv_rows(path):
+    """The non-blank rows of the CSV file at ``path``, streamed. A FormatError at the offset of
+    the first byte that is not UTF-8, or naming the line of a cell past csv's field limit."""
+    source = str(path)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            yield filter(None, reader)
+    except UnicodeDecodeError as exc:  # its offset counts from the decoded chunk: find it in the file
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        raise FormatError(source, f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})", offset=exc.start) from None
+    except csv.Error as exc:  # a cell past csv's field limit
+        raise FormatError(source, f"line {reader.line_num}: {exc}") from None
 
 
-def _is_header(cells) -> bool:
+def csv_header(cells) -> list[str] | None:
+    """The stripped names of a CSV's first row; None when every cell is a number, so the row is data."""
     try:
         [float(c) for c in cells]
     except ValueError:
-        return True
-    return False
+        return [c.strip() for c in cells]
+    return None
 
 
 # Bytes of an unquoted, space-free numeric CSV body. A body made of nothing
@@ -175,7 +168,7 @@ def _is_header(cells) -> bool:
 _PLAIN_BODY = b"0123456789.eE+-,\r\n"
 
 
-def _read_csv_fast(path, label_column) -> tuple[np.ndarray, int | None] | None:
+def _read_csv_fast(path) -> tuple[np.ndarray, list[str] | None] | None:
     """Vectorized read of a plain numeric CSV; None when it cannot vouch for the file."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -184,8 +177,7 @@ def _read_csv_fast(path, label_column) -> tuple[np.ndarray, int | None] | None:
     if not first or b'"' in first or b"\r" in first:
         return None
     try:
-        cells = first.decode("utf-8").split(",")
-        header = [c.strip() for c in cells] if _is_header(cells) else None
+        header = csv_header(first.decode("utf-8").split(","))
         body = rest if header is not None else raw
         if body.translate(None, _PLAIN_BODY) or not body.strip(b"\r\n"):
             return None
@@ -193,34 +185,22 @@ def _read_csv_fast(path, label_column) -> tuple[np.ndarray, int | None] | None:
                             comments=None, ndmin=2)
     except ValueError:  # a cell loadtxt rejects, a ragged row, or undecodable bytes
         return None
-    return values, _label_index(label_column, header, values.shape[1])
+    return values, header
 
 
-def _read_csv_cells(source: str, label_column) -> tuple[np.ndarray, int | None]:
+def _read_csv_cells(source: str) -> tuple[np.ndarray, list[str] | None]:
     """Cell-by-cell read that reports the row and column of a bad cell."""
-    with open(source, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(source, f"not UTF-8 text (byte 0x{raw[exc.start]:02x})", offset=exc.start) from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        rows = [r for r in reader if r]
-    except csv.Error as exc:  # a cell past csv's field limit
-        raise FormatError(source, f"line {reader.line_num}: {exc}") from None
+    with csv_rows(source) as rows:
+        rows = list(rows)
     if not rows:
         raise FormatError(source, "empty file")
-
-    header = None
-    if _is_header(rows[0]):
-        header = [c.strip() for c in rows[0]]
+    header = csv_header(rows[0])
+    if header is not None:
         rows = rows[1:]
         if not rows:
             raise FormatError(source, "no data rows after header")
 
     width = len(rows[0])
-    label_idx = _label_index(label_column, header, width)
     values = np.empty((len(rows), width))
     for i, row in enumerate(rows):
         if len(row) != width:
@@ -232,31 +212,32 @@ def _read_csv_cells(source: str, label_column) -> tuple[np.ndarray, int | None]:
                 values[i, j] = float(cell.strip())
             except ValueError:
                 raise FormatError(source, f"row {i}, column {j}: non-numeric cell {cell!r}") from None
-    return values, label_idx
+    return values, header
 
 
-def read_csv_dataset(path, label_column: int | str | None = None) -> tuple[Dataset, dict | None]:
+def read_csv_dataset(path, label_column: str | None = None) -> Dataset:
     """Rectangular numeric CSV -> Dataset.
 
-    A non-numeric first row is treated as a header. Label values are
-    remapped to contiguous 0..K-1; the original->contiguous mapping is
-    returned alongside the dataset (None when there is no label column).
-    Plain numeric files take a vectorized path; everything else, malformed
-    files included, goes through the cell parser, which locates errors.
+    A non-numeric first row is treated as a header, which must name the
+    label column if one is given. Label values are remapped to contiguous
+    0..K-1 in ascending order. Plain numeric files take a vectorized path;
+    everything else, malformed files included, goes through the cell
+    parser, which locates errors.
     """
     source = str(path)
-    values, label_idx = _read_csv_fast(path, label_column) or _read_csv_cells(source, label_column)
-    if label_idx is None:
-        return Dataset(values, None, K=0, provenance=f"csv:{source}"), None
+    values, header = _read_csv_fast(path) or _read_csv_cells(source)
+    if label_column is None:
+        return Dataset(values, None, K=0, provenance=f"csv:{source}")
+    width = values.shape[1]
+    if header is None or label_column not in header[:width]:  # a header may name more columns than a row has
+        raise ValidationError(f"label column {label_column!r} not among the {width} columns of header {header}")
+    label_idx = header.index(label_column)
 
     raw_labels = values[:, label_idx]
     if not np.isfinite(raw_labels).all():  # NaN != NaN: it could name no class
         raise FormatError(source, f"row {int(np.argmin(np.isfinite(raw_labels)))}: non-finite label")
-    feats = np.delete(values, label_idx, axis=1)
     distinct, labels = np.unique(raw_labels, return_inverse=True)
-    mapping = {orig: i for i, orig in enumerate(distinct.tolist())}
-    data = Dataset(feats, labels, K=len(distinct), provenance=f"csv:{source}")
-    return data, mapping
+    return Dataset(np.delete(values, label_idx, axis=1), labels, K=len(distinct), provenance=f"csv:{source}")
 
 
 TABLE_CHUNK_ROWS = 2048  # rows whose cells write_table's fast path holds as text at once

@@ -1,5 +1,6 @@
-"""Exception types shared across the package; ``check``, the JSON schema walk behind SchemaError,
-and ``read_json``, the one reader of the JSON files it checks.
+"""Exception types shared across the package; ``check``, the JSON schema walk behind SchemaError;
+``read_json``, the one reader of the JSON files it checks; and ``read_bytes`` and ``read_struct``,
+the one bounded read of every binary file.
 
 Every error raised on purpose carries enough structure (op names, shapes,
 offsets, step numbers) for a caller to act on it without parsing messages.
@@ -8,7 +9,9 @@ offsets, step numbers) for a caller to act on it without parsing messages.
 from __future__ import annotations
 
 import json
+import os
 import reprlib
+import struct
 
 
 class NdganError(Exception):
@@ -121,6 +124,21 @@ def read_json(path, what: str):
         raise FormatError(str(path), "not UTF-8 text") from None
     except (ValueError, RecursionError) as exc:  # bad JSON, an int past Python's digit limit, or deep nesting
         raise SchemaError("$", f"{what} is not valid JSON: {exc}") from None
+
+
+def read_bytes(fh, size: int, source: str, what: str) -> bytes:
+    """The next ``size`` bytes of the binary file ``fh``; a FormatError at their offset, naming
+    ``what``, where fewer are left. The size is checked first, so a forged size reads nothing."""
+    at = fh.tell()
+    left = os.fstat(fh.fileno()).st_size - at
+    if size > left:
+        raise FormatError(source, f"truncated {what}: expected {size} bytes, got {left}", offset=at)
+    return fh.read(size)
+
+
+def read_struct(fh, fmt: str, source: str, what: str) -> tuple:
+    """``read_bytes`` of one ``struct`` record, unpacked."""
+    return struct.unpack(fmt, read_bytes(fh, struct.calcsize(fmt), source, what))
 
 
 class FormatError(NdganError):

@@ -23,6 +23,8 @@ from .errors import (
     ShapeMismatch,
     TrainingDiverged,
     ValidationError,
+    read_bytes,
+    read_struct,
 )
 from .rng import NoiseAhead, RngStreams, derive_seed
 
@@ -500,21 +502,15 @@ def save_model(path, model: GanModel):
 def load_model(path) -> GanModel:
     source = str(path)
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
+        magic = read_bytes(fh, len(MAGIC), source, "magic")
         if magic != MAGIC:
             raise FormatError(source, f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
-        raw = fh.read(struct.calcsize("<IB"))
-        if len(raw) != struct.calcsize("<IB"):
-            raise FormatError(source, "truncated file header", offset=len(MAGIC))
-        version, kind = struct.unpack("<IB", raw)
+        version, kind = read_struct(fh, "<IB", source, "file header")
         if version != FORMAT_VERSION:
             raise FormatError(source, f"unsupported format version {version}")
         if kind != _KIND_GAN:
             raise FormatError(source, f"not a GAN model file (kind={kind})")
-        raw = fh.read(struct.calcsize("<IIIBB"))
-        if len(raw) != struct.calcsize("<IIIBB"):
-            raise FormatError(source, "truncated model header")
-        K, z_dim, feature_layer, prior_code, frozen = struct.unpack("<IIIBB", raw)
+        K, z_dim, feature_layer, prior_code, frozen = read_struct(fh, "<IIIBB", source, "model header")
         if prior_code != 0:
             raise FormatError(source, f"z-prior byte must be 0 (standard normal), got {prior_code}",
                               offset=fh.tell() - 2)

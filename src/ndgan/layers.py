@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blas
-from .errors import DomainError, FormatError, ShapeMismatch, ValidationError
+from .errors import DomainError, FormatError, ShapeMismatch, ValidationError, read_bytes, read_struct
 
 _ACT_CODES = {"relu": 0, "leaky-relu": 1, "sigmoid": 3, "linear": 4}  # model-file codes; 2 and 5 are retired
 ACTIVATIONS = tuple(_ACT_CODES)
@@ -348,14 +348,9 @@ def _write_array(fh, arr: np.ndarray):
     fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _read_array(fh, shape, source: str) -> np.ndarray:
-    size = 8 * math.prod(shape)
-    start = fh.tell()
-    left = fh.seek(0, 2) - start
-    fh.seek(start)
-    if size > left:
-        raise FormatError(source, f"truncated tensor: expected {size} bytes, got {left}", offset=start)
-    return np.frombuffer(fh.read(size), dtype="<f8").astype(np.float64).reshape(shape)
+def _read_array(fh, shape, source: str, what: str) -> np.ndarray:
+    raw = read_bytes(fh, 8 * math.prod(shape), source, what)
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def write_mlp_block(fh, layers: list[Layer]):
@@ -370,19 +365,13 @@ def write_mlp_block(fh, layers: list[Layer]):
 
 
 def read_mlp_block(fh, source: str) -> list[Layer]:
-    head = fh.read(4)
-    if len(head) != 4:
-        raise FormatError(source, "truncated layer count")
-    (n_layers,) = struct.unpack("<I", head)
+    (n_layers,) = read_struct(fh, "<I", source, "layer count")
     if n_layers == 0:
         raise FormatError(source, "empty layer stack", offset=fh.tell() - 4)
     layers = []
     for i in range(n_layers):
         at = fh.tell()
-        raw = fh.read(struct.calcsize("<IIBBd"))
-        if len(raw) != struct.calcsize("<IIBBd"):
-            raise FormatError(source, f"truncated header for layer {i}")
-        in_dim, out_dim, act, wn, noise_std = struct.unpack("<IIBBd", raw)
+        in_dim, out_dim, act, wn, noise_std = read_struct(fh, "<IIBBd", source, f"header of layer {i}")
         if act not in _ACT_NAMES:
             raise FormatError(source, f"unknown activation code {act} in layer {i}", offset=at + 8)
         if layers and in_dim != layers[-1].out_dim:
@@ -391,9 +380,9 @@ def read_mlp_block(fh, source: str) -> list[Layer]:
         if wn != 1:  # 0, a layer without a gain, is retired
             raise FormatError(source, f"weight-norm byte of layer {i} must be 1, got {wn}",
                               offset=at + struct.calcsize("<IIB"))
-        v = _read_array(fh, (out_dim, in_dim), source)
-        g = _read_array(fh, (out_dim,), source)
-        b = _read_array(fh, (out_dim,), source)
+        v = _read_array(fh, (out_dim, in_dim), source, f"v of layer {i}")
+        g = _read_array(fh, (out_dim,), source, f"g of layer {i}")
+        b = _read_array(fh, (out_dim,), source, f"b of layer {i}")
         try:
             layer = Layer(v, g, b, _ACT_NAMES[act], noise_std=noise_std)
         except ValidationError as exc:

@@ -255,8 +255,8 @@ def test_one_score_call_makes_one_discriminator_pass_per_input_set(pipeline, tmp
         "--seed", "1", "--out-dir", str(out),
     ) == 0
     monkeypatch.undo()
-    x = dio.read_csv_dataset(data_dir / "novel.csv")[0].features
-    reference = dio.read_csv_dataset(data_dir / "train.csv", "label")[0].features
+    x = dio.read_csv_dataset(data_dir / "novel.csv").features
+    reference = dio.read_csv_dataset(data_dir / "train.csv", "label").features
     assert calls == [reference.shape, x.shape]  # the kNN reference once, then the input once
 
     # every registry score is bit for bit the score derived by hand from a gan.forward pass
@@ -693,6 +693,12 @@ def _probe_configs(pipeline, tmp_path):
     *(("train", "train.lr", lr, "$.train.lr") for lr in (0, -0.001, math.nan, math.inf)),
     ("holdout", "holdout.train.lr", -1, "$.holdout.train.lr"),
     ("synth", "novel.sigma", -0.5, "$.novel.sigma"),
+    # a seed numpy's SeedSequence takes; a sigma whose square, the variance, is a positive float
+    *((base, "seed", -1, "$.seed") for base in ("synth", "train", "score", "flat", "holdout", "oracle")),
+    ("synth", "--seed", "-1", "$.seed"),
+    ("oracle", "--seed", "-1", "$.seed"),
+    *(("synth", key, sigma, f"$.{key}") for key in ("sigma", "novel.sigma") for sigma in (1e200, 1e-200)),
+    ("synth", "--sigma", "1e200", "$.sigma"),
 ])
 def test_a_malformed_config_exits_2_at_its_path_before_any_work(pipeline, tmp_path, monkeypatch, capsys,
                                                                  base, key, value, where):
@@ -700,14 +706,16 @@ def test_a_malformed_config_exits_2_at_its_path_before_any_work(pipeline, tmp_pa
     monkeypatch.setattr(gan, "train_gan", lambda *args, **kwargs: pytest.fail("trained before the check"))
     monkeypatch.setattr(cli, "_load_dataset", lambda *args: pytest.fail("dataset loaded before the check"))
     monkeypatch.setattr(cli, "_read_scores_csv", lambda *args: pytest.fail("scores read before the check"))
+    flags = [key, value] if key.startswith("--") else []
     *parents, leaf = key.split(".")
     node = cfg
     for part in parents:
         node = node[part]
-    node[leaf] = value
+    if not flags:
+        node[leaf] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    assert run(command, "--config", str(path), "--out-dir", str(tmp_path / "out")) == 2
+    assert run(command, "--config", str(path), *flags, "--out-dir", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert f"schema violation at {where}:" in err and "Traceback" not in err
 
@@ -892,6 +900,19 @@ def test_score_of_data_of_another_width_than_the_model_exits_2(pipeline, tmp_pat
     ) == 2
     err = capsys.readouterr().err
     assert f"{wide}: 3 feature columns, but the model takes 2" in err and "Traceback" not in err
+
+
+def test_score_label_column_finds_a_quoted_header(pipeline, tmp_path):
+    """The --label-column peek reads the header as the dataset reader does, quotes and all."""
+    _, _, model_dir = pipeline
+    outputs = []
+    for name, header in (("quoted", '"x0","x1","label"'), ("plain", "x0,x1,label")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(f"{header}\n0.1,0.2,0\n0.4,0.5,1\n")
+        assert run("score", "--model", str(model_dir / "model.ndgan"), "--data", str(path), "--label-column", "label",
+                   "--scorers", "nd-gan-ratio", "--seed", "1", "--out-dir", str(tmp_path / name)) == 0
+        outputs.append((tmp_path / name / "scores.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_eval_holdout_with_test_data_of_another_width_exits_2_before_training(pipeline, tmp_path, monkeypatch,

@@ -108,6 +108,37 @@ def test_idx_labels_magic_is_checked(tmp_path):
         dio.read_idx_labels(path)
 
 
+_IDX_FILES = {  # reader -> the bytes of a valid file, and the (name, offset) of each field
+    "images": (dio.read_idx, struct.pack(">IIII", 0x803, 2, 2, 2) + bytes(range(8)),
+               [("magic", 0), ("item count", 4), ("row count", 8), ("column count", 12), ("payload", 16)]),
+    "labels": (dio.read_idx_labels, struct.pack(">II", 0x801, 3) + bytes([0, 1, 0]),
+               [("magic", 0), ("item count", 4), ("payload", 8)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_IDX_FILES))
+def test_an_idx_file_with_trailing_bytes_fails_at_the_first_extra_byte(tmp_path, kind):
+    read, raw, _ = _IDX_FILES[kind]
+    path = tmp_path / "long.idx"
+    path.write_bytes(raw + b"\x00\x00")
+    with pytest.raises(FormatError) as err:
+        read(path)
+    assert err.value.offset == len(raw) and "trailing bytes" in str(err.value)
+
+
+@pytest.mark.parametrize("kind", sorted(_IDX_FILES))
+def test_an_idx_file_cut_inside_a_field_names_the_field_and_its_offset(tmp_path, kind):
+    read, raw, fields = _IDX_FILES[kind]
+    path = tmp_path / "cut.idx"
+    for name, at in fields:
+        for cut in (at, at + 1):  # none of the field, or part of it
+            path.write_bytes(raw[:cut])
+            with pytest.raises(FormatError) as err:
+                read(path)
+            assert err.value.offset == at, (name, cut)
+            assert f"truncated {name}: expected" in str(err.value) and f"got {cut - at}" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
@@ -116,17 +147,16 @@ def test_idx_labels_magic_is_checked(tmp_path):
 def test_csv_without_labels(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("1,2\n3,4\n5,6\n")
-    data, mapping = dio.read_csv_dataset(path)
+    data = dio.read_csv_dataset(path)
     assert data.features.shape == (3, 2)
-    assert data.labels is None and mapping is None
+    assert data.labels is None and data.K == 0
 
 
 def test_csv_label_remap_is_reported(tmp_path):
     path = tmp_path / "labeled.csv"
     path.write_text("x0,x1,label\n0.5,1.0,3\n0.25,2.0,7\n0.1,3.0,3\n")
-    data, mapping = dio.read_csv_dataset(path, label_column="label")
-    assert mapping == {3.0: 0, 7.0: 1}
-    assert data.K == 2
+    data = dio.read_csv_dataset(path, label_column="label")
+    assert data.K == 2  # 3 -> 0 and 7 -> 1
     assert data.labels.tolist() == [0, 1, 0]
     assert data.features.shape == (3, 2)
 
@@ -156,20 +186,29 @@ def test_csv_round_trip_preserves_values(tmp_path, rng):
     data, _ = dio.gen_ring_mixture(40, 4, 2.0, 0.3, seed=9)
     path = tmp_path / "ring.csv"
     dio.write_csv_dataset(path, data)
-    again, mapping = dio.read_csv_dataset(path, label_column="label")
+    again = dio.read_csv_dataset(path, label_column="label")
     assert np.array_equal(again.features, data.features)  # repr round-trips float64
     assert np.array_equal(again.labels, data.labels)
 
 
+def test_a_label_column_that_looks_like_an_index_is_a_column_name(tmp_path):
+    path = tmp_path / "named.csv"
+    path.write_text("a,0,label\n1.5,7,2\n2.5,9,2\n")
+    data = dio.read_csv_dataset(path, label_column="0")
+    assert data.labels.tolist() == [0, 1] and data.K == 2
+    assert data.features.tolist() == [[1.5, 2.0], [2.5, 2.0]]
+    with pytest.raises(ValidationError, match="label column '1' not among"):
+        dio.read_csv_dataset(path, label_column="1")
+
+
 def _csv_outcome(path, label_column):
-    """What read_csv_dataset gives: every bit of the Dataset and label map, or the exception."""
+    """What read_csv_dataset gives: every bit of the Dataset, or the exception."""
     try:
-        data, mapping = dio.read_csv_dataset(path, label_column)
+        data = dio.read_csv_dataset(path, label_column)
     except Exception as exc:
         return type(exc), str(exc)
     labels = None if data.labels is None else data.labels.tobytes()
-    keys = None if mapping is None else [(np.float64(k).tobytes(), v) for k, v in mapping.items()]
-    return data.features.tobytes(), data.features.shape, labels, data.K, data.provenance, keys
+    return data.features.tobytes(), data.features.shape, labels, data.K, data.provenance
 
 
 def _cell_parser_outcome(path, label_column, monkeypatch):
@@ -186,7 +225,7 @@ def _image_csv(path, rng, n=30):
 
 @pytest.mark.parametrize("kind,label_column", [
     (kind, col) for kind in ("repr-crlf", "savetxt-%.6g", "no-header", "blank-lines")
-    for col in (None, "label", 2, -1) if not (kind == "no-header" and col == "label")
+    for col in (None, "label", "2", "-1") if not (kind == "no-header" and col == "label")
 ])
 def test_csv_fast_path_is_bit_identical_to_cell_parser(tmp_path, rng, monkeypatch, kind, label_column):
     path = tmp_path / "in.csv"
@@ -198,7 +237,7 @@ def test_csv_fast_path_is_bit_identical_to_cell_parser(tmp_path, rng, monkeypatc
         np.savetxt(path, rng.normal(size=(20, 3)) * 1e3, fmt="%.17g", delimiter=",")
     else:
         path.write_text("x,y,label\n\n1.5,-2e-3,1\n\n\n3,4,0\n")
-    assert dio._read_csv_fast(path, label_column) is not None  # the fast path took the file
+    assert dio._read_csv_fast(path) is not None  # the fast path took the file
     assert _csv_outcome(path, label_column) == _cell_parser_outcome(path, label_column, monkeypatch)
 
 
@@ -228,7 +267,7 @@ def test_csv_fast_path_is_bit_identical_to_cell_parser(tmp_path, rng, monkeypatc
     "",
     "\n\n",
 ])
-@pytest.mark.parametrize("label_column", [None, "y", 0, 5])
+@pytest.mark.parametrize("label_column", [None, "y", "0", "5"])  # a number-like name is a name, not an index
 def test_csv_fast_path_matches_cell_parser_on_odd_files(tmp_path, monkeypatch, text, label_column):
     path = tmp_path / "odd.csv"
     path.write_bytes(text.encode())
@@ -238,7 +277,7 @@ def test_csv_fast_path_matches_cell_parser_on_odd_files(tmp_path, monkeypatch, t
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(body=st.text(alphabet="0123456789.eE+-,\r\n _#a\"", max_size=40),
        header=st.sampled_from(["", "x,y\n", "x,y\r\n", "x\n"]),
-       label_column=st.sampled_from([None, "y", 0, -1]))
+       label_column=st.sampled_from([None, "y", "0", "-1"]))
 def test_csv_fast_path_matches_cell_parser_on_random_text(tmp_path, monkeypatch, body, header, label_column):
     path = tmp_path / "fuzz.csv"
     path.write_bytes((header + body).encode())

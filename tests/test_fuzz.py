@@ -1,11 +1,12 @@
 """Seeded fuzzing of every file the CLI reads: IDX images and labels, numeric CSV,
-density JSON, `2d` model files and scores CSV.
+density JSON, `2d` model files, scores CSV and each command's config JSON.
 
 Each case writes one mutated file beside valid companions and runs the command
 that reads it through ``cli.main``, in this process. A malformed file must end
 in a structured error (exit 2); a file that still parses may also succeed
 (exit 0), and the oracle may report a tolerance miss (exit 4). No case may end
-in exit 3, a traceback or an unstructured runtime error. The CLI runs with
+in a traceback or an unstructured runtime error; only a config, whose step size
+may diverge training, may end in a structured exit 3. The CLI runs with
 numpy's warnings as the command line has them, not raised as errors.
 
 Besides the random mutations, each format has crafted inputs that once
@@ -187,6 +188,51 @@ def test_mutated_density_json_exits_0_2_or_4(files, capsys):
         codes.append(_oracle(files, path))
         assert codes[-1] in (0, 2, 4), f"value mutant {i} exits {codes[-1]}: {path.read_text()}"
     assert 2 in codes and "Traceback" not in capsys.readouterr().err
+
+
+def _configs(files):
+    """command -> (the command, a working config of it) on the fixture's files."""
+    labeled = {"path": str(files / "train.csv"), "label_column": "label"}
+    synth = {"kind": "ring", "n_train": 40, "n_test": 16, "components": 4, "radius": 2.0, "sigma": 0.2,
+             "pi": 0.5, "seed": 1}
+    train = {"dataset": labeled, "arch": "2d", "seed": 1,
+             "train": {"total_steps": 2, "batch_size": 4, "labeled_fraction": 0.5, "lr": 0.001, "log_every": 1}}
+    return {
+        "synth-gaussian": ("synth", {**synth, "novel": {"kind": "gaussian", "n": 8, "mean": [1.0, 0.0], "sigma": 0.3}}),
+        "synth-uniform": ("synth", {**synth, "novel": {"kind": "uniform", "n": 8, "bounds": [[-3, 3], [-3, 3]]}}),
+        "train-learned": ("train", train),
+        "train-uniform": ("train", {**train, "fake_source": {"kind": "uniform", "bounds": [[-3, 3], [-3, 3]]}}),
+        "train-mixture": ("train", {**train, "fake_source": {"kind": "mixture",
+                                                             "density": str(files / "density.json")}}),
+        "score": ("score", {"model": str(files / "model.ndgan"), "dataset": labeled, "knn_reference": labeled,
+                            "scorers": ["nd-gan-ratio", "entropy", "knn-2"], "mark_novel": 0, "seed": 1}),
+        "eval-holdout": ("eval", {"holdout": {"train_dataset": labeled, "test_dataset": labeled, "arch": "2d",
+                                              "train": train["train"], "holdout_classes": [1],
+                                              "scorers": ["nd-gan-ratio", "knn-1"]},
+                                  "alphas": [0.1], "seed": 1}),
+        "oracle": ("oracle", {"density": str(files / "density.json"), "grid_points": 64, "tolerance": 1e-12,
+                              "seed": 1}),
+    }
+
+
+@pytest.mark.parametrize("name", ["synth-gaussian", "synth-uniform", "train-learned", "train-uniform",
+                                  "train-mixture", "score", "eval-holdout", "oracle"])
+def test_mutated_configs_end_in_a_structured_exit(files, capsys, name):
+    command, cfg = _configs(files)[name]
+    (files / "config.json").write_text(json.dumps(cfg))
+    assert _run([command, "--config", files / "config.json", "--out-dir", files / "out"]) == 0
+    rng = np.random.default_rng(8)
+    codes = []
+    for i in range(CASES):
+        doc = _mutate_json(cfg, rng)
+        (files / "config.json").write_text(json.dumps(doc))
+        codes.append(_run([command, "--config", files / "config.json", "--out-dir", files / "out"]))
+        err = capsys.readouterr().err
+        last = (err.strip().splitlines() or [""])[-1]
+        structured = (codes[-1] in (0, 2) or codes[-1] == 4 and command == "oracle"
+                      or codes[-1] == 3 and last.startswith(("training diverged:", "error:")))
+        assert structured and "Traceback" not in err, f"mutant {i} exits {codes[-1]}: {json.dumps(doc)}\n{err}"
+    assert 2 in codes
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -463,6 +464,27 @@ def test_load_model_rejects_trailing_bytes_and_non_finite_weights(tmp_path):
     with pytest.raises(FormatError) as err:
         gan.load_model(path)
     assert "layer 1" in str(err.value) and "'b'" in str(err.value)
+
+
+def test_a_model_file_cut_inside_a_field_names_the_field_and_its_offset(tmp_path):
+    model = gan.build_gan(2, 3, arch="2d", seed=0)
+    path = tmp_path / "model.ndgan"
+    gan.save_model(path, model)
+    raw = path.read_bytes()
+    gen_block = io.BytesIO()
+    nn.write_mlp_block(gen_block, model.gen)
+    first = 6 + 5 + 14 + 4  # the generator's first layer header, after the file and model headers and its count
+    g_at = first + 18 + 8 * model.gen[0].v.size
+    fields = [("magic", 0), ("file header", 6), ("model header", 11), ("layer count", 25),
+              ("header of layer 0", first), ("v of layer 0", first + 18), ("g of layer 0", g_at),
+              ("layer count", 25 + gen_block.tell())]  # the discriminator's
+    for name, at in fields:
+        for cut in (at, at + 1):  # none of the field, or part of it
+            path.write_bytes(raw[:cut])
+            with pytest.raises(FormatError) as err:
+                gan.load_model(path)
+            assert err.value.offset == at, (name, cut)
+            assert f"truncated {name}: expected" in str(err.value) and f"got {cut - at}" in str(err.value)
 
 
 @pytest.mark.parametrize("arch, data_dim, K", [("2d", 2, 4), ("mnist", 36, 3)])
